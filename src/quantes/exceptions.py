@@ -36,7 +36,13 @@ class PathError(NumericError):
 
 
 class InfeasibleAllocationError(NumericError):
-    """The allocator could not satisfy its constraints to tolerance."""
+    """The allocator could not satisfy its constraints to tolerance.
+
+    ``residual`` is the level gap: how far the target level lies below the
+    lowest level any budget-line portfolio reaches (0 when the target is
+    only approached, never attained), or, if a computed solution missed its
+    tolerances, the larger of its level and budget errors.
+    """
 
     def __init__(self, message, weights=None, residual=None):
         super().__init__(message)

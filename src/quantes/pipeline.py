@@ -480,9 +480,7 @@ def portfolio_run(config):
             mu=rec.var, delta=tau * (0.0 - rec.es), psi=bundle.psis[i], tau=tau
         )
         try:
-            alloc = smv_weights(
-                params_t, tau_tilde, b_init=weights, seed=config.seed
-            )
+            alloc = smv_weights(params_t, tau_tilde, b_init=weights)
             weights = alloc.weights
             var_t, es_t = alloc.var, alloc.es
             feasible = 1
@@ -544,11 +542,15 @@ def _fmt(value):
 
 
 def _write_csv(path, header, rows):
+    """Write a header line and the rows; returns the number of rows written."""
+    n_rows = 0
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+            n_rows += 1
+    return n_rows
 
 
 def emit_reports(bundle, out_dir):
@@ -563,10 +565,11 @@ def emit_reports(bundle, out_dir):
     except OSError as exc:
         raise ValidationError(f"cannot create {out}: {exc}") from exc
     written = []
+    tables = {}
 
     def _table(name, header, rows):
         path = out / name
-        _write_csv(path, header, rows)
+        tables[name] = _write_csv(path, header, rows)
         written.append(path)
 
     if bundle.records:
@@ -623,7 +626,7 @@ def emit_reports(bundle, out_dir):
 
     manifest = dict(bundle.manifest) if bundle.manifest else {}
     manifest.setdefault("versions", _versions())
-    manifest["tables"] = {p.name: sum(1 for _ in open(p)) - 1 for p in written}
+    manifest["tables"] = tables
     path = out / "manifest.json"
     with open(path, "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)

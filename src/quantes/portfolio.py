@@ -1,25 +1,43 @@
 """Risk-level-constrained minimum-variance portfolio construction.
 
 The allocator minimizes the portfolio's correlated-scale quadratic form
-subject to two equalities: the weights sum to one, and the probability
-that the portfolio return falls below its own location equals a chosen
-target level. Because linear combinations of the model's return vector
-stay in the asymmetric Laplace family, that probability has a closed form
-in the weights and the constraint is smooth; shorting is allowed, so the
-weights live in all of R^p.
+b'Ab, with A = D Sigma D, subject to two equalities: the weights sum to
+one, and the probability that the portfolio return falls below its own
+location equals a target level tau~. Because linear combinations of the
+model's return vector stay in the asymmetric Laplace family, that
+probability is 1/2 (1 - t / sqrt(2 b'Ab + t^2)) with t = s'b and skew
+vector s = D xi~; shorting is allowed, so the weights live in all of R^p.
 
-The solver is an augmented Lagrangian outer loop (multiplier updates,
-penalty growth by a factor of ten, at most twenty rounds) around an
-unconstrained quasi-Newton inner minimizer with analytic gradients,
-multi-started from the supplied initial weights plus ten deterministic
-random perturbations. A short Newton polish on the constraint pair
-finishes the feasibility to tolerance.
+The level does not change when b is scaled. On the budget line 1'b = 1 it
+equals tau~ exactly when t >= 0 and (1 - k^2) t^2 = 2 k^2 b'Ab, with
+k = 1 - 2 tau~, so the objective (1 - k^2) t^2 / (2 k^2) grows with t and
+the optimum has the smallest feasible t. With alpha = 1'A^-1 1,
+beta = 1'A^-1 s, gamma = s'A^-1 s and D = alpha gamma - beta^2, the least
+b'Ab on {1'b = 1, s'b = t} is (gamma - 2 beta t + alpha t^2) / D, so the
+optimal t is the smallest non-negative root of
+
+    ((1 - k^2) D - 2 k^2 alpha) t^2 + 4 k^2 beta t - 2 k^2 gamma = 0
+
+and the weights are the minimum-scale point of that plane: one p x p
+solve with two right-hand sides and no iteration. tau~ = 1/2 gives t = 0.
+
+Feasibility is exact. The lowest level a budget-line portfolio reaches is
+L = 1/2 (1 - sqrt(c / (c + 2))) with c = gamma when beta > 0 (attained at
+b proportional to A^-1 s) and c = D / alpha otherwise (approached as
+t grows, never attained); a target below L is infeasible.
+
+When s is parallel to the ones vector (every asset has the same scale and
+level) D vanishes and t is the same for every budget-line portfolio, so
+the level fixes the objective at (1 - k^2) t^2 / (2 k^2) and every
+budget-line portfolio with that scale is optimal. It is feasible only
+when that scale is at least the minimum 1 / alpha. The allocator then
+moves from the minimum-scale portfolio A^-1 1 / alpha towards the supplied
+initial weights until the scale reaches it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .exceptions import InfeasibleAllocationError, NumericError, ValidationError
 from .mal import ALParams, al_mean, linear_combine
@@ -27,15 +45,14 @@ from .mal import ALParams, al_mean, linear_combine
 __all__ = [
     "AllocationResult",
     "smv_weights",
-    "moment_smv_weights",
     "portfolio_risk",
     "performance_stats",
 ]
 
 _BUDGET_TOL = 1e-10
 _LEVEL_TOL = 1e-6
-_N_PERTURB = 10
-_MAX_OUTER = 20
+# D / (alpha gamma) at or below this counts as a skew vector parallel to 1
+_PARALLEL_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -50,105 +67,75 @@ class AllocationResult:
     es: float
 
 
-def _level_parts(b, a_matrix, skew_vec):
-    g = float(skew_vec @ b)
-    ab = a_matrix @ b
-    v = float(b @ ab)
-    r = np.sqrt(2.0 * v + g * g + 1e-300)
-    return g, ab, v, r
-
-
 def _level(b, a_matrix, skew_vec):
-    g, _, _, r = _level_parts(b, a_matrix, skew_vec)
-    return 0.5 * (1.0 - g / r)
+    g = float(skew_vec @ b)
+    v = float(b @ a_matrix @ b)
+    return 0.5 * (1.0 - g / np.sqrt(2.0 * v + g * g + 1e-300))
 
 
-def _level_grad(b, a_matrix, skew_vec):
-    g, ab, v, r = _level_parts(b, a_matrix, skew_vec)
-    return (g * ab - v * skew_vec) / r**3
-
-
-def _solve_single(b0, a_matrix, skew_vec, tau_tilde, ones):
-    lam = np.zeros(2)
-    rho = 10.0
-    b = np.asarray(b0, dtype=float)
-    prev_norm = np.inf
-
-    def residuals(bb):
-        return np.array(
-            [_level(bb, a_matrix, skew_vec) - tau_tilde, float(ones @ bb) - 1.0]
+def _parallel_skew_weights(a_matrix, skew_vec, tau_tilde, b_mv, alpha, b0):
+    """Weights when s = t 1: the level pins the scale, not the direction."""
+    t = float(skew_vec @ b_mv)
+    k = 1.0 - 2.0 * tau_tilde
+    if k > 0.0 and t > 0.0:
+        target = (1.0 - k * k) * t * t / (2.0 * k * k)
+    elif k == 0.0 and t == 0.0:
+        target = 1.0 / alpha  # s = 0: every portfolio sits at level 1/2
+    else:
+        target = -np.inf
+    if target < 1.0 / alpha:
+        lowest = min(_level(b_mv, a_matrix, skew_vec), 0.5)
+        raise InfeasibleAllocationError(
+            "equal asset skews fix the level on the budget line away from the target",
+            residual=max(lowest - tau_tilde, 0.0),
         )
-
-    for _ in range(_MAX_OUTER):
-        def objective(bb):
-            c = residuals(bb)
-            f = float(bb @ a_matrix @ bb)
-            grad_c1 = _level_grad(bb, a_matrix, skew_vec)
-            val = f + lam @ c + 0.5 * rho * float(c @ c)
-            grad = (
-                2.0 * (a_matrix @ bb)
-                + (lam[0] + rho * c[0]) * grad_c1
-                + (lam[1] + rho * c[1]) * ones
-            )
-            return val, grad
-
-        res = optimize.minimize(objective, b, jac=True, method="BFGS",
-                                options={"maxiter": 200, "gtol": 1e-10})
-        b = res.x
-        c = residuals(b)
-        norm = float(np.max(np.abs(c)))
-        lam = lam + rho * c
-        if norm > 0.25 * prev_norm:
-            rho *= 10.0
-        prev_norm = norm
-        if norm < 1e-9:
-            break
-
-    # Newton polish on the two constraints; least squares keeps the step
-    # defined when the level gradient degenerates (symmetric levels)
-    for _ in range(8):
-        c = residuals(b)
-        if abs(c[0]) <= 1e-12 and abs(c[1]) <= 1e-14:
-            break
-        j = np.vstack([_level_grad(b, a_matrix, skew_vec), ones])
-        step = np.linalg.lstsq(j, c, rcond=None)[0]
-        b = b - step
-    c = residuals(b)
-    return b, float(np.max(np.abs(c)))
+    u = b0 - b_mv
+    u = u - u.mean()
+    if np.linalg.norm(u) <= 1e-10 * np.linalg.norm(b_mv):
+        u = np.eye(b_mv.size)[0] - 1.0 / b_mv.size
+    return b_mv + np.sqrt((target - 1.0 / alpha) / float(u @ a_matrix @ u)) * u
 
 
-def _allocate(a_matrix, skew_vec, tau_tilde, b_init, seed):
+def _allocate(a_matrix, skew_vec, tau_tilde, b_init):
     p = a_matrix.shape[0]
     ones = np.ones(p)
     b0 = np.full(p, 1.0 / p) if b_init is None else np.asarray(b_init, dtype=float)
     if b0.shape != (p,):
         raise ValidationError("initial weights dimension does not match")
-    rng = np.random.default_rng(seed)
-    starts = [b0]
-    for _ in range(_N_PERTURB):
-        cand = b0 + rng.normal(0.0, 0.5 / np.sqrt(p), size=p)
-        starts.append(cand + (1.0 - cand.sum()) / p)
+    z, w = np.linalg.solve(a_matrix, np.column_stack([ones, skew_vec])).T
+    alpha, beta, gamma = float(ones @ z), float(ones @ w), float(skew_vec @ w)
+    b_mv = z / alpha
+    # A^-1 (s - (beta / alpha) 1), the direction that moves s'b along the
+    # budget line; s'w_perp is D / alpha without the cancellation in D
+    w_perp = w - (beta / alpha) * z
+    d = alpha * float(skew_vec @ w_perp)
 
-    best = None
-    best_residual = np.inf
-    for start in starts:
-        try:
-            b, residual = _solve_single(start, a_matrix, skew_vec, tau_tilde, ones)
-        except (FloatingPointError, np.linalg.LinAlgError):
-            continue
-        best_residual = min(best_residual, residual)
-        level_err = abs(_level(b, a_matrix, skew_vec) - tau_tilde)
-        budget_err = abs(float(ones @ b) - 1.0)
-        if level_err <= _LEVEL_TOL and budget_err <= _BUDGET_TOL:
-            obj = float(b @ a_matrix @ b)
-            if best is None or obj < best[1]:
-                best = (b, obj)
-    if best is None:
+    if d <= _PARALLEL_RTOL * alpha * gamma:
+        b = _parallel_skew_weights(a_matrix, skew_vec, tau_tilde, b_mv, alpha, b0)
+    else:
+        k = 1.0 - 2.0 * tau_tilde
+        c = gamma if beta > 0.0 else d / alpha
+        lowest = 0.5 * (1.0 - np.sqrt(c / (c + 2.0)))
+        # smallest non-negative root, rationalized so that k = 0 gives t = 0;
+        # den <= 0 only at tau_tilde == lowest when the bound is not attained
+        root = np.sqrt(max(8.0 * d * ((1.0 - k * k) * gamma - 2.0 * k * k), 0.0))
+        den = 4.0 * k * beta + root
+        if tau_tilde < lowest or den <= 0.0:
+            raise InfeasibleAllocationError(
+                "the target level lies below every budget-line portfolio's level",
+                residual=max(lowest - tau_tilde, 0.0),
+            )
+        t = 4.0 * k * gamma / den
+        b = b_mv + ((alpha * t - beta) / d) * w_perp
+
+    level_err = abs(_level(b, a_matrix, skew_vec) - tau_tilde)
+    budget_err = abs(float(ones @ b) - 1.0)
+    if not (level_err <= _LEVEL_TOL and budget_err <= _BUDGET_TOL):
         raise InfeasibleAllocationError(
             "no weight vector meets the risk-level and budget constraints",
-            residual=best_residual,
+            residual=max(level_err, budget_err),
         )
-    return best
+    return b, float(b @ a_matrix @ b)
 
 
 def smv_weights(params, tau_tilde, b_init=None, seed=0):
@@ -158,8 +145,14 @@ def smv_weights(params, tau_tilde, b_init=None, seed=0):
     at the per-asset quantiles, scale from the shortfalls). The objective
     is the portfolio's quadratic scale b' D Sigma D b and the level
     constraint fixes the probability of the portfolio falling below its
-    own location. Raises when no weight vector on the budget line can
-    reach the target level.
+    own location. The solution is exact (see the module docstring). Raises
+    when no weight vector on the budget line can reach the target level.
+
+    ``b_init`` (equal weights when omitted) matters only when every asset
+    shares its scale and level: the optimum is then a whole set of
+    portfolios, and the one returned lies in the direction of ``b_init``
+    from the minimum-scale portfolio. ``seed`` is ignored; it is kept so
+    that existing callers keep working.
     """
     tau_tilde = float(tau_tilde)
     if not 0.0 < tau_tilde <= 0.5:
@@ -185,66 +178,8 @@ def smv_weights(params, tau_tilde, b_init=None, seed=0):
 
     a_matrix = params.sigma() * np.outer(params.delta, params.delta)
     skew_vec = params.delta * params.constraints.xi_tilde
-    b, obj = _allocate(a_matrix, skew_vec, tau_tilde, b_init, seed)
+    b, obj = _allocate(a_matrix, skew_vec, tau_tilde, b_init)
     al = linear_combine(b, params)
-    var, es = portfolio_risk(al, tau_tilde)
-    return AllocationResult(
-        weights=b,
-        tau_star_achieved=al.tau_star,
-        objective=obj,
-        al=al,
-        var=var,
-        es=es,
-    )
-
-
-def moment_smv_weights(window, tau_tilde, b_init=None, seed=0):
-    """Sample-moment variant of :func:`smv_weights` over a returns window.
-
-    The correlated-scale matrix is estimated as the sample covariance
-    minus the outer product of the sample mean, which is the exact
-    second-moment identity of the distribution when the sample mean plays
-    the skew vector's role; the same matrix enters the objective and the
-    level constraint, so plugging model-implied moments back in recovers
-    the model allocator. The implied portfolio location is zero, with the
-    sample mean absorbed entirely into the skew term.
-    """
-    tau_tilde = float(tau_tilde)
-    if not 0.0 < tau_tilde <= 0.5:
-        raise ValidationError("target level must lie in (0, 0.5]")
-    window = np.asarray(window, dtype=float)
-    if window.ndim != 2 or window.shape[0] <= window.shape[1]:
-        raise ValidationError("window must be a T x p matrix with T > p")
-    if not np.all(np.isfinite(window)):
-        raise ValidationError("window contains non-finite entries")
-    mean = window.mean(axis=0)
-    cov = np.cov(window, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
-    if np.linalg.matrix_rank(cov, tol=1e-10 * float(np.abs(cov).max() or 1.0)) < cov.shape[0]:
-        raise NumericError("sample covariance of the window is singular")
-    a_matrix = cov - np.outer(mean, mean)
-    if np.linalg.eigvalsh(a_matrix).min() <= 0.0:
-        raise NumericError("sample mean dominates the covariance; scale matrix lost definiteness")
-
-    p = window.shape[1]
-    if p == 1:
-        b = np.ones(1)
-        g, _, v, r = _level_parts(b, a_matrix, mean)
-        level = 0.5 * (1.0 - g / r)
-        if abs(level - tau_tilde) > _LEVEL_TOL:
-            raise InfeasibleAllocationError(
-                "a single asset pins the portfolio level",
-                residual=abs(level - tau_tilde),
-            )
-        obj = float(a_matrix[0, 0])
-    else:
-        b, obj = _allocate(a_matrix, mean, tau_tilde, b_init, seed)
-        g, _, v, r = _level_parts(b, a_matrix, mean)
-    al = ALParams(
-        mu_star=0.0,
-        tau_star=0.5 * (1.0 - g / r),
-        delta_star=float(v / (2.0 * r)),
-    )
     var, es = portfolio_risk(al, tau_tilde)
     return AllocationResult(
         weights=b,

@@ -1,0 +1,54 @@
+import datetime
+import json
+
+import numpy as np
+
+from quantes import cli
+from quantes.dynamics import initial_quantile, risk_path
+from quantes.pipeline import load_returns
+from quantes.simulate import SimScenario, generate, reference_params
+
+TAU = 0.1
+
+
+def _write_forecasts(path, p=2, T=120):
+    """A wide forecasts file from the true-model paths of a simulated panel."""
+    params = reference_params(p=p)
+    y = generate(SimScenario(params=params, tau=np.full(p, TAU), T=T, seed=11))
+    header = ["date"]
+    columns = []
+    for j in range(p):
+        path_j = risk_path(
+            params.specs[j], params.links[j], y[:, j], initial_quantile(y[:, j], TAU), TAU
+        )
+        header += [f"y_a{j + 1}", f"var_a{j + 1}", f"es_a{j + 1}"]
+        columns += [y[:, j], path_j.quantile, path_j.es]
+    day = datetime.date(2001, 1, 2)
+    with open(path, "w") as handle:
+        handle.write(",".join(header) + "\n")
+        for t, row in enumerate(np.column_stack(columns)):
+            date = (day + datetime.timedelta(days=t)).isoformat()
+            handle.write(date + "," + ",".join("%.10g" % v for v in row) + "\n")
+
+
+def test_backtest_round_trips_emitted_reports(tmp_path, capsys):
+    source = tmp_path / "forecasts.csv"
+    _write_forecasts(source)
+    out = tmp_path / "reports"
+    code = cli.main(
+        ["backtest", "--forecasts", str(source), "--tau", str(TAU), "--out", str(out)]
+    )
+    assert code == 0, capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["tables"]) == {
+        "forecasts.csv", "paths_long.csv", "scores.csv", "score_paths.csv", "backtests.csv"
+    }
+    for name, rows in manifest["tables"].items():
+        with open(out / name) as handle:
+            assert sum(1 for _ in handle) - 1 == rows, name
+    assert manifest["tables"]["forecasts.csv"] == 120
+    before, after = load_returns(source), load_returns(out / "forecasts.csv")
+    assert before.columns == after.columns
+    assert before.dates == after.dates
+    assert np.array_equal(before.values, after.values)
+    assert (out / "forecasts.csv").read_text() == source.read_text()

@@ -1,0 +1,260 @@
+"""Tests for the closed-form risk-level-constrained allocator.
+
+The multi-start augmented-Lagrangian solver the closed form replaced is kept
+here as the reference: it searches the same problem numerically, so the two
+must agree on feasibility, weights and objective.
+"""
+
+import numpy as np
+import pytest
+from scipy import optimize
+
+from quantes.exceptions import InfeasibleAllocationError, ValidationError
+from quantes.mal import MALParams, linear_combine
+from quantes.portfolio import smv_weights
+
+LEVEL_TOL = 1e-6  # the allocator's own level tolerance
+BUDGET_TOL = 1e-10
+
+
+# -- reference: multi-start augmented Lagrangian with a Newton polish ---------
+
+
+def _level_parts(b, a_matrix, skew_vec):
+    g = float(skew_vec @ b)
+    ab = a_matrix @ b
+    v = float(b @ ab)
+    r = np.sqrt(2.0 * v + g * g + 1e-300)
+    return g, ab, v, r
+
+
+def _level(b, a_matrix, skew_vec):
+    g, _, _, r = _level_parts(b, a_matrix, skew_vec)
+    return 0.5 * (1.0 - g / r)
+
+
+def _level_grad(b, a_matrix, skew_vec):
+    g, ab, v, r = _level_parts(b, a_matrix, skew_vec)
+    return (g * ab - v * skew_vec) / r**3
+
+
+def _solve_single(b0, a_matrix, skew_vec, tau_tilde, ones):
+    lam = np.zeros(2)
+    rho = 10.0
+    b = np.asarray(b0, dtype=float)
+    prev_norm = np.inf
+
+    def residuals(bb):
+        return np.array(
+            [_level(bb, a_matrix, skew_vec) - tau_tilde, float(ones @ bb) - 1.0]
+        )
+
+    for _ in range(20):
+        def objective(bb):
+            c = residuals(bb)
+            f = float(bb @ a_matrix @ bb)
+            grad_c1 = _level_grad(bb, a_matrix, skew_vec)
+            val = f + lam @ c + 0.5 * rho * float(c @ c)
+            grad = (
+                2.0 * (a_matrix @ bb)
+                + (lam[0] + rho * c[0]) * grad_c1
+                + (lam[1] + rho * c[1]) * ones
+            )
+            return val, grad
+
+        res = optimize.minimize(objective, b, jac=True, method="BFGS",
+                                options={"maxiter": 200, "gtol": 1e-10})
+        b = res.x
+        c = residuals(b)
+        norm = float(np.max(np.abs(c)))
+        lam = lam + rho * c
+        if norm > 0.25 * prev_norm:
+            rho *= 10.0
+        prev_norm = norm
+        if norm < 1e-9:
+            break
+
+    for _ in range(8):
+        c = residuals(b)
+        if abs(c[0]) <= 1e-12 and abs(c[1]) <= 1e-14:
+            break
+        j = np.vstack([_level_grad(b, a_matrix, skew_vec), ones])
+        step = np.linalg.lstsq(j, c, rcond=None)[0]
+        b = b - step
+    c = residuals(b)
+    return b, float(np.max(np.abs(c)))
+
+
+def reference_weights(params, tau_tilde, b_init=None, seed=0, n_starts=11):
+    """Best of ``n_starts`` numerical solves; None when none meets the constraints."""
+    a_matrix = params.sigma() * np.outer(params.delta, params.delta)
+    skew_vec = params.delta * params.constraints.xi_tilde
+    p = params.p
+    ones = np.ones(p)
+    b0 = np.full(p, 1.0 / p) if b_init is None else np.asarray(b_init, dtype=float)
+    rng = np.random.default_rng(seed)
+    starts = [b0]
+    for _ in range(n_starts - 1):
+        cand = b0 + rng.normal(0.0, 0.5 / np.sqrt(p), size=p)
+        starts.append(cand + (1.0 - cand.sum()) / p)
+    best = None
+    for start in starts:
+        try:
+            b, _ = _solve_single(start, a_matrix, skew_vec, tau_tilde, ones)
+        except (FloatingPointError, np.linalg.LinAlgError):
+            continue
+        level_err = abs(_level(b, a_matrix, skew_vec) - tau_tilde)
+        budget_err = abs(float(ones @ b) - 1.0)
+        if level_err <= LEVEL_TOL and budget_err <= BUDGET_TOL:
+            obj = float(b @ a_matrix @ b)
+            if best is None or obj < best[1]:
+                best = (b, obj)
+    return best
+
+
+# -- helpers -------------------------------------------------------------------
+
+
+def _random_params(rng, p):
+    m = rng.normal(size=(p, p))
+    cov = m @ m.T + 0.5 * np.eye(p)
+    sd = np.sqrt(np.diag(cov))
+    return MALParams(
+        mu=rng.normal(size=p),
+        delta=rng.uniform(0.5, 3.0, size=p),
+        psi=cov / np.outer(sd, sd),
+        tau=rng.uniform(0.02, 0.3, size=p),
+    )
+
+
+def _equal_params(p, tau=0.1, rho=0.3):
+    psi = np.full((p, p), rho)
+    np.fill_diagonal(psi, 1.0)
+    return MALParams(mu=np.zeros(p), delta=np.ones(p), psi=psi, tau=np.full(p, tau))
+
+
+def _moments(params):
+    a_matrix = params.sigma() * np.outer(params.delta, params.delta)
+    skew_vec = params.delta * params.constraints.xi_tilde
+    ones = np.ones(params.p)
+    z, w = np.linalg.solve(a_matrix, np.column_stack([ones, skew_vec])).T
+    return a_matrix, skew_vec, float(ones @ z), float(ones @ w), float(skew_vec @ w)
+
+
+def _lowest_level(params):
+    _, _, alpha, beta, gamma = _moments(params)
+    c = gamma if beta > 0.0 else (alpha * gamma - beta**2) / alpha
+    return 0.5 * (1.0 - np.sqrt(c / (c + 2.0)))
+
+
+def _assert_constraints(result, params, tau_tilde):
+    assert abs(float(result.weights.sum()) - 1.0) <= 1e-10
+    assert abs(linear_combine(result.weights, params).tau_star - tau_tilde) <= 1e-9
+    assert abs(result.tau_star_achieved - tau_tilde) <= 1e-9
+
+
+# -- tests ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_matches_multistart_reference(case):
+    rng = np.random.default_rng(1000 + case)
+    params = _random_params(rng, (2, 3, 5)[case % 3])
+    tau_tilde = float(rng.uniform(0.01, 0.5))
+    # the problem has one minimizer, so four starts suffice and keep this quick
+    ref = reference_weights(params, tau_tilde, n_starts=4)
+    if ref is None:
+        with pytest.raises(InfeasibleAllocationError):
+            smv_weights(params, tau_tilde)
+        return
+    result = smv_weights(params, tau_tilde)
+    _assert_constraints(result, params, tau_tilde)
+    assert np.max(np.abs(result.weights - ref[0])) <= 1e-6
+    assert abs(result.objective - ref[1]) <= 1e-8 * ref[1]
+
+
+def test_single_asset_pins_level():
+    params = MALParams(mu=[0.3], delta=[1.5], psi=[[1.0]], tau=[0.1])
+    result = smv_weights(params, 0.1)
+    assert np.array_equal(result.weights, [1.0])
+    assert abs(result.tau_star_achieved - 0.1) <= 1e-12
+    with pytest.raises(InfeasibleAllocationError) as info:
+        smv_weights(params, 0.2)
+    assert info.value.residual == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize(
+    "params, beta_positive",
+    [
+        (_random_params(np.random.default_rng(1003), 2), True),
+        # a wide-scale, strongly skewed asset highly correlated with a mild one
+        (MALParams(mu=[0, 0], delta=[1, 1], psi=[[1, 0.9], [0.9, 1]], tau=[0.05, 0.3]), False),
+    ],
+)
+def test_below_lowest_level_raises_with_gap(params, beta_positive):
+    assert (_moments(params)[3] > 0.0) == beta_positive
+    lowest = _lowest_level(params)
+    gap = 0.5 * lowest
+    with pytest.raises(InfeasibleAllocationError) as info:
+        smv_weights(params, lowest - gap)
+    assert info.value.residual == pytest.approx(gap, rel=1e-9)
+    _assert_constraints(smv_weights(params, lowest + 1e-3), params, lowest + 1e-3)
+
+
+def test_median_level_has_zero_skew_term():
+    params = _random_params(np.random.default_rng(7), 3)
+    result = smv_weights(params, 0.5)
+    _assert_constraints(result, params, 0.5)
+    _, skew_vec, _, _, _ = _moments(params)
+    assert abs(float(skew_vec @ result.weights)) <= 1e-12 * np.abs(skew_vec).sum()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_equal_assets_fix_the_objective(p):
+    params = _equal_params(p)
+    k = 1.0 - 2.0 * 0.15
+    sigma = float(params.delta[0] * params.constraints.xi_tilde[0])
+    expected = (1.0 - k * k) * sigma**2 / (2.0 * k * k)
+    assert expected == pytest.approx(41.1187, abs=1e-4)
+    b_init = np.linspace(1.0, 0.2, p)
+    result = smv_weights(params, 0.15, b_init=b_init)
+    _assert_constraints(result, params, 0.15)
+    assert result.objective == pytest.approx(expected, rel=1e-12)
+    # the optimum moves from equal weights towards b_init's budget-plane part
+    step = result.weights - 1.0 / p
+    toward = b_init - b_init.mean()
+    assert float(step @ toward) > 0.0
+    assert np.allclose(step * np.linalg.norm(toward), toward * np.linalg.norm(step))
+    # equal weights are the minimum-scale portfolio here, so the default
+    # start gives no direction and the allocator moves along e1 - 1/p
+    default = smv_weights(params, 0.15)
+    _assert_constraints(default, params, 0.15)
+    assert default.objective == pytest.approx(expected, rel=1e-12)
+    assert default.weights[0] > 1.0 / p
+    assert np.allclose(default.weights[1:], default.weights[1], rtol=0.0, atol=1e-12)
+    ref = reference_weights(params, 0.15, b_init=b_init)
+    assert ref is not None
+    assert abs(result.objective - ref[1]) <= 1e-8 * ref[1]
+    with pytest.raises(InfeasibleAllocationError):
+        smv_weights(params, 0.5)
+
+
+def test_median_assets_allow_only_the_median_level():
+    params = _equal_params(3, tau=0.5)
+    result = smv_weights(params, 0.5)
+    _assert_constraints(result, params, 0.5)
+    assert np.allclose(result.weights, 1.0 / 3.0, rtol=0.0, atol=1e-12)
+    with pytest.raises(InfeasibleAllocationError) as info:
+        smv_weights(params, 0.3)
+    assert info.value.residual == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("tau_tilde", [0.0, -0.1, 0.5000001, 1.0])
+def test_rejects_level_outside_range(tau_tilde):
+    with pytest.raises(ValidationError):
+        smv_weights(_equal_params(2), tau_tilde)
+
+
+def test_rejects_initial_weights_of_wrong_shape():
+    with pytest.raises(ValidationError):
+        smv_weights(_random_params(np.random.default_rng(0), 3), 0.2, b_init=np.ones(2))
