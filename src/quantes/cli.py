@@ -28,6 +28,7 @@ from .exceptions import (
     QuantesError,
     ValidationError,
 )
+from .mal import as_levels
 from .pipeline import (
     ReportBundle,
     RunConfig,
@@ -253,19 +254,25 @@ def _cmd_stats(args, stream):
     return 0
 
 
-def _levels_for(args, p):
-    tau = _merge(args, "tau", [0.1])
-    tau = np.asarray(tau, dtype=float).reshape(-1)
-    if tau.size == 1:
-        tau = np.full(p, tau[0])
-    if tau.size != p:
-        raise ValidationError("tau must have one entry or one per asset")
-    return tau
+def _recorded_levels(args, path, p):
+    """--tau, else the tau in the manifest.json written next to ``path``."""
+    tau = _merge(args, "tau")
+    if tau is None:
+        manifest = Path(path).parent / "manifest.json"
+        try:
+            recorded = json.loads(manifest.read_text())
+            tau = recorded["tau"] if "tau" in recorded else recorded["config"]["tau"]
+            tau = np.asarray(tau, dtype=float)
+        except (OSError, ValueError, KeyError, TypeError):
+            raise ValidationError(
+                f"missing option --tau: {manifest} does not record the levels of {path}"
+            ) from None
+    return as_levels(tau, p)
 
 
 def _cmd_fit(args, stream):
     table = load_returns(_require(args, "input"), _merge(args, "columns"))
-    tau = _levels_for(args, table.shape[1])
+    tau = as_levels(_merge(args, "tau", 0.1), table.shape[1])
     seed = int(_merge(args, "seed", 0))
     kind = _merge(args, "kind", dyn.SAV)
     link = _merge(args, "link", dyn.MULT)
@@ -347,7 +354,7 @@ def _cmd_backtest(args, stream):
         for want in (f"var_{asset}", f"es_{asset}"):
             if want not in table.columns:
                 raise ValidationError(f"{path}: missing column {want!r}")
-    tau = _levels_for(args, len(prefixes))
+    tau = _recorded_levels(args, path, len(prefixes))
     col = {name: k for k, name in enumerate(table.columns)}
     records = []
     for t in range(table.shape[0]):
@@ -392,7 +399,7 @@ def _cmd_simulate(args, stream):
     link = _merge(args, "link", dyn.MULT)
     p = int(_merge(args, "dimension", 3))
     length = int(_merge(args, "length", 1500))
-    tau = _levels_for(args, p)
+    tau = as_levels(_merge(args, "tau", 0.1), p)
     family = _merge(args, "family", "normal")
     scenario = SimScenario(
         params=reference_params(kind, link, p),

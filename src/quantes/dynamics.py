@@ -7,28 +7,20 @@ offset that widens after violations). Paths are plain arrays indexed like
 the input series: entry t is the one-step forecast made with information
 through t-1, with entry 0 pinned to the supplied initial state.
 
-The time loops are jitted when numba is importable and fall back to the
-same Python code otherwise; either way they are pure functions of their
-arguments, so paths are reproducible bit for bit.
+Every quantile recursion is a first-order linear filter (in q for the two
+slope kinds, in q^2 for indirect GARCH), and so is each derivative of the
+path with respect to a coefficient; :func:`filter_path` runs them through
+``scipy.signal.lfilter``. The shortfall offset only changes at violations,
+so its recursion runs over those indices alone. Everything here is a pure
+function of its arguments, so paths are reproducible bit for bit.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .exceptions import PathError, ValidationError
-
-try:  # pragma: no cover - exercised implicitly by every path call
-    from numba import njit
-except ImportError:  # pragma: no cover
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
 
 SAV = "sav"
 AS = "as"
@@ -50,6 +42,8 @@ __all__ = [
     "RiskPath",
     "quantile_step",
     "quantile_path",
+    "filter_path",
+    "ar_offset",
     "es_path_multiplicative",
     "es_path_ar",
     "delta_from_es",
@@ -135,51 +129,107 @@ class RiskPath:
     x: np.ndarray = None
 
 
-@njit(cache=True)
-def _sav_loop(omega, eta, beta1, y, q0):
-    q = np.empty(y.size)
-    q[0] = q0
-    for t in range(1, y.size):
-        q[t] = omega + eta * q[t - 1] + beta1 * abs(y[t - 1])
-    return q
+_UNIT = (1.0,)  # numerator of every filter: the input enters undelayed
 
 
-@njit(cache=True)
-def _as_loop(omega, eta, beta1, beta2, y, q0):
-    q = np.empty(y.size)
-    q[0] = q0
-    for t in range(1, y.size):
-        prev = y[t - 1]
-        pos = prev if prev > 0.0 else 0.0
-        neg = -prev if prev < 0.0 else 0.0
-        q[t] = omega + eta * q[t - 1] + beta1 * pos + beta2 * neg
-    return q
+def _regressors(kind, y):
+    """Lagged-return inputs of the recursion, one per beta: entry t-1
+    drives step t."""
+    prev = y[:-1]
+    if kind == SAV:
+        return (np.abs(prev),)
+    if kind == AS:
+        return (np.maximum(prev, 0.0), np.maximum(-prev, 0.0))
+    return (prev * prev,)
 
 
-@njit(cache=True)
-def _ig_loop(omega, eta, beta1, y, q0):
-    # Returns the first index with a non-positive radicand, or -1 if clean.
-    q = np.empty(y.size)
-    q[0] = q0
-    for t in range(1, y.size):
-        rad = omega + eta * q[t - 1] * q[t - 1] + beta1 * y[t - 1] * y[t - 1]
-        if rad <= 0.0:
-            return q, t
-        q[t] = -np.sqrt(rad)
-    return q, -1
+def filter_path(kind, coef, y, q0, jacobian=False):
+    """Quantile path of one recursion along ``y`` and optionally its Jacobian.
+
+    ``coef`` is (omega, eta, *beta). Each kind is the linear filter
+    s_t = omega + eta s_{t-1} + beta'r_{t-1} with s = q (SAV, AS) or s = q^2
+    and q = -sqrt(s) (IG). The derivative of s with respect to each
+    coefficient is the same filter driven by 1, s_{t-1} or a regressor
+    column, so the whole Jacobian is a single ``lfilter`` call.
+
+    Returns ``(q, dq)`` with dq of shape (T, len(coef)) and row 0 zero, or
+    None without ``jacobian``. Raises :class:`PathError` carrying the first
+    index with a non-positive IG radicand or a non-finite quantile.
+    """
+    omega, eta = coef[0], coef[1]
+    reg = _regressors(kind, y)
+    ar = (1.0, -eta)
+    # the filter's first output is its first input, so the state seeds row 0
+    s = np.empty(y.size)
+    s[0] = q0 * q0 if kind == IG else q0
+    s[1:] = omega
+    for beta, r in zip(coef[2:], reg):
+        s[1:] += beta * r
+    s = lfilter(_UNIT, ar, s)
+    if kind == IG:
+        bad = np.flatnonzero(s[1:] <= 0.0)
+        if bad.size:
+            raise PathError(
+                "non-positive radicand in indirect-GARCH path", index=int(bad[0]) + 1
+            )
+        q = np.empty(y.size)
+        q[0] = q0
+        q[1:] = -np.sqrt(s[1:])
+    else:
+        q = s
+    finite = np.isfinite(q)
+    if not finite.all():
+        raise PathError("quantile path diverged", index=int(np.argmin(finite)))
+    if not jacobian:
+        return q, None
+    drive = np.zeros((y.size, 2 + len(reg)))
+    drive[1:, 0] = 1.0
+    drive[1:, 1] = s[:-1]
+    for i, r in enumerate(reg, start=2):
+        drive[1:, i] = r
+    dq = lfilter(_UNIT, ar, drive, axis=0)
+    if kind == IG:
+        # q = -sqrt(s), so dq = ds / (2 q)
+        dq[1:] /= 2.0 * q[1:, None]
+    return q, dq
 
 
-@njit(cache=True)
-def _ar_offset_loop(g1, g2, g3, q, y, x0):
-    x = np.empty(y.size)
-    x[0] = x0
-    for t in range(1, y.size):
-        if y[t] <= q[t]:
-            val = g1 + g2 * (q[t - 1] - y[t - 1]) + g3 * x[t - 1]
-            x[t] = val if val > 0.0 else 0.0
-        else:
-            x[t] = x[t - 1]
-    return x
+def ar_offset(gamma, q, y, x0, dq=None):
+    """Autoregressive shortfall offset and optionally its derivatives.
+
+    On a violation y_t <= q_t the offset becomes
+    max(g1 + g2 (q_{t-1} - y_{t-1}) + g3 x_{t-1}, 0); otherwise it carries
+    over, so the recursion runs over the violation indices only and is
+    forward-filled. With ``dq`` (T, nq), the derivatives of q with respect
+    to its own coefficients, also returns dx of shape (T, nq + 3) with
+    respect to (q-coefficients..., g1, g2, g3); else None. The violation
+    indicator is treated as locally constant in the parameters (it changes
+    on a measure-zero set), and a clamped offset has zero derivative.
+    """
+    viol = np.flatnonzero(y[1:] <= q[1:]) + 1
+    gap = q[viol - 1] - y[viol - 1]
+    g1, g2, g3 = (float(g) for g in gamma)
+    xv = [float(x0)]
+    for d in gap.tolist():
+        val = g1 + g2 * d + g3 * xv[-1]
+        xv.append(val if val > 0.0 else 0.0)
+    xv = np.array(xv)
+    # slot[t]: how many violations happened up to t, i.e. the row of xv in force
+    slot = np.zeros(y.size, dtype=np.intp)
+    slot[viol] = np.arange(1, viol.size + 1)
+    np.maximum.accumulate(slot, out=slot)
+    x = xv[slot]
+    if dq is None:
+        return x, None
+    drive = np.column_stack((g2 * dq[viol - 1], np.ones(viol.size), gap, xv[:-1]))
+    dxv = np.zeros((viol.size + 1, drive.shape[1]))
+    # a clamped offset restarts the derivative recursion from zero
+    start = 0
+    for stop in [*np.flatnonzero(xv[1:] == 0.0), viol.size]:
+        if stop > start:
+            dxv[1 + start : 1 + stop] = lfilter(_UNIT, (1.0, -g3), drive[start:stop], axis=0)
+        start = stop + 1
+    return x, dxv[slot]
 
 
 def quantile_step(spec, q_prev, y_prev):
@@ -201,22 +251,10 @@ def quantile_step(spec, q_prev, y_prev):
 
 def quantile_path(spec, y, q0):
     """Full quantile path along ``y`` starting from ``q0``."""
-    y = np.ascontiguousarray(y, dtype=float)
+    y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ValidationError("returns must be a non-empty vector")
-    if spec.kind == SAV:
-        q = _sav_loop(spec.omega, spec.eta, spec.beta[0], y, float(q0))
-    elif spec.kind == AS:
-        q = _as_loop(spec.omega, spec.eta, spec.beta[0], spec.beta[1], y, float(q0))
-    else:
-        q, bad = _ig_loop(spec.omega, spec.eta, spec.beta[0], y, float(q0))
-        if bad >= 0:
-            raise PathError("non-positive radicand in indirect-GARCH path", index=bad)
-    if not np.all(np.isfinite(q)):
-        raise PathError(
-            "quantile path diverged", index=int(np.argmin(np.isfinite(q)))
-        )
-    return q
+    return filter_path(spec.kind, (spec.omega, spec.eta, *spec.beta), y, float(q0))[0]
 
 
 def es_path_multiplicative(q, gamma0):
@@ -230,12 +268,11 @@ def es_path_ar(q, y, gamma, x0):
     Returns ``(es, x)`` with es = q - x. The offset update at time t uses the
     realized violation indicator y_t <= q_t; entry 0 carries the seed ``x0``.
     """
-    q = np.ascontiguousarray(q, dtype=float)
-    y = np.ascontiguousarray(y, dtype=float)
+    q = np.asarray(q, dtype=float)
+    y = np.asarray(y, dtype=float)
     if q.shape != y.shape:
         raise ValidationError("quantile path and returns must align")
-    gamma = np.asarray(gamma, dtype=float)
-    x = _ar_offset_loop(gamma[0], gamma[1], gamma[2], q, y, float(x0))
+    x = ar_offset(np.asarray(gamma, dtype=float), q, y, x0)[0]
     return q - x, x
 
 

@@ -30,7 +30,6 @@ import numpy as np
 from scipy import optimize, special
 
 from . import dynamics as dyn
-from .dynamics import njit
 from .exceptions import NumericError, PathError, ValidationError
 from .linalg import nearest_pd_correlation
 from .mal import MALConstraints, as_levels, assemble_sigma
@@ -207,198 +206,43 @@ def _link_bounds(link_kind, p):
     return [(_LOG_FLOOR + 1e-6, 8.0)] * (3 * p)
 
 
-# -- sensitivity kernels -----------------------------------------------------
-# Each kernel runs the recursion and, in the same sweep, the derivative
-# recursions of the path with respect to its own coefficients.
-
-
-@njit(cache=True)
-def _sav_sens(omega, eta, beta1, y, q0):
-    T = y.size
-    q = np.empty(T)
-    dq = np.zeros((T, 3))
-    q[0] = q0
-    for t in range(1, T):
-        ay = abs(y[t - 1])
-        q[t] = omega + eta * q[t - 1] + beta1 * ay
-        dq[t, 0] = 1.0 + eta * dq[t - 1, 0]
-        dq[t, 1] = q[t - 1] + eta * dq[t - 1, 1]
-        dq[t, 2] = ay + eta * dq[t - 1, 2]
-    return q, dq
-
-
-@njit(cache=True)
-def _as_sens(omega, eta, beta1, beta2, y, q0):
-    T = y.size
-    q = np.empty(T)
-    dq = np.zeros((T, 4))
-    q[0] = q0
-    for t in range(1, T):
-        prev = y[t - 1]
-        pos = prev if prev > 0.0 else 0.0
-        neg = -prev if prev < 0.0 else 0.0
-        q[t] = omega + eta * q[t - 1] + beta1 * pos + beta2 * neg
-        dq[t, 0] = 1.0 + eta * dq[t - 1, 0]
-        dq[t, 1] = q[t - 1] + eta * dq[t - 1, 1]
-        dq[t, 2] = pos + eta * dq[t - 1, 2]
-        dq[t, 3] = neg + eta * dq[t - 1, 3]
-    return q, dq
-
-
-@njit(cache=True)
-def _ig_sens(omega, eta, beta1, y, q0):
-    T = y.size
-    q = np.empty(T)
-    dq = np.zeros((T, 3))
-    q[0] = q0
-    for t in range(1, T):
-        y2 = y[t - 1] * y[t - 1]
-        rad = omega + eta * q[t - 1] * q[t - 1] + beta1 * y2
-        if rad <= 0.0:
-            return q, dq, t
-        q[t] = -np.sqrt(rad)
-        # d(-sqrt(rad)) = d(rad) / (2 q_t) because q_t = -sqrt(rad)
-        two_q_prev = 2.0 * q[t - 1]
-        inv = 1.0 / (2.0 * q[t])
-        dq[t, 0] = (1.0 + eta * two_q_prev * dq[t - 1, 0]) * inv
-        dq[t, 1] = (q[t - 1] * q[t - 1] + eta * two_q_prev * dq[t - 1, 1]) * inv
-        dq[t, 2] = (y2 + eta * two_q_prev * dq[t - 1, 2]) * inv
-    return q, dq, -1
-
-
-@njit(cache=True)
-def _ar_offset_sens(g1, g2, g3, q, dq, y, x0):
-    """Offset path and its derivatives w.r.t. (q-coefficients..., g1, g2, g3).
-
-    The violation indicator is treated as locally constant in the
-    parameters (it changes on a measure-zero set).
-    """
-    T = y.size
-    nq = dq.shape[1]
-    x = np.empty(T)
-    dx = np.zeros((T, nq + 3))
-    x[0] = x0
-    for t in range(1, T):
-        if y[t] <= q[t]:
-            val = g1 + g2 * (q[t - 1] - y[t - 1]) + g3 * x[t - 1]
-            if val > 0.0:
-                x[t] = val
-                for i in range(nq):
-                    dx[t, i] = g2 * dq[t - 1, i] + g3 * dx[t - 1, i]
-                dx[t, nq] = 1.0 + g3 * dx[t - 1, nq]
-                dx[t, nq + 1] = (q[t - 1] - y[t - 1]) + g3 * dx[t - 1, nq + 1]
-                dx[t, nq + 2] = x[t - 1] + g3 * dx[t - 1, nq + 2]
-            else:
-                x[t] = 0.0
-        else:
-            x[t] = x[t - 1]
-            for i in range(nq + 3):
-                dx[t, i] = dx[t - 1, i]
-    return x, dx
+# -- paths of a packed parameter vector --------------------------------------
 
 
 def _block_paths(kind, link_kind, block, ycol, q0j, x0j, tau_j):
     """Quantile and scale paths for one asset block, or None when invalid
     (diverging path, non-positive radicand or scale)."""
-    if kind == dyn.SAV:
-        q = dyn._sav_loop(block[0], block[1], block[2], ycol, q0j)
-        nq = 3
-    elif kind == dyn.AS:
-        q = dyn._as_loop(block[0], block[1], block[2], block[3], ycol, q0j)
-        nq = 4
-    else:
-        q, bad = dyn._ig_loop(block[0], block[1], block[2], ycol, q0j)
-        nq = 3
-        if bad >= 0:
-            return None
-    if not np.all(np.isfinite(q)):
+    nq = 4 if kind == dyn.AS else 3
+    try:
+        q, _ = dyn.filter_path(kind, block[:nq], ycol, q0j)
+    except PathError:
         return None
     if link_kind == dyn.MULT:
         delta = -tau_j * (1.0 + math.exp(min(block[nq], 60.0))) * q
     else:
         gamma = np.exp(np.clip(block[nq : nq + 3], _LOG_FLOOR, 60.0))
-        x = dyn._ar_offset_loop(gamma[0], gamma[1], gamma[2], q, ycol, x0j)
+        x, _ = dyn.ar_offset(gamma, q, ycol, x0j)
         delta = -tau_j * (q - x)
     if not np.all(delta > 0.0):
         return None
     return q, delta
 
 
-def _block_sens(kind, link_kind, block, ycol, q0j, x0j, tau_j):
-    """Like :func:`_block_paths` but also the derivative arrays.
-
-    Returns (q, delta, dq, ddelta) with one derivative column per packed
-    block entry in packing order (dq covers the quantile coefficients only).
-    """
-    if kind == dyn.SAV:
-        q, dq = _sav_sens(block[0], block[1], block[2], ycol, q0j)
-        nq = 3
-    elif kind == dyn.AS:
-        q, dq = _as_sens(block[0], block[1], block[2], block[3], ycol, q0j)
-        nq = 4
-    else:
-        q, dq, bad = _ig_sens(block[0], block[1], block[2], ycol, q0j)
-        nq = 3
-        if bad >= 0:
-            return None
-    if not np.all(np.isfinite(q)):
-        return None
-
-    if link_kind == dyn.MULT:
-        g0 = min(block[nq], 60.0)
-        factor = 1.0 + math.exp(g0)
-        delta = -tau_j * factor * q
-        if not np.all(delta > 0.0):
-            return None
-        ddelta = np.empty((ycol.size, nq + 1))
-        ddelta[:, :nq] = -tau_j * factor * dq
-        ddelta[:, nq] = -tau_j * math.exp(g0) * q
-        return q, delta, dq, ddelta
-
-    gamma = np.exp(np.clip(block[nq : nq + 3], _LOG_FLOOR, 60.0))
-    x, dx = _ar_offset_sens(gamma[0], gamma[1], gamma[2], q, dq, ycol, x0j)
-    delta = -tau_j * (q - x)
-    if not np.all(delta > 0.0):
-        return None
-    des = np.empty((ycol.size, nq + 3))
-    des[:, :nq] = dq - dx[:, :nq]
-    # chain rule through the log-parameterization of the gammas
-    des[:, nq:] = -dx[:, nq:] * gamma
-    return q, delta, dq, -tau_j * des
-
-
-@njit(cache=True)
-def _assemble(y, q, dl, inv, lin, skew, logdet, u, z, dq, ddl, want_grad):
-    """Q-function value (and gradient) from stacked paths and sensitivities.
-
-    ``dq`` and ``ddl`` are (p, T, nb) with dq zero in the link columns; they
-    are ignored unless ``want_grad``.
-    """
+def _panel_paths(kind, link_kind, theta, y, q0, x0s, tau):
+    """(q, delta) panels of a packed parameter vector; raises
+    :class:`PathError` naming the first asset whose block is invalid."""
     T, p = y.shape
-    u_rows = (y - q) / dl
-    au = np.dot(u_rows, inv)
-    val = -0.5 * T * logdet - 0.5 * skew * np.sum(u)
-    for t in range(T):
-        mt = 0.0
-        for j in range(p):
-            mt += u_rows[t, j] * au[t, j]
-            val += u_rows[t, j] * lin[j] - np.log(dl[t, j])
-        val -= 0.5 * z[t] * mt
-    if not want_grad:
-        return val, np.zeros(1)
-    nb = dq.shape[2]
-    grad = np.zeros(p * nb)
+    nb = _n_dynamic(kind, link_kind)
+    q = np.empty((T, p))
+    dl = np.empty((T, p))
     for j in range(p):
-        base = j * nb
-        for t in range(T):
-            coeff = lin[j] - z[t] * au[t, j]
-            inv_dl = 1.0 / dl[t, j]
-            uj = u_rows[t, j]
-            for i in range(nb):
-                dd = ddl[j, t, i]
-                du = (-dq[j, t, i] - uj * dd) * inv_dl
-                grad[base + i] += coeff * du - dd * inv_dl
-    return val, grad
+        res = _block_paths(
+            kind, link_kind, theta[j * nb : (j + 1) * nb], y[:, j], q0[j], x0s[j], tau[j]
+        )
+        if res is None:
+            raise PathError(f"invalid path for asset {j}")
+        q[:, j], dl[:, j] = res
+    return q, dl
 
 
 # -- likelihood machinery ----------------------------------------------------
@@ -482,6 +326,31 @@ def _q_value_core(dl, u_rows, au, m, cache, u, z, T):
     )
 
 
+def _assemble(y, q, dl, cache, u, z, dq=None, ddl=None):
+    """Q-function value and, given derivative arrays, its gradient.
+
+    ``dq`` and ``ddl`` are (p, T, nb): derivatives of the quantile and scale
+    paths with respect to each asset's nb block entries; None stands for
+    identically zero. The gradient is packed asset by asset, or None when
+    both are None.
+    """
+    rows = (y - q) / dl
+    au = rows @ cache.inv
+    m = np.einsum("tj,tj->t", rows, au)
+    val = _q_value_core(dl, rows, au, m, cache, u, z, y.shape[0])
+    if dq is None and ddl is None:
+        return val, None
+    # dQ/d(rows) = lin - z au, d(rows) = -(dq + rows ddl) / dl and
+    # d(-log dl) = -ddl / dl
+    coeff = (cache.lin - z[:, None] * au) / dl
+    grad = 0.0
+    if dq is not None:
+        grad = grad - np.einsum("tj,jti->ji", coeff, dq)
+    if ddl is not None:
+        grad = grad - np.einsum("tj,jti->ji", coeff * rows + 1.0 / dl, ddl)
+    return val, grad.ravel()
+
+
 def q_function(params, y, tau, q0, u, z):
     """Expected complete-data objective at a candidate parameter set."""
     y = np.asarray(y, dtype=float)
@@ -531,36 +400,32 @@ def sigma_m_step(u_rows, u, z, constraints):
     return nearest_pd_correlation(corr)
 
 
-_DUMMY3 = np.zeros((1, 1, 1))
-
-
 class _StepBase:
     """Negative objective over one conditional block of packed parameters.
 
-    Subclasses fill ``_q``/``_dl`` (and the derivative buffers under
-    ``want_grad``) for a candidate block vector; invalid parameter regions
-    return a large penalty with a zero gradient, which the line searches
-    back away from. Work buffers are reused across evaluations, so one
-    instance must not be shared between threads.
+    Subclasses fill ``_q``/``_dl`` (and, under ``want_grad``, whichever of
+    the derivative buffers ``_dpath``/``_dscale`` is not identically zero)
+    for a candidate block vector; invalid parameter regions return a large
+    penalty with a zero gradient, which the line searches back away from.
+    Work buffers are reused across evaluations, so one instance must not be
+    shared between threads.
     """
+
+    _dpath = None
+    _dscale = None
 
     def value(self, theta):
         if not self._fill(theta, False):
             return _PENALTY
-        val, _ = _assemble(
-            self.y, self._q, self._dl, self.cache.inv, self.cache.lin,
-            self.cache.skew, self.cache.logdet, self.u, self.z,
-            self._dpath, self._dscale, False,
-        )
+        val, _ = _assemble(self.y, self._q, self._dl, self.cache, self.u, self.z)
         return -val if np.isfinite(val) else _PENALTY
 
     def value_and_grad(self, theta):
         if not self._fill(theta, True):
             return _PENALTY, np.zeros_like(theta)
         val, grad = _assemble(
-            self.y, self._q, self._dl, self.cache.inv, self.cache.lin,
-            self.cache.skew, self.cache.logdet, self.u, self.z,
-            self._dpath, self._dscale, True,
+            self.y, self._q, self._dl, self.cache, self.u, self.z,
+            self._dpath, self._dscale,
         )
         if not np.isfinite(val):
             return _PENALTY, np.zeros_like(theta)
@@ -571,7 +436,7 @@ class _QuantileStep(_StepBase):
     """Quantile-coefficient block with the scale paths held fixed.
 
     Holding the scales makes this block's score the conditional-quantile
-    fitting condition itself; the scale derivative buffer therefore stays
+    fitting condition itself; the scale derivatives are therefore
     identically zero. Candidate paths must stay strictly negative so the
     shortfall links remain feasible when the scales are re-derived.
     """
@@ -588,31 +453,18 @@ class _QuantileStep(_StepBase):
         self._q = np.empty((self.T, self.p))
         self._dl = delta_fixed
         self._dpath = np.zeros((self.p, self.T, self.nq))
-        self._dscale = np.zeros((self.p, self.T, self.nq))
 
     def _fill(self, theta, want_grad):
         nq = self.nq
         for j in range(self.p):
-            b = theta[j * nq : (j + 1) * nq]
-            ycol = self.y[:, j]
-            if self.kind == dyn.SAV:
-                if want_grad:
-                    qj, dqj = _sav_sens(b[0], b[1], b[2], ycol, self.q0[j])
-                else:
-                    qj = dyn._sav_loop(b[0], b[1], b[2], ycol, self.q0[j])
-            elif self.kind == dyn.AS:
-                if want_grad:
-                    qj, dqj = _as_sens(b[0], b[1], b[2], b[3], ycol, self.q0[j])
-                else:
-                    qj = dyn._as_loop(b[0], b[1], b[2], b[3], ycol, self.q0[j])
-            else:
-                if want_grad:
-                    qj, dqj, bad = _ig_sens(b[0], b[1], b[2], ycol, self.q0[j])
-                else:
-                    qj, bad = dyn._ig_loop(b[0], b[1], b[2], ycol, self.q0[j])
-                if bad >= 0:
-                    return False
-            if not np.all(np.isfinite(qj)) or not np.all(qj < 0.0):
+            try:
+                qj, dqj = dyn.filter_path(
+                    self.kind, theta[j * nq : (j + 1) * nq], self.y[:, j], self.q0[j],
+                    want_grad,
+                )
+            except PathError:
+                return False
+            if not np.all(qj < 0.0):
                 return False
             self._q[:, j] = qj
             if want_grad:
@@ -624,7 +476,8 @@ class _LinkStep(_StepBase):
     """Shortfall-link block given fixed quantile paths.
 
     With the quantile paths frozen this is an exact conditional
-    maximization of the full expected complete-data objective.
+    maximization of the full expected complete-data objective; the quantile
+    derivatives are identically zero.
     """
 
     def __init__(self, y, link_kind, tau, x0s, q_fixed, cache, u, z):
@@ -639,9 +492,8 @@ class _LinkStep(_StepBase):
         self.nl = 3 if link_kind == dyn.AR else 1
         self._q = q_fixed
         self._dl = np.empty((self.T, self.p))
-        self._dpath = np.zeros((self.p, self.T, self.nl))
         self._dscale = np.zeros((self.p, self.T, self.nl))
-        # zero-width derivative input: the offset kernel is shape-driven
+        # zero-width quantile derivatives: only the gamma columns are wanted
         self._no_dq = np.zeros((self.T, 0))
 
     def _fill(self, theta, want_grad):
@@ -656,17 +508,12 @@ class _LinkStep(_StepBase):
                     self._dscale[j, :, 0] = -self.tau[j] * math.exp(g0) * qj
             else:
                 gamma = np.exp(np.clip(b, _LOG_FLOOR, 60.0))
+                x, dx = dyn.ar_offset(
+                    gamma, qj, self.y[:, j], self.x0s[j], self._no_dq if want_grad else None
+                )
                 if want_grad:
-                    x, dx = _ar_offset_sens(
-                        gamma[0], gamma[1], gamma[2], qj, self._no_dq,
-                        self.y[:, j], self.x0s[j],
-                    )
                     # chain rule through the log-parameterization
                     self._dscale[j] = self.tau[j] * dx * gamma
-                else:
-                    x = dyn._ar_offset_loop(
-                        gamma[0], gamma[1], gamma[2], qj, self.y[:, j], self.x0s[j]
-                    )
                 dlj = -self.tau[j] * (qj - x)
             if not np.all(np.isfinite(dlj)) or not np.all(dlj > 0.0):
                 return False
@@ -729,7 +576,7 @@ def _update_dynamics(y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, dl_pr
     once the scales are re-derived. Returns the new packed vector with its
     paths.
     """
-    T, p = y.shape
+    p = y.shape[1]
     nq = 4 if kind == dyn.AS else 3
     nl = 3 if link_kind == dyn.AR else 1
     nb = nq + nl
@@ -737,22 +584,11 @@ def _update_dynamics(y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, dl_pr
     lsel = np.concatenate([j * nb + nq + np.arange(nl) for j in range(p)])
 
     def coupled(theta_full):
-        q = np.empty((T, p))
-        dl = np.empty((T, p))
-        for j in range(p):
-            res = _block_paths(
-                kind, link_kind, theta_full[j * nb : (j + 1) * nb],
-                y[:, j], q0[j], x0s[j], tau[j],
-            )
-            if res is None:
-                return None
-            q[:, j] = res[0]
-            dl[:, j] = res[1]
-        val, _ = _assemble(
-            y, q, dl, cache.inv, cache.lin, cache.skew, cache.logdet,
-            u, z, _DUMMY3, _DUMMY3, False,
-        )
-        return val, q, dl
+        try:
+            q, dl = _panel_paths(kind, link_kind, theta_full, y, q0, x0s, tau)
+        except PathError:
+            return None
+        return _assemble(y, q, dl, cache, u, z)[0], q, dl
 
     base = coupled(theta)
     if base is None:
@@ -872,22 +708,7 @@ def _em_chain(y, tau, q0, x0s, theta0, psi0, kind, link_kind, config, callback, 
     psi = np.asarray(psi0, dtype=float).copy()
     p = tau.size
 
-    def _paths_fast(theta_v):
-        q = np.empty_like(y)
-        dl = np.empty_like(y)
-        nb = _n_dynamic(kind, link_kind)
-        for j in range(p):
-            res = _block_paths(
-                kind, link_kind, theta_v[j * nb : (j + 1) * nb],
-                y[:, j], q0[j], x0s[j], tau[j],
-            )
-            if res is None:
-                raise PathError(f"invalid path for asset {j}")
-            q[:, j] = res[0]
-            dl[:, j] = res[1]
-        return q, dl
-
-    q, dl = _paths_fast(theta)
+    q, dl = _panel_paths(kind, link_kind, theta, y, q0, x0s, tau)
     cache = _SigmaCache(psi, cons)
     ll = float(_loglik_rows(y, q, dl, cache, p).sum())
     trace = [ll]
@@ -1032,15 +853,7 @@ def fit(y, tau, kind=dyn.SAV, link_kind=dyn.MULT, config=None, init=None, callba
         # arbitrarily large loglik with a handful of rows by steering a
         # quantile path through data points; clipping the top rows at the
         # next-largest value ranks interior solutions ahead of those
-        th = state["theta"]
-        q = np.empty_like(y)
-        dlm = np.empty_like(y)
-        for j in range(p):
-            res = _block_paths(
-                kind, link_kind, th[j * nb : (j + 1) * nb], y[:, j], q0[j], x0s[j], tau[j]
-            )
-            q[:, j] = res[0]
-            dlm[:, j] = res[1]
+        q, dlm = _panel_paths(kind, link_kind, state["theta"], y, q0, x0s, tau)
         rows = _loglik_rows(y, q, dlm, _SigmaCache(state["psi"], cons), p)
         w = max(3, T // 300)
         clip = np.sort(rows)[-(w + 1)]

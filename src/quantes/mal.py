@@ -39,14 +39,24 @@ __all__ = [
 ]
 
 
-def as_levels(tau):
-    """Validate and return a probability-level vector with entries in (0,1)."""
+def as_levels(tau, p=None):
+    """Validate and return a probability-level vector with entries in (0,1).
+
+    With ``p`` the vector is for p assets: a single level is repeated p
+    times, and any length other than 1 or p is rejected.
+    """
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     if tau.ndim != 1 or tau.size == 0:
         raise ValidationError("tau must be a one-dimensional non-empty vector")
     if np.any(tau <= 0.0) or np.any(tau >= 1.0) or not np.all(np.isfinite(tau)):
         raise ValidationError("every tau level must lie strictly inside (0, 1)")
-    return tau
+    if p is None or tau.size == p:
+        return tau
+    if tau.size == 1:
+        return np.full(p, tau[0])
+    raise ValidationError(
+        f"tau has {tau.size} levels for {p} assets: give one shared level or one per asset"
+    )
 
 
 def fixed_skew(tau):

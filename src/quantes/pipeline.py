@@ -82,10 +82,7 @@ class RunConfig:
             object.__setattr__(self, "window_width", int(self.window_width))
 
     def levels(self, p):
-        tau = np.asarray(self.tau, dtype=float).reshape(-1)
-        if tau.size == 1:
-            tau = np.full(p, tau[0])
-        return as_levels(tau)
+        return as_levels(np.asarray(self.tau, dtype=float).reshape(-1), p)
 
     def to_dict(self):
         out = dataclasses.asdict(self)

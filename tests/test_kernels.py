@@ -1,0 +1,458 @@
+"""Filter kernels against the explicit time loops they replaced, and the
+analytic block gradients against central differences.
+
+The ``_ref_*`` functions below are the original per-period recursions,
+kept verbatim as the reference: the lfilter paths, the violation-indexed
+offset and the einsum Q-function must reproduce them on seeded inputs.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from quantes import dynamics as dyn
+from quantes import estimation as est
+from quantes.exceptions import PathError
+from quantes.mal import MALConstraints
+from quantes.simulate import SimScenario, generate, reference_params
+
+RTOL = 1e-12
+KINDS = (dyn.SAV, dyn.AS, dyn.IG)
+LINKS = (dyn.MULT, dyn.AR)
+_LOG_FLOOR = math.log(1e-10)
+
+
+# -- reference loops ----------------------------------------------------------
+
+
+def _ref_sav_loop(omega, eta, beta1, y, q0):
+    q = np.empty(y.size)
+    q[0] = q0
+    for t in range(1, y.size):
+        q[t] = omega + eta * q[t - 1] + beta1 * abs(y[t - 1])
+    return q
+
+
+def _ref_as_loop(omega, eta, beta1, beta2, y, q0):
+    q = np.empty(y.size)
+    q[0] = q0
+    for t in range(1, y.size):
+        prev = y[t - 1]
+        pos = prev if prev > 0.0 else 0.0
+        neg = -prev if prev < 0.0 else 0.0
+        q[t] = omega + eta * q[t - 1] + beta1 * pos + beta2 * neg
+    return q
+
+
+def _ref_ig_loop(omega, eta, beta1, y, q0):
+    # Returns the first index with a non-positive radicand, or -1 if clean.
+    q = np.empty(y.size)
+    q[0] = q0
+    for t in range(1, y.size):
+        rad = omega + eta * q[t - 1] * q[t - 1] + beta1 * y[t - 1] * y[t - 1]
+        if rad <= 0.0:
+            return q, t
+        q[t] = -np.sqrt(rad)
+    return q, -1
+
+
+def _ref_ar_offset_loop(g1, g2, g3, q, y, x0):
+    x = np.empty(y.size)
+    x[0] = x0
+    for t in range(1, y.size):
+        if y[t] <= q[t]:
+            val = g1 + g2 * (q[t - 1] - y[t - 1]) + g3 * x[t - 1]
+            x[t] = val if val > 0.0 else 0.0
+        else:
+            x[t] = x[t - 1]
+    return x
+
+
+def _ref_sav_sens(omega, eta, beta1, y, q0):
+    T = y.size
+    q = np.empty(T)
+    dq = np.zeros((T, 3))
+    q[0] = q0
+    for t in range(1, T):
+        ay = abs(y[t - 1])
+        q[t] = omega + eta * q[t - 1] + beta1 * ay
+        dq[t, 0] = 1.0 + eta * dq[t - 1, 0]
+        dq[t, 1] = q[t - 1] + eta * dq[t - 1, 1]
+        dq[t, 2] = ay + eta * dq[t - 1, 2]
+    return q, dq
+
+
+def _ref_as_sens(omega, eta, beta1, beta2, y, q0):
+    T = y.size
+    q = np.empty(T)
+    dq = np.zeros((T, 4))
+    q[0] = q0
+    for t in range(1, T):
+        prev = y[t - 1]
+        pos = prev if prev > 0.0 else 0.0
+        neg = -prev if prev < 0.0 else 0.0
+        q[t] = omega + eta * q[t - 1] + beta1 * pos + beta2 * neg
+        dq[t, 0] = 1.0 + eta * dq[t - 1, 0]
+        dq[t, 1] = q[t - 1] + eta * dq[t - 1, 1]
+        dq[t, 2] = pos + eta * dq[t - 1, 2]
+        dq[t, 3] = neg + eta * dq[t - 1, 3]
+    return q, dq
+
+
+def _ref_ig_sens(omega, eta, beta1, y, q0):
+    T = y.size
+    q = np.empty(T)
+    dq = np.zeros((T, 3))
+    q[0] = q0
+    for t in range(1, T):
+        y2 = y[t - 1] * y[t - 1]
+        rad = omega + eta * q[t - 1] * q[t - 1] + beta1 * y2
+        if rad <= 0.0:
+            return q, dq, t
+        q[t] = -np.sqrt(rad)
+        # d(-sqrt(rad)) = d(rad) / (2 q_t) because q_t = -sqrt(rad)
+        two_q_prev = 2.0 * q[t - 1]
+        inv = 1.0 / (2.0 * q[t])
+        dq[t, 0] = (1.0 + eta * two_q_prev * dq[t - 1, 0]) * inv
+        dq[t, 1] = (q[t - 1] * q[t - 1] + eta * two_q_prev * dq[t - 1, 1]) * inv
+        dq[t, 2] = (y2 + eta * two_q_prev * dq[t - 1, 2]) * inv
+    return q, dq, -1
+
+
+def _ref_ar_offset_sens(g1, g2, g3, q, dq, y, x0):
+    T = y.size
+    nq = dq.shape[1]
+    x = np.empty(T)
+    dx = np.zeros((T, nq + 3))
+    x[0] = x0
+    for t in range(1, T):
+        if y[t] <= q[t]:
+            val = g1 + g2 * (q[t - 1] - y[t - 1]) + g3 * x[t - 1]
+            if val > 0.0:
+                x[t] = val
+                for i in range(nq):
+                    dx[t, i] = g2 * dq[t - 1, i] + g3 * dx[t - 1, i]
+                dx[t, nq] = 1.0 + g3 * dx[t - 1, nq]
+                dx[t, nq + 1] = (q[t - 1] - y[t - 1]) + g3 * dx[t - 1, nq + 1]
+                dx[t, nq + 2] = x[t - 1] + g3 * dx[t - 1, nq + 2]
+            else:
+                x[t] = 0.0
+        else:
+            x[t] = x[t - 1]
+            for i in range(nq + 3):
+                dx[t, i] = dx[t - 1, i]
+    return x, dx
+
+
+def _ref_block_sens(kind, link_kind, block, ycol, q0j, x0j, tau_j):
+    if kind == dyn.SAV:
+        q, dq = _ref_sav_sens(block[0], block[1], block[2], ycol, q0j)
+        nq = 3
+    elif kind == dyn.AS:
+        q, dq = _ref_as_sens(block[0], block[1], block[2], block[3], ycol, q0j)
+        nq = 4
+    else:
+        q, dq, bad = _ref_ig_sens(block[0], block[1], block[2], ycol, q0j)
+        nq = 3
+        if bad >= 0:
+            return None
+    if not np.all(np.isfinite(q)):
+        return None
+
+    if link_kind == dyn.MULT:
+        g0 = min(block[nq], 60.0)
+        factor = 1.0 + math.exp(g0)
+        delta = -tau_j * factor * q
+        if not np.all(delta > 0.0):
+            return None
+        ddelta = np.empty((ycol.size, nq + 1))
+        ddelta[:, :nq] = -tau_j * factor * dq
+        ddelta[:, nq] = -tau_j * math.exp(g0) * q
+        return q, delta, dq, ddelta
+
+    gamma = np.exp(np.clip(block[nq : nq + 3], _LOG_FLOOR, 60.0))
+    x, dx = _ref_ar_offset_sens(gamma[0], gamma[1], gamma[2], q, dq, ycol, x0j)
+    delta = -tau_j * (q - x)
+    if not np.all(delta > 0.0):
+        return None
+    des = np.empty((ycol.size, nq + 3))
+    des[:, :nq] = dq - dx[:, :nq]
+    # chain rule through the log-parameterization of the gammas
+    des[:, nq:] = -dx[:, nq:] * gamma
+    return q, delta, dq, -tau_j * des
+
+
+def _ref_assemble(y, q, dl, inv, lin, skew, logdet, u, z, dq, ddl, want_grad):
+    T, p = y.shape
+    u_rows = (y - q) / dl
+    au = np.dot(u_rows, inv)
+    val = -0.5 * T * logdet - 0.5 * skew * np.sum(u)
+    for t in range(T):
+        mt = 0.0
+        for j in range(p):
+            mt += u_rows[t, j] * au[t, j]
+            val += u_rows[t, j] * lin[j] - np.log(dl[t, j])
+        val -= 0.5 * z[t] * mt
+    if not want_grad:
+        return val, np.zeros(1)
+    nb = dq.shape[2]
+    grad = np.zeros(p * nb)
+    for j in range(p):
+        base = j * nb
+        for t in range(T):
+            coeff = lin[j] - z[t] * au[t, j]
+            inv_dl = 1.0 / dl[t, j]
+            uj = u_rows[t, j]
+            for i in range(nb):
+                dd = ddl[j, t, i]
+                du = (-dq[j, t, i] - uj * dd) * inv_dl
+                grad[base + i] += coeff * du - dd * inv_dl
+    return val, grad
+
+
+def _ref_path(kind, coef, y, q0):
+    """Reference path and Jacobian; the value-only loop agrees with the
+    sensitivity loop up to rounding (IG groups beta * y * y differently)."""
+    if kind == dyn.SAV:
+        q, dq = _ref_sav_sens(*coef, y, q0)
+    elif kind == dyn.AS:
+        q, dq = _ref_as_sens(*coef, y, q0)
+    else:
+        q, dq, bad = _ref_ig_sens(*coef, y, q0)
+        assert bad < 0
+    loop = {dyn.SAV: _ref_sav_loop, dyn.AS: _ref_as_loop}.get(kind)
+    q_loop = loop(*coef, y, q0) if loop else _ref_ig_loop(*coef, y, q0)[0]
+    np.testing.assert_allclose(q_loop, q, rtol=RTOL, atol=0.0)
+    return q, dq
+
+
+# -- seeded inputs ------------------------------------------------------------
+
+
+def _coefs(kind, rng):
+    """Coefficients with strictly negative quantile paths."""
+    eta = rng.uniform(0.5, 0.97)
+    if kind == dyn.SAV:
+        return (rng.uniform(-0.3, -0.02), eta, rng.uniform(-0.4, -0.05))
+    if kind == dyn.AS:
+        return (rng.uniform(-0.3, -0.02), eta, rng.uniform(-0.4, -0.05),
+                rng.uniform(-0.4, -0.05))
+    return (rng.uniform(0.05, 0.5), eta, rng.uniform(0.02, 0.3))
+
+
+def _series(rng, T=400):
+    return rng.standard_normal(T) * rng.uniform(0.5, 3.0)
+
+
+SEEDS = range(6)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_path_and_jacobian_match_loops(kind, seed):
+    rng = np.random.default_rng([seed, KINDS.index(kind)])
+    y = _series(rng)
+    coef = _coefs(kind, rng)
+    q0 = -rng.uniform(0.5, 3.0)
+    q_ref, dq_ref = _ref_path(kind, coef, y, q0)
+    q, none = dyn.filter_path(kind, coef, y, q0)
+    assert none is None
+    np.testing.assert_allclose(q, q_ref, rtol=RTOL, atol=0.0)
+    q_j, dq = dyn.filter_path(kind, np.array(coef), y, q0, jacobian=True)
+    assert np.array_equal(q_j, q)
+    assert dq.shape == dq_ref.shape == (y.size, len(coef))
+    np.testing.assert_allclose(dq, dq_ref, rtol=RTOL, atol=0.0)
+    spec = dyn.CaviarSpec(kind, coef[0], coef[1], list(coef[2:]))
+    assert np.array_equal(dyn.quantile_path(spec, y, q0), q)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ig_first_bad_radicand_index(seed):
+    rng = np.random.default_rng([seed, 99])
+    y = _series(rng, T=300)
+    # omega < 0 drives the radicand down until it crosses zero
+    coef = (-rng.uniform(0.5, 2.0), rng.uniform(0.3, 0.9), rng.uniform(0.01, 0.1))
+    q0 = -rng.uniform(2.0, 6.0)
+    _, bad = _ref_ig_loop(*coef, y, q0)
+    assert bad > 0
+    with pytest.raises(PathError) as info:
+        dyn.filter_path(dyn.IG, coef, y, q0)
+    assert info.value.index == bad
+    with pytest.raises(PathError) as info:
+        dyn.filter_path(dyn.IG, coef, y, q0, jacobian=True)
+    assert info.value.index == bad
+    assert _ref_ig_sens(*coef, y, q0)[2] == bad
+
+
+def _offset_cases(rng, q, y):
+    """(label, q) pairs: the model path, no violation, every violation, and
+    violations on even rows only, each after a row 3 above its quantile."""
+    alternate = y + np.where(np.arange(y.size) % 2 == 0, 0.5, -3.0)
+    return [
+        ("model", q),
+        ("none", np.full(y.size, y.min() - 1.0)),
+        ("all", y + rng.uniform(0.1, 1.0, y.size)),
+        ("alternate", alternate),
+    ]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ar_offset_and_derivatives_match_loop(kind, seed):
+    rng = np.random.default_rng([seed, 7, KINDS.index(kind)])
+    y = _series(rng)
+    coef = _coefs(kind, rng)
+    q, dq = _ref_path(kind, coef, y, -1.5)
+    clamped = 0
+    for label, qc in _offset_cases(rng, q, y):
+        # a large g2 makes clamped offsets (val <= 0) common after calm rows
+        for gamma in ([0.05, 0.12, 0.8], rng.uniform([0.01, 0.5, 0.1], [0.2, 2.0, 0.9])):
+            x0 = rng.uniform(0.0, 1.0)
+            g1, g2, g3 = gamma
+            x_ref = _ref_ar_offset_loop(g1, g2, g3, qc, y, x0)
+            x_ref2, dx_ref = _ref_ar_offset_sens(g1, g2, g3, qc, dq, y, x0)
+            assert np.array_equal(x_ref, x_ref2)
+            x, none = dyn.ar_offset(np.array(gamma), qc, y, x0)
+            assert none is None
+            # same operations in the same order as the loop: equal, not close
+            np.testing.assert_array_equal(x, x_ref, err_msg=label)
+            x2, dx = dyn.ar_offset(np.array(gamma), qc, y, x0, dq)
+            assert np.array_equal(x, x2)
+            np.testing.assert_array_equal(dx, dx_ref, err_msg=label)
+            _, dx_link = dyn.ar_offset(np.array(gamma), qc, y, x0, np.zeros((y.size, 0)))
+            np.testing.assert_array_equal(dx_link, dx_ref[:, -3:])
+            es, x3 = dyn.es_path_ar(qc, y, gamma, x0)
+            assert np.array_equal(x3, x) and np.array_equal(es, qc - x)
+            if label == "none":
+                assert np.all(x == x0) and np.all(dx == 0.0)
+            viol = np.flatnonzero(y[1:] <= qc[1:]) + 1
+            clamped += int(np.sum(x[viol] == 0.0))
+    assert clamped > 0, "no clamped offset exercised"
+
+
+def _block(kind, link_kind, rng):
+    block = list(_coefs(kind, rng))
+    if link_kind == dyn.MULT:
+        block.append(rng.uniform(-2.5, -0.5))
+    else:
+        block.extend(np.log(rng.uniform([0.01, 0.01, 0.3], [0.2, 0.3, 0.9])))
+    return np.array(block)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("link_kind", LINKS)
+@pytest.mark.parametrize("seed", range(3))
+def test_block_paths_and_assemble_match_loops(kind, link_kind, seed):
+    rng = np.random.default_rng([seed, 3, KINDS.index(kind), LINKS.index(link_kind)])
+    T, p = 300, 3
+    y = np.column_stack([_series(rng, T) for _ in range(p)])
+    tau = rng.uniform(0.05, 0.2, p)
+    q0 = -rng.uniform(0.5, 3.0, p)
+    x0s = rng.uniform(0.0, 1.0, p)
+    blocks = [_block(kind, link_kind, rng) for _ in range(p)]
+    nb = blocks[0].size
+    q = np.empty((T, p))
+    dl = np.empty((T, p))
+    dq = np.zeros((p, T, nb))
+    ddl = np.empty((p, T, nb))
+    for j, block in enumerate(blocks):
+        ref = _ref_block_sens(kind, link_kind, block, y[:, j], q0[j], x0s[j], tau[j])
+        new = est._block_paths(kind, link_kind, block, y[:, j], q0[j], x0s[j], tau[j])
+        np.testing.assert_allclose(new[0], ref[0], rtol=RTOL, atol=0.0)
+        np.testing.assert_allclose(new[1], ref[1], rtol=RTOL, atol=0.0)
+        q[:, j], dl[:, j] = ref[0], ref[1]
+        dq[j, :, : ref[2].shape[1]] = ref[2]
+        ddl[j] = ref[3]
+    panel = est._panel_paths(kind, link_kind, np.concatenate(blocks), y, q0, x0s, tau)
+    np.testing.assert_allclose(panel[0], q, rtol=RTOL, atol=0.0)
+    np.testing.assert_allclose(panel[1], dl, rtol=RTOL, atol=0.0)
+
+    psi = np.array([[1.0, 0.3, 0.5], [0.3, 1.0, 0.2], [0.5, 0.2, 1.0]])
+    cache = est._SigmaCache(psi, MALConstraints.from_levels(tau))
+    u, z = est.e_step(y, q, dl, psi, MALConstraints.from_levels(tau))
+    args = (y, q, dl, cache.inv, cache.lin, cache.skew, cache.logdet, u, z, dq, ddl)
+    val_ref, grad_ref = _ref_assemble(*args, True)
+    val, grad = est._assemble(y, q, dl, cache, u, z, dq, ddl)
+    assert val == pytest.approx(val_ref, rel=RTOL, abs=0.0)
+    np.testing.assert_allclose(grad, grad_ref, rtol=1e-10, atol=1e-10 * np.abs(grad_ref).max())
+    val_only, none = est._assemble(y, q, dl, cache, u, z)
+    assert none is None and val_only == val
+    # one derivative array alone is the sum with the other one zeroed
+    _, grad_q = _ref_assemble(*args[:-1], np.zeros_like(ddl), True)
+    np.testing.assert_allclose(
+        est._assemble(y, q, dl, cache, u, z, dq)[1], grad_q,
+        rtol=1e-10, atol=1e-10 * np.abs(grad_q).max(),
+    )
+    _, grad_l = _ref_assemble(*args[:-2], np.zeros_like(dq), ddl, True)
+    np.testing.assert_allclose(
+        est._assemble(y, q, dl, cache, u, z, None, ddl)[1], grad_l,
+        rtol=1e-10, atol=1e-10 * np.abs(grad_l).max(),
+    )
+
+
+# -- analytic block gradients against central differences --------------------
+
+
+def _step_problem(kind, link_kind, T=160, p=2, seed=17):
+    params = reference_params(kind, link_kind, p)
+    tau = np.full(p, 0.1)
+    y = generate(SimScenario(params=params, tau=tau, T=T, seed=seed), 0)
+    q0 = np.array([dyn.initial_quantile(y[:, j], tau[j]) for j in range(p)])
+    x0s = np.array(
+        [dyn.initial_es_offset(y[:, j], q0[j]) if link_kind == dyn.AR else 0.0
+         for j in range(p)]
+    )
+    links = tuple(
+        dyn.ESLink(dyn.AR, gamma=link.gamma, x0=x0s[j]) if link_kind == dyn.AR else link
+        for j, link in enumerate(params.links)
+    )
+    params = est.ParameterSet(specs=params.specs, links=links, psi=params.psi)
+    cons = MALConstraints.from_levels(tau)
+    q, dl = est._paths(params.specs, params.links, y, q0, tau)
+    u, z = est.e_step(y, q, dl, params.psi, cons)
+    cache = est._SigmaCache(params.psi, cons)
+    theta = est._pack(params.specs, params.links)
+    return y, tau, q0, x0s, q, dl, u, z, cache, theta
+
+
+def _central_difference(fun, theta, rel=1e-6):
+    grad = np.empty_like(theta)
+    for i in range(theta.size):
+        h = rel * max(1.0, abs(theta[i]))
+        up, down = theta.copy(), theta.copy()
+        up[i] += h
+        down[i] -= h
+        grad[i] = (fun(up) - fun(down)) / (2.0 * h)
+    return grad
+
+
+def _check_gradient(step, theta):
+    val, grad = step.value_and_grad(theta)
+    assert val == step.value(theta)
+    assert val < est._PENALTY
+    fd = _central_difference(step.value, theta)
+    np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6 * max(1.0, np.abs(fd).max()))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("link_kind", LINKS)
+def test_quantile_step_gradient_matches_central_differences(kind, link_kind):
+    y, tau, q0, x0s, q, dl, u, z, cache, theta = _step_problem(kind, link_kind)
+    nq = 4 if kind == dyn.AS else 3
+    nb = theta.size // y.shape[1]
+    sel = np.concatenate([j * nb + np.arange(nq) for j in range(y.shape[1])])
+    step = est._QuantileStep(y, kind, q0, cache, u, z, dl)
+    # off the truth, so the check is not made on a near-zero gradient
+    _check_gradient(step, theta[sel] * 1.05)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("link_kind", LINKS)
+def test_link_step_gradient_matches_central_differences(kind, link_kind):
+    y, tau, q0, x0s, q, dl, u, z, cache, theta = _step_problem(kind, link_kind)
+    nq = 4 if kind == dyn.AS else 3
+    nb = theta.size // y.shape[1]
+    sel = np.concatenate([j * nb + nq + np.arange(nb - nq) for j in range(y.shape[1])])
+    step = est._LinkStep(y, link_kind, tau, x0s, q, cache, u, z)
+    _check_gradient(step, theta[sel] + 0.1)

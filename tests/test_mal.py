@@ -85,6 +85,15 @@ def test_levels_validation():
             as_levels(bad)
 
 
+def test_levels_broadcast_to_assets():
+    assert np.array_equal(as_levels(0.1, 3), [0.1, 0.1, 0.1])
+    assert np.array_equal(as_levels([0.1, 0.2], 2), [0.1, 0.2])
+    assert np.array_equal(as_levels([0.1, 0.2]), [0.1, 0.2])
+    for bad, p in (([0.1, 0.2], 3), ([0.1, 0.2, 0.3], 2), ([1.5], 2)):
+        with pytest.raises(ValidationError):
+            as_levels(bad, p)
+
+
 def test_assemble_sigma_matches_elementwise_oracle():
     tau = np.array([0.1, 0.25, 0.6])
     psi = np.array([[1, 0.3, -0.2], [0.3, 1, 0.5], [-0.2, 0.5, 1]])

@@ -52,3 +52,41 @@ def test_backtest_round_trips_emitted_reports(tmp_path, capsys):
     assert before.dates == after.dates
     assert np.array_equal(before.values, after.values)
     assert (out / "forecasts.csv").read_text() == source.read_text()
+
+
+def test_forecast_rejects_tau_of_wrong_length(tmp_path, capsys):
+    data = tmp_path / "panel.csv"
+    assert cli.main(["simulate", "--dimension", "3", "--length", "80", "--out", str(data)]) == 0
+    code = cli.main(
+        ["forecast", "--input", str(data), "--tau", "0.1,0.2", "--oos", "10",
+         "--n-starts", "1", "--out", str(tmp_path / "reports")]
+    )
+    assert code == 2
+    assert "tau has 2 levels for 3 assets" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+
+
+def test_backtest_reads_tau_from_manifest(tmp_path, capsys):
+    source = tmp_path / "forecasts.csv"
+    _write_forecasts(source)
+    # a forecast run records its levels under "config"; a backtest at the top level
+    for recorded, expected in (({"config": {"tau": [0.05]}}, [0.05, 0.05]),
+                               ({"tau": [0.1, 0.2]}, [0.1, 0.2])):
+        (tmp_path / "manifest.json").write_text(json.dumps(recorded))
+        out = tmp_path / "reports"
+        code = cli.main(["backtest", "--forecasts", str(source), "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        assert json.loads((out / "manifest.json").read_text())["tau"] == expected
+
+
+def test_backtest_without_any_tau_exits_2(tmp_path, capsys):
+    source = tmp_path / "forecasts.csv"
+    _write_forecasts(source)
+    out = tmp_path / "reports"
+    assert cli.main(["backtest", "--forecasts", str(source), "--out", str(out)]) == 2
+    assert "--tau" in capsys.readouterr().err
+    for recorded in ({"command": "forecast"}, {"tau": "ten percent"}, ["tau"]):
+        (tmp_path / "manifest.json").write_text(json.dumps(recorded))
+        assert cli.main(["backtest", "--forecasts", str(source), "--out", str(out)]) == 2
+        assert "--tau" in capsys.readouterr().err
+    assert not out.exists()
