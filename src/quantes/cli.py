@@ -30,18 +30,16 @@ from .exceptions import (
 )
 from .mal import as_levels
 from .pipeline import (
-    ReportBundle,
     RunConfig,
-    _backtest_table,
-    _score_tables,
     _versions,
     emit_reports,
+    evaluate_forecasts,
     load_returns,
     portfolio_run,
     rolling_forecast,
     summary_stats,
+    write_csv,
 )
-from .scoring import ForecastRecord
 from .simulate import SimScenario, generate, reference_params
 
 
@@ -220,11 +218,13 @@ def _run_config(args):
     )
 
 
+_STAT_ROWS = ("mean", "median", "sd", "skewness", "kurtosis", "jarque_bera", "ljung_box")
+
+
 def _print_table(names, stats, stream):
-    rows = ["mean", "median", "sd", "skewness", "kurtosis", "jarque_bera", "ljung_box"]
     width = max(12, max(len(n) for n in names) + 2)
     print("statistic".ljust(12) + "".join(n.rjust(width) for n in names), file=stream)
-    for row in rows:
+    for row in _STAT_ROWS:
         cells = "".join(f"{v:{width}.4f}" for v in stats[row])
         print(row.ljust(12) + cells, file=stream)
     print("correlation", file=stream)
@@ -240,16 +240,10 @@ def _cmd_stats(args, stream):
     if out is not None:
         out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "summary.csv", "w") as handle:
-            handle.write("statistic," + ",".join(table.columns) + "\n")
-            for row in ("mean", "median", "sd", "skewness", "kurtosis",
-                        "jarque_bera", "ljung_box"):
-                cells = ",".join("%.10g" % v for v in stats[row])
-                handle.write(f"{row},{cells}\n")
-        with open(out / "correlation.csv", "w") as handle:
-            handle.write("asset," + ",".join(table.columns) + "\n")
-            for name, line in zip(table.columns, stats["correlation"]):
-                handle.write(name + "," + ",".join("%.10g" % v for v in line) + "\n")
+        write_csv(out / "summary.csv", ["statistic", *table.columns],
+                  [[row, *stats[row]] for row in _STAT_ROWS])
+        write_csv(out / "correlation.csv", ["asset", *table.columns],
+                  [[name, *line] for name, line in zip(table.columns, stats["correlation"])])
         print(f"wrote {out / 'summary.csv'} and {out / 'correlation.csv'}", file=stream)
     return 0
 
@@ -314,12 +308,14 @@ def _cmd_fit(args, stream):
     return 0
 
 
+def _emit(bundle, out, stream):
+    for path in emit_reports(bundle, out):
+        print(f"wrote {path}", file=stream)
+
+
 def _cmd_forecast(args, stream):
     config = _run_config(args)
-    bundle = rolling_forecast(config)
-    paths = emit_reports(bundle, config.out_dir)
-    for path in paths:
-        print(f"wrote {path}", file=stream)
+    _emit(rolling_forecast(config), config.out_dir, stream)
     return 0
 
 
@@ -328,9 +324,7 @@ def _cmd_portfolio(args, stream):
     if config.tau_tilde is None:
         raise ValidationError("missing required option --tau-tilde")
     bundle = portfolio_run(config)
-    paths = emit_reports(bundle, config.out_dir)
-    for path in paths:
-        print(f"wrote {path}", file=stream)
+    _emit(bundle, config.out_dir, stream)
     summary = bundle.manifest["portfolio"]
     print(
         f"sharpe {summary['sharpe']:.4f}  hhi {summary['hhi']:.4f}  "
@@ -342,12 +336,12 @@ def _cmd_portfolio(args, stream):
 
 
 def _cmd_backtest(args, stream):
-    """Rebuild records from a wide forecast table and re-run the battery."""
+    """Slice the panels out of a wide forecast table and re-run the battery."""
     path = _merge(args, "forecasts") or _merge(args, "input")
     if path is None:
         raise ValidationError("missing required option --forecasts")
     table = load_returns(path)
-    prefixes = [c[2:] for c in table.columns if c.startswith("y_")]
+    prefixes = tuple(c[2:] for c in table.columns if c.startswith("y_"))
     if not prefixes:
         raise ValidationError(f"{path}: no y_<asset> columns found")
     for asset in prefixes:
@@ -356,41 +350,20 @@ def _cmd_backtest(args, stream):
                 raise ValidationError(f"{path}: missing column {want!r}")
     tau = _recorded_levels(args, path, len(prefixes))
     col = {name: k for k, name in enumerate(table.columns)}
-    records = []
-    for t in range(table.shape[0]):
-        row = table.values[t]
-        records.append(
-            ForecastRecord(
-                t=t,
-                y=np.array([row[col[f"y_{a}"]] for a in prefixes]),
-                var=np.array([row[col[f"var_{a}"]] for a in prefixes]),
-                es=np.array([row[col[f"es_{a}"]] for a in prefixes]),
-                tau=tau,
-            )
-        )
-    records = tuple(records)
-    scores, score_paths = _score_tables(records, None, tuple(prefixes))
-    tests = _backtest_table(records, tuple(prefixes), tau)
-    bundle = ReportBundle(
-        dates=table.dates,
-        columns=tuple(prefixes),
-        tau=tau,
-        records=records,
-        scores=scores,
-        score_paths=score_paths,
-        backtests=tests,
-        manifest={
-            "command": "backtest",
-            "source": str(path),
-            "tau": tau.tolist(),
-            "versions": _versions(),
-        },
+    y, var, es = (
+        table.values[:, [col[f"{series}_{a}"] for a in prefixes]]
+        for series in ("y", "var", "es")
     )
-    out = _merge(args, "out", "reports")
-    for written in emit_reports(bundle, out):
-        print(f"wrote {written}", file=stream)
-    n_reject = sum(r["reject"] for r in tests)
-    print(f"{len(tests)} tests, {n_reject} rejections", file=stream)
+    bundle = evaluate_forecasts(table.dates, prefixes, tau, y, var, es)
+    bundle.manifest = {
+        "command": "backtest",
+        "source": str(path),
+        "tau": bundle.tau.tolist(),
+        "versions": _versions(),
+    }
+    _emit(bundle, _merge(args, "out", "reports"), stream)
+    n_reject = sum(r["reject"] for r in bundle.backtests)
+    print(f"{len(bundle.backtests)} tests, {n_reject} rejections", file=stream)
     return 0
 
 

@@ -10,8 +10,11 @@ the seed; wall-clock timings are the only non-reproducible manifest fields.
 import csv
 import dataclasses
 import datetime
+import io
+import itertools
 import json
 import platform
+import re
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -33,8 +36,10 @@ from .mal import (
     assemble_sigma,
     linear_combine,
 )
-from .portfolio import performance_stats, portfolio_risk, smv_weights
-from .scoring import ForecastRecord, s_al, s_al_sum, s_fz0, s_fzn, s_mal
+from .portfolio import performance_stats, smv_weights
+
+# s_al_sum has no caller here; it stays importable for wrappers of pipeline.s_al_sum
+from .scoring import ForecastRecord, check_forecasts, s_al, s_al_sum, s_fz0, s_fzn, s_mal
 
 ROLLING = "rolling"
 EXPANDING = "expanding"
@@ -106,20 +111,38 @@ class ReturnsTable:
 
 @dataclass
 class ReportBundle:
-    """All tables produced by one run, ready for :func:`emit_reports`."""
+    """All tables produced by one run, ready for :func:`emit_reports`.
+
+    The forecast panel is held as arrays: ``t`` (n,) period indices and
+    ``y``, ``var``, ``es`` (n, p). ``score_paths`` maps each rule to its
+    per-period values, (n, p) per asset or (n,) for the joint ``s_mal``.
+    """
 
     dates: tuple = ()
     columns: tuple = ()
     tau: np.ndarray = None
-    records: tuple = ()
+    t: np.ndarray = None
+    y: np.ndarray = None
+    var: np.ndarray = None
+    es: np.ndarray = None
     sigmas: tuple = ()
     psis: tuple = ()
     scores: tuple = ()
-    score_paths: tuple = ()
+    score_paths: dict = field(default_factory=dict)
     backtests: tuple = ()
     portfolio: tuple = ()
     warnings: tuple = ()
     manifest: dict = field(default_factory=dict)
+
+    @property
+    def records(self):
+        """The forecast panel as one :class:`ForecastRecord` per period."""
+        if self.y is None:
+            return ()
+        return tuple(
+            ForecastRecord(t=int(t), y=y, var=var, es=es, tau=self.tau)
+            for t, y, var, es in zip(self.t, self.y, self.var, self.es)
+        )
 
 
 # -- ingestion ----------------------------------------------------------------
@@ -197,9 +220,13 @@ def load_returns(path, columns=None):
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     values = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"{path}: non-finite values present")
     chosen = tuple(names[k] for k in picked)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, k = bad[0]
+        raise ValidationError(
+            f"{path}: {dates[i]} {chosen[k]}: non-finite value {values[i, k]}"
+        )
     return ReturnsTable(dates=tuple(dates), values=values, columns=chosen)
 
 
@@ -263,9 +290,11 @@ def summary_stats(values):
 def _forecast_state(config, table):
     """One-step-ahead forecasts over the out-of-sample block.
 
-    Returns (records, sigmas, psis, warnings, n_refits). Fit failures after
-    the first window fall back to the previous parameter set with a warning;
-    the first window must fit.
+    Returns (var, es, sigmas, psis, warnings, n_refits) with (oos, p)
+    forecast panels. Fit failures after the first window fall back to the
+    previous parameter set, and degenerate forecasts after the first period
+    to the previous forecast, each with a warning; the first window must fit
+    and the first forecast must be valid.
     """
     y = table.values
     T, p = y.shape
@@ -278,7 +307,8 @@ def _forecast_state(config, table):
     em_warm = replace(em_cold, n_starts=1)
 
     params = None
-    records = []
+    var = np.empty((config.oos, p))
+    es = np.empty((config.oos, p))
     sigmas = []
     psis = []
     warnings = []
@@ -302,78 +332,65 @@ def _forecast_state(config, table):
                 if params is None:
                     raise
                 warnings.append(f"t={t} ({table.dates[t]}): refit failed: {exc}")
-        q_next = np.empty(p)
-        es_next = np.empty(p)
         for j in range(p):
             yj = window[:, j]
             q0 = dyn.initial_quantile(yj, tau[j])
             path = dyn.risk_path(params.specs[j], params.links[j], yj, q0, tau[j])
             x_last = path.x[-1] if path.x is not None else 0.0
-            q_next[j], es_next[j] = dyn.one_step_forecast(
+            var[k, j], es[k, j] = dyn.one_step_forecast(
                 params.specs[j], params.links[j], path.quantile[-1], yj[-1], x_last
             )
         try:
-            record = ForecastRecord(t=t, y=y[t], var=q_next, es=es_next, tau=tau)
+            check_forecasts(y[t], var[k], es[k])
         except ValidationError as exc:
-            raise NumericError(
-                f"degenerate forecast at t={t} ({table.dates[t]}): {exc}"
-            ) from exc
-        records.append(record)
+            if k == 0:
+                raise NumericError(
+                    f"degenerate forecast at t={t} ({table.dates[t]}): {exc}"
+                ) from exc
+            var[k], es[k] = var[k - 1], es[k - 1]
+            warnings.append(
+                f"t={t} ({table.dates[t]}): degenerate forecast ({exc}); "
+                "previous forecast carried"
+            )
         sigmas.append(assemble_sigma(params.psi, cons))
         psis.append(params.psi)
-    return tuple(records), tuple(sigmas), tuple(psis), warnings, n_refits
+    return var, es, tuple(sigmas), tuple(psis), warnings, n_refits
 
 
-def _score_tables(records, sigmas, columns):
-    """Mean scores per rule plus the per-period long table.
+def _running_total(values):
+    """Axis-0 sum adding rows in order from +0.0, as a loop over periods does."""
+    # np.cumsum adds in order at any width; np.add.reduce sums one column pairwise
+    return np.cumsum(values, axis=0)[-1] + 0.0
 
-    ``sigmas=None`` drops the joint-density rule, for callers that only have
-    per-asset forecasts.
+
+def _score_tables(bundle):
+    """Mean scores per rule plus the per-period values of every rule.
+
+    Without ``bundle.sigmas`` the joint-density rule is dropped, for callers
+    that only have per-asset forecasts.
     """
-    n = len(records)
-    p = len(columns)
-    per_asset = {"s_fzn": s_fzn, "s_fz0": s_fz0, "s_al": s_al}
-    paths = []
-    totals = {name: np.zeros(p) for name in per_asset}
-    mal_vals = np.empty(n)
-    for i, rec in enumerate(records):
-        for name, fn in per_asset.items():
-            vals = fn(rec.var, rec.es, rec.y, rec.tau)
-            totals[name] += vals
-            for j in range(p):
-                paths.append(
-                    {
-                        "t": rec.t,
-                        "asset": columns[j],
-                        "rule": name,
-                        "value": vals[j],
-                    }
-                )
-        if sigmas is not None:
-            mal_vals[i] = s_mal(rec, sigmas[i])
-            paths.append(
-                {"t": rec.t, "asset": "joint", "rule": "s_mal", "value": mal_vals[i]}
-            )
+    y, var, es, tau, columns = bundle.y, bundle.var, bundle.es, bundle.tau, bundle.columns
+    n = y.shape[0]
+    paths = {"s_fzn": s_fzn(var, es, y, tau), "s_fz0": s_fz0(var, es, y, tau),
+             "s_al": s_al(var, es, y, tau)}
     rows = []
-    for name in per_asset:
-        for j in range(p):
-            rows.append(
-                {"rule": name, "asset": columns[j], "value": totals[name][j] / n}
-            )
-    if sigmas is not None:
-        rows.append(
-            {"rule": "s_mal", "asset": "joint", "value": float(mal_vals.mean())}
-        )
-    rows.append({"rule": "s_al", "asset": "joint", "value": s_al_sum(records) / n})
-    return tuple(rows), tuple(paths)
+    for name, vals in paths.items():
+        means = _running_total(vals) / n
+        rows += [{"rule": name, "asset": a, "value": means[j]} for j, a in enumerate(columns)]
+    if bundle.sigmas:
+        mal = np.array([s_mal(rec, sig) for rec, sig in zip(bundle.records, bundle.sigmas)])
+        paths["s_mal"] = mal
+        rows.append({"rule": "s_mal", "asset": "joint", "value": float(mal.mean())})
+    # summed per period first, then over periods, as scoring.s_al_sum adds
+    al_total = float(_running_total(np.add.reduce(paths["s_al"], axis=1)))
+    rows.append({"rule": "s_al", "asset": "joint", "value": al_total / n})
+    return tuple(rows), paths
 
 
-def _backtest_table(records, columns, tau):
-    y = np.array([r.y for r in records])
-    var = np.array([r.var for r in records])
-    es = np.array([r.es for r in records])
+def _backtest_table(bundle):
+    y, var, es, tau = bundle.y, bundle.var, bundle.es, bundle.tau
     rows = []
-    for j, name in enumerate(columns):
+    for j, name in enumerate(bundle.columns):
         hits = (y[:, j] <= var[:, j]).astype(float)
         scale = tau[j] * (0.0 - es[:, j])
         named = {
@@ -381,25 +398,38 @@ def _backtest_table(records, columns, tau):
             "lr_cc": lr_cc(hits, tau[j]),
             "dq": dq_test(hits, var[:, j], tau[j]),
         }
-        u_rep, c_rep = es_tests(y[:, j], var[:, j], scale, tau[j])
-        named["u_es"] = u_rep
-        named["c_es"] = c_rep
+        named["u_es"], named["c_es"] = es_tests(y[:, j], var[:, j], scale, tau[j])
         for test, rep in named.items():
-            rows.append(
-                {
-                    "test": test,
-                    "asset": name,
-                    "statistic": rep.statistic,
-                    "critical_value": rep.critical_value,
-                    "p_value": rep.p_value,
-                    "reject": int(rep.reject),
-                    "df": "" if rep.df is None else rep.df,
-                    "degenerate": int(rep.degenerate),
-                    "low_power": int(rep.low_power),
-                    "hit_rate": float(hits.mean()),
-                }
-            )
+            rows.append(dict(
+                test=test, asset=name, statistic=rep.statistic,
+                critical_value=rep.critical_value, p_value=rep.p_value,
+                reject=int(rep.reject), df="" if rep.df is None else rep.df,
+                degenerate=int(rep.degenerate), low_power=int(rep.low_power),
+                hit_rate=float(hits.mean()),
+            ))
     return tuple(rows)
+
+
+def evaluate_forecasts(dates, columns, tau, y, var, es, t=None, sigmas=None):
+    """Validate, score and backtest a forecast panel; returns a :class:`ReportBundle`.
+
+    ``y``, ``var`` and ``es`` are (n, p) panels over the n ``dates`` and p
+    ``columns``; the first bad cell is named by date and asset. ``t`` holds the
+    period indices (default 0..n-1); per-period ``sigmas`` add ``s_mal``.
+    """
+    y, var, es = (np.ascontiguousarray(a, dtype=float) for a in (y, var, es))
+    shape = (len(dates), len(columns))
+    if y.shape != shape or var.shape != shape or es.shape != shape or not len(dates):
+        raise ValidationError(f"forecast panels must be non-empty and shaped {shape}")
+    check_forecasts(y, var, es, dates, columns)
+    bundle = ReportBundle(
+        dates=tuple(dates), columns=tuple(columns), tau=as_levels(tau, shape[1]),
+        t=np.arange(shape[0]) if t is None else np.asarray(t), y=y, var=var, es=es,
+        sigmas=() if sigmas is None else tuple(sigmas),
+    )
+    bundle.scores, bundle.score_paths = _score_tables(bundle)
+    bundle.backtests = _backtest_table(bundle)
+    return bundle
 
 
 def _versions():
@@ -415,32 +445,24 @@ def rolling_forecast(config):
     """Run the full out-of-sample exercise described by ``config``."""
     t0 = time.perf_counter()
     table = load_returns(config.input_path, config.columns)
-    tau = config.levels(table.shape[1])
-    records, sigmas, psis, warnings, n_refits = _forecast_state(config, table)
+    T, p = table.shape
+    var, es, sigmas, psis, warnings, n_refits = _forecast_state(config, table)
     t_fit = time.perf_counter()
-    scores, score_paths = _score_tables(records, sigmas, table.columns)
-    backtests = _backtest_table(records, table.columns, tau)
-    t1 = time.perf_counter()
-    oos_dates = table.dates[-config.oos :]
-    bundle = ReportBundle(
-        dates=oos_dates,
-        columns=table.columns,
-        tau=tau,
-        records=records,
-        sigmas=sigmas,
-        psis=psis,
-        scores=scores,
-        score_paths=score_paths,
-        backtests=backtests,
-        warnings=tuple(warnings),
+    start = T - config.oos
+    bundle = evaluate_forecasts(
+        table.dates[start:], table.columns, config.levels(p), table.values[start:], var, es,
+        t=np.arange(start, T), sigmas=sigmas,
     )
+    t1 = time.perf_counter()
+    bundle.psis = psis
+    bundle.warnings = tuple(warnings)
     bundle.manifest = {
         "command": "forecast",
         "config": config.to_dict(),
         "versions": _versions(),
-        "n_observations": table.shape[0],
-        "n_assets": table.shape[1],
-        "n_forecasts": len(records),
+        "n_observations": T,
+        "n_assets": p,
+        "n_forecasts": config.oos,
         "n_refits": n_refits,
         "warnings": list(bundle.warnings),
         "wall_seconds": {
@@ -469,10 +491,11 @@ def portfolio_run(config):
     weights = np.full(p, 1.0 / p)
     port_rows = []
     warnings = list(bundle.warnings)
-    returns = np.empty(len(bundle.records))
-    weight_rows = np.empty((len(bundle.records), p))
+    records = bundle.records
+    returns = np.empty(len(records))
+    weight_rows = np.empty((len(records), p))
     compound = 1.0
-    for i, rec in enumerate(bundle.records):
+    for i, rec in enumerate(records):
         params_t = MALParams(
             mu=rec.var, delta=tau * (0.0 - rec.es), psi=bundle.psis[i], tau=tau
         )
@@ -538,7 +561,7 @@ def _fmt(value):
     return str(value)
 
 
-def _write_csv(path, header, rows):
+def write_csv(path, header, rows):
     """Write a header line and the rows; returns the number of rows written."""
     n_rows = 0
     with open(path, "w", newline="") as handle:
@@ -548,6 +571,38 @@ def _write_csv(path, header, rows):
             writer.writerow([_fmt(v) for v in row])
             n_rows += 1
     return n_rows
+
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _csv_cell(value):
+    """``value`` as csv.writer writes it in one field of a row."""
+    text = str(value)
+    if text and not _NEEDS_QUOTES.search(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
+def _write_rows(path, header, row_fmt, rows):
+    """Write a csv header, then ``row_fmt % row`` per row, 4096 rows at a time;
+    text cells come quoted by :func:`_csv_cell`. Returns the row count."""
+    n_rows = 0
+    rows = iter(rows)
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerow(header)
+        while lines := [row_fmt % row for row in itertools.islice(rows, 4096)]:
+            handle.writelines(lines)
+            n_rows += len(lines)
+    return n_rows
+
+
+def _long_rows(dates, keys, values):
+    """(date, key, value) rows of an (n, len(keys)) block, date-major."""
+    per_date = itertools.chain.from_iterable(itertools.repeat(d, len(keys)) for d in dates)
+    return zip(per_date, itertools.cycle(keys), values.reshape(-1).tolist())
 
 
 def emit_reports(bundle, out_dir):
@@ -564,62 +619,37 @@ def emit_reports(bundle, out_dir):
     written = []
     tables = {}
 
-    def _table(name, header, rows):
+    def _table(name, header, rows, row_fmt=None):
         path = out / name
-        tables[name] = _write_csv(path, header, rows)
+        tables[name] = (write_csv(path, header, rows) if row_fmt is None
+                        else _write_rows(path, header, row_fmt, rows))
         written.append(path)
 
-    if bundle.records:
-        header = ["date"]
-        for name in bundle.columns:
-            header += [f"y_{name}", f"var_{name}", f"es_{name}"]
-        rows = []
-        for date, rec in zip(bundle.dates, bundle.records):
-            row = [date]
-            for j in range(len(bundle.columns)):
-                row += [rec.y[j], rec.var[j], rec.es[j]]
-            rows.append(row)
-        _table("forecasts.csv", header, rows)
-        long_rows = []
-        for date, rec in zip(bundle.dates, bundle.records):
-            for j, name in enumerate(bundle.columns):
-                long_rows.append([date, name, "y", rec.y[j]])
-                long_rows.append([date, name, "var", rec.var[j]])
-                long_rows.append([date, name, "es", rec.es[j]])
-        _table("paths_long.csv", ["date", "asset", "series", "value"], long_rows)
+    dates = [_csv_cell(d) for d in bundle.dates]
+    names = [_csv_cell(c) for c in bundle.columns]
+    if bundle.y is not None:
+        n, p = bundle.y.shape
+        wide = np.stack([bundle.y, bundle.var, bundle.es], axis=2).reshape(n, 3 * p)
+        header = ["date"] + [f"{s}_{c}" for c in bundle.columns for s in ("y", "var", "es")]
+        _table("forecasts.csv", header, zip(dates, *wide.T.tolist()),
+               "%s" + ",%.10g" * (3 * p) + "\n")
+        keys = [f"{a},{series}" for a in names for series in ("y", "var", "es")]
+        _table("paths_long.csv", ["date", "asset", "series", "value"],
+               _long_rows(dates, keys, wide), "%s,%s,%.10g\n")
     if bundle.scores:
-        _table(
-            "scores.csv",
-            ["rule", "asset", "value"],
-            [[r["rule"], r["asset"], r["value"]] for r in bundle.scores],
-        )
+        _table("scores.csv", ["rule", "asset", "value"],
+               [[r["rule"], r["asset"], r["value"]] for r in bundle.scores])
     if bundle.score_paths:
-        date_of = {rec.t: d for d, rec in zip(bundle.dates, bundle.records)}
-        _table(
-            "score_paths.csv",
-            ["date", "asset", "rule", "value"],
-            [
-                [date_of[r["t"]], r["asset"], r["rule"], r["value"]]
-                for r in bundle.score_paths
-            ],
-        )
-    if bundle.backtests:
-        cols = [
-            "test",
-            "asset",
-            "statistic",
-            "critical_value",
-            "p_value",
-            "reject",
-            "df",
-            "degenerate",
-            "low_power",
-            "hit_rate",
-        ]
-        _table("backtests.csv", cols, [[r[c] for c in cols] for r in bundle.backtests])
-    if bundle.portfolio:
-        cols = list(bundle.portfolio[0].keys())
-        _table("portfolio.csv", cols, [[r[c] for c in cols] for r in bundle.portfolio])
+        keys, blocks = [], []
+        for rule, vals in bundle.score_paths.items():
+            keys += [f"{a},{rule}" for a in names] if vals.ndim == 2 else [f"joint,{rule}"]
+            blocks.append(vals.reshape(len(dates), -1))
+        _table("score_paths.csv", ["date", "asset", "rule", "value"],
+               _long_rows(dates, keys, np.concatenate(blocks, axis=1)), "%s,%s,%.10g\n")
+    for name, rows in (("backtests.csv", bundle.backtests), ("portfolio.csv", bundle.portfolio)):
+        if rows:
+            cols = list(rows[0])
+            _table(name, cols, [[r[c] for c in cols] for r in rows])
 
     manifest = dict(bundle.manifest) if bundle.manifest else {}
     manifest.setdefault("versions", _versions())

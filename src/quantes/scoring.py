@@ -23,6 +23,7 @@ from .mal import as_levels, fixed_skew
 
 __all__ = [
     "ForecastRecord",
+    "check_forecasts",
     "s_mal",
     "s_fzn",
     "s_fz0",
@@ -54,12 +55,7 @@ class ForecastRecord:
         p = tau.size
         if y.shape != (p,) or var.shape != (p,) or es.shape != (p,):
             raise ValidationError("y, var, es and tau must share one length")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(var)) and np.all(np.isfinite(es))):
-            raise ValidationError("forecast record entries must be finite")
-        if np.any(es >= 0.0):
-            raise ValidationError("shortfall forecasts must be strictly negative")
-        if np.any(es > var):
-            raise ValidationError("shortfall forecasts cannot exceed the quantile")
+        check_forecasts(y, var, es)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "es", es)
@@ -68,6 +64,28 @@ class ForecastRecord:
     @property
     def p(self):
         return self.tau.size
+
+
+def check_forecasts(y, var, es, dates=None, columns=None):
+    """Reject the first bad cell of a forecast panel, in date order.
+
+    ``y``, ``var`` and ``es`` are equal-shape (T, p) panels, or (p,) for one
+    period. Every cell must be finite with es < 0 and es <= var. With
+    ``dates`` and ``columns`` the error names the cell's date and asset.
+    """
+    ok = np.isfinite(y) & np.isfinite(var) & np.isfinite(es) & (es < 0.0) & (es <= var)
+    if ok.all():
+        return
+    ok, y, var, es = (np.atleast_2d(a) for a in (ok, y, var, es))
+    i, j = np.unravel_index(np.argmin(ok), ok.shape)
+    if not np.isfinite([y[i, j], var[i, j], es[i, j]]).all():
+        reason = "forecast record entries must be finite"
+    elif es[i, j] >= 0.0:
+        reason = "shortfall forecasts must be strictly negative"
+    else:
+        reason = "shortfall forecasts cannot exceed the quantile"
+    where = "" if dates is None else f"{dates[i]} {columns[j]}: "
+    raise ValidationError(where + reason)
 
 
 def s_mal(record, sigma):

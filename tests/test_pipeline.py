@@ -2,10 +2,13 @@ import datetime
 import json
 
 import numpy as np
+import pytest
 
-from quantes import cli
+from quantes import cli, dynamics
 from quantes.dynamics import initial_quantile, risk_path
-from quantes.pipeline import load_returns
+from quantes.estimation import EMConfig
+from quantes.exceptions import NumericError
+from quantes.pipeline import RunConfig, load_returns, rolling_forecast, summary_stats
 from quantes.simulate import SimScenario, generate, reference_params
 
 TAU = 0.1
@@ -90,3 +93,99 @@ def test_backtest_without_any_tau_exits_2(tmp_path, capsys):
         assert cli.main(["backtest", "--forecasts", str(source), "--out", str(out)]) == 2
         assert "--tau" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _edit_cell(path, row, column, text):
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[row + 1].split(",")
+    cells[header.index(column)] = text
+    lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    return cells[0]
+
+
+@pytest.mark.parametrize(
+    "column, make_bad, reason",
+    [
+        ("es_a2", lambda var, es: "0.5", "a2: shortfall forecasts must be strictly negative"),
+        ("es_a2", lambda var, es: str(float(0.5 * var)), "a2: shortfall forecasts cannot exceed the quantile"),
+        ("var_a2", lambda var, es: "nan", "var_a2: non-finite value nan"),
+    ],
+    ids=["positive-es", "es-above-var", "non-finite"],
+)
+def test_backtest_names_date_and_asset_of_bad_cell(tmp_path, capsys, column, make_bad, reason):
+    source = tmp_path / "forecasts.csv"
+    _write_forecasts(source)
+    before = load_returns(source)
+    var, es = before.values[5, 4], before.values[5, 5]
+    date = _edit_cell(source, 5, column, make_bad(var, es))
+    _edit_cell(source, 9, column, make_bad(var, es))  # later bad cells are not reported
+    out = tmp_path / "reports"
+    code = cli.main(["backtest", "--forecasts", str(source), "--tau", str(TAU), "--out", str(out)])
+    assert code == 2
+    assert f"{date} {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_stats_out_writes_both_tables(tmp_path, capsys):
+    data = tmp_path / "panel.csv"
+    assert cli.main(["simulate", "--dimension", "2", "--length", "60", "--out", str(data)]) == 0
+    out = tmp_path / "stats"
+    assert cli.main(["stats", "--input", str(data), "--out", str(out)]) == 0
+    table = load_returns(data)
+    stats = summary_stats(table.values)
+    # the files as the hand-written writer produced them, for plain column names
+    summary = "statistic," + ",".join(table.columns) + "\n"
+    for row in ("mean", "median", "sd", "skewness", "kurtosis", "jarque_bera", "ljung_box"):
+        summary += row + "," + ",".join("%.10g" % v for v in stats[row]) + "\n"
+    corr = "asset," + ",".join(table.columns) + "\n"
+    for name, line in zip(table.columns, stats["correlation"]):
+        corr += name + "," + ",".join("%.10g" % v for v in line) + "\n"
+    assert (out / "summary.csv").read_text() == summary
+    assert (out / "correlation.csv").read_text() == corr
+    assert "correlation.csv" in capsys.readouterr().out
+
+
+def _small_run(tmp_path):
+    data = tmp_path / "panel.csv"
+    assert cli.main(["simulate", "--dimension", "2", "--length", "110", "--out", str(data)]) == 0
+    return RunConfig(
+        input_path=str(data), tau=TAU, oos=10, refit_every=10,
+        em=EMConfig(n_starts=1, max_iterations=2),
+    )
+
+
+def _spoil_call(monkeypatch, bad_call):
+    """Make the ``bad_call``-th one-step forecast return a positive shortfall."""
+    real = dynamics.one_step_forecast
+    calls = []
+
+    def spoiled(*args):
+        q, es = real(*args)
+        calls.append(None)
+        return (q, 0.5) if len(calls) == bad_call else (q, es)
+
+    monkeypatch.setattr(dynamics, "one_step_forecast", spoiled)
+
+
+def test_degenerate_forecast_carries_the_previous_one(tmp_path, monkeypatch):
+    config = _small_run(tmp_path)
+    clean = rolling_forecast(config)
+    _spoil_call(monkeypatch, bad_call=2 * 2 + 1)  # period 2, first asset
+    bundle = rolling_forecast(config)
+    assert len(bundle.warnings) == 1
+    assert bundle.warnings[0].startswith(f"t=102 ({bundle.dates[2]}): degenerate forecast")
+    assert bundle.manifest["warnings"] == list(bundle.warnings)
+    for k in (0, 1, *range(3, 10)):
+        assert np.array_equal(bundle.var[k], clean.var[k])
+        assert np.array_equal(bundle.es[k], clean.es[k])
+    assert np.array_equal(bundle.var[2], clean.var[1])
+    assert np.array_equal(bundle.es[2], clean.es[1])
+
+
+def test_degenerate_first_forecast_still_raises(tmp_path, monkeypatch):
+    config = _small_run(tmp_path)
+    _spoil_call(monkeypatch, bad_call=1)
+    with pytest.raises(NumericError, match=r"degenerate forecast at t=100"):
+        rolling_forecast(config)
