@@ -39,6 +39,7 @@ from .pipeline import (
     rolling_forecast,
     summary_stats,
     write_csv,
+    write_panel,
 )
 from .simulate import SimScenario, generate, reference_params
 
@@ -386,14 +387,9 @@ def _cmd_simulate(args, stream):
     out = Path(_merge(args, "out", "simulated.csv"))
     if out.parent != Path("."):
         out.parent.mkdir(parents=True, exist_ok=True)
-    names = [f"asset{j + 1}" for j in range(p)]
     day = datetime.date(2000, 1, 7)
-    with open(out, "w") as handle:
-        handle.write("date," + ",".join(names) + "\n")
-        for t in range(length):
-            cells = ",".join("%.10g" % v for v in y[t])
-            handle.write(f"{day.isoformat()},{cells}\n")
-            day += datetime.timedelta(days=7)
+    dates = [(day + datetime.timedelta(days=7 * t)).isoformat() for t in range(length)]
+    write_panel(dates, y, wide=(out, ["date"] + [f"asset{j + 1}" for j in range(p)]))
     print(f"wrote {out} ({length} rows, {p} assets, {family})", file=stream)
     return 0
 

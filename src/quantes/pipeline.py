@@ -7,11 +7,11 @@ files) is a deterministic function of the input file, the configuration and
 the seed; wall-clock timings are the only non-reproducible manifest fields.
 """
 
+import contextlib
 import csv
 import dataclasses
 import datetime
 import io
-import itertools
 import json
 import platform
 import re
@@ -46,6 +46,7 @@ EXPANDING = "expanding"
 WINDOWS = (ROLLING, EXPANDING)
 
 _FLOAT_FMT = "%.10g"
+_MIN_OOS = 9  # dq_test's 4 lagged hits need more than 4 + 4 periods
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,8 @@ class RunConfig:
     def __post_init__(self):
         if self.window not in WINDOWS:
             raise ValidationError(f"unknown window policy {self.window!r}")
-        if int(self.oos) < 1:
-            raise ValidationError("out-of-sample length must be positive")
+        if int(self.oos) < _MIN_OOS:
+            raise ValidationError(f"out-of-sample length must be at least {_MIN_OOS}")
         if int(self.refit_every) < 1:
             raise ValidationError("refit cadence must be positive")
         if self.window_width is not None and int(self.window_width) < 2:
@@ -152,8 +153,10 @@ def load_returns(path, columns=None):
     """Parse a delimited file with a leading date column into a panel.
 
     The first header field names the date column; every other header names an
-    asset. Dates must be ISO formatted and strictly increasing. A blank or
-    non-numeric cell fails with its line number and column name.
+    asset. Dates must be ISO formatted and strictly increasing. A cell is in
+    Python ``float`` syntax, surrounding whitespace allowed; a blank or
+    non-numeric cell fails with its line number and column name, a non-finite
+    value with its date and column name. Columns not picked are not read.
     """
     path = Path(path)
     try:
@@ -171,25 +174,25 @@ def load_returns(path, columns=None):
             raise ValidationError(f"{path}: need a date column plus data columns")
         names = header[1:]
         if columns is None:
-            picked = list(range(len(names)))
+            fields = list(range(1, len(header)))
         else:
             missing = [c for c in columns if c not in names]
             if missing:
                 raise ValidationError(
                     f"{path}: columns not in header: {', '.join(missing)}"
                 )
-            picked = [names.index(c) for c in columns]
+            fields = [1 + names.index(c) for c in columns]
         dates = []
         rows = []
         prev = None
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            raw_date = row[0].strip() if row else ""
+            if not raw_date and all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(header):
                 raise ValidationError(
                     f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            raw_date = row[0].strip()
             try:
                 day = datetime.date.fromisoformat(raw_date)
             except ValueError:
@@ -201,26 +204,15 @@ def load_returns(path, columns=None):
                     f"{path}: line {lineno}: dates must be strictly increasing"
                 )
             prev = day
-            vals = []
-            for k in picked:
-                cell = row[1 + k].strip()
-                if not cell:
-                    raise ValidationError(
-                        f"{path}: line {lineno}: blank cell in column {names[k]!r}"
-                    )
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise ValidationError(
-                        f"{path}: line {lineno}: non-numeric cell {cell!r} "
-                        f"in column {names[k]!r}"
-                    ) from None
+            try:
+                rows.append(list(map(float, map(row.__getitem__, fields))))
+            except ValueError:  # name the bad cell; strip also drops 0x1c-0x1f, float does not
+                rows.append([_cell(path, lineno, header[f], row[f]) for f in fields])
             dates.append(day.isoformat())
-            rows.append(vals)
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     values = np.array(rows, dtype=float)
-    chosen = tuple(names[k] for k in picked)
+    chosen = tuple(header[f] for f in fields)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, k = bad[0]
@@ -228,6 +220,19 @@ def load_returns(path, columns=None):
             f"{path}: {dates[i]} {chosen[k]}: non-finite value {values[i, k]}"
         )
     return ReturnsTable(dates=tuple(dates), values=values, columns=chosen)
+
+
+def _cell(path, lineno, column, text):
+    """A stripped cell as a float; a blank or non-numeric one fails by line and column."""
+    cell = text.strip()
+    if not cell:
+        raise ValidationError(f"{path}: line {lineno}: blank cell in column {column!r}")
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValidationError(
+            f"{path}: line {lineno}: non-numeric cell {cell!r} in column {column!r}"
+        ) from None
 
 
 # -- summary statistics -------------------------------------------------------
@@ -552,13 +557,9 @@ def portfolio_run(config):
 
 
 def _fmt(value):
-    if isinstance(value, float):
-        return _FLOAT_FMT % value
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return _FLOAT_FMT % float(value)
-    if isinstance(value, (np.integer,)):
-        return str(int(value))
-    return str(value)
+    return str(int(value)) if isinstance(value, np.integer) else str(value)
 
 
 def write_csv(path, header, rows):
@@ -586,44 +587,59 @@ def _csv_cell(value):
     return buf.getvalue()[:-2]
 
 
-def _write_rows(path, header, row_fmt, rows):
-    """Write a csv header, then ``row_fmt % row`` per row, 4096 rows at a time;
-    text cells come quoted by :func:`_csv_cell`. Returns the row count."""
-    n_rows = 0
-    rows = iter(rows)
-    with open(path, "w", newline="") as handle:
-        csv.writer(handle, lineterminator="\n").writerow(header)
-        while lines := [row_fmt % row for row in itertools.islice(rows, 4096)]:
-            handle.writelines(lines)
-            n_rows += len(lines)
-    return n_rows
+_BLOCK = 256  # dates per write: bounds the text held at once
 
 
-def _long_rows(dates, keys, values):
-    """(date, key, value) rows of an (n, len(keys)) block, date-major."""
-    per_date = itertools.chain.from_iterable(itertools.repeat(d, len(keys)) for d in dates)
-    return zip(per_date, itertools.cycle(keys), values.reshape(-1).tolist())
+def write_panel(dates, values, wide=None, long=None):
+    """Write an (n, k) panel as csv tables, formatting each value once.
+
+    ``dates`` are n csv cells. ``wide = (path, header)`` gets one row
+    ``date,v_1,...,v_k`` per date, ``long = (path, header, keys)`` one row
+    ``date,key_j,v_j`` per value, date-major, with k csv-text keys. Each block of
+    _BLOCK dates takes one ``%.10g`` call and one join per table. Returns the
+    row counts (n, n * k).
+    """
+    k = values.shape[1]
+    with contextlib.ExitStack() as stack:
+        out = [table and stack.enter_context(open(table[0], "w", newline=""))
+               for table in (wide, long)]
+        for handle, table in zip(out, (wide, long)):
+            if table:
+                csv.writer(handle, lineterminator="\n").writerow(table[1])
+        for i in range(0, len(dates), _BLOCK):
+            day = dates[i : i + _BLOCK]
+            block = values[i : i + _BLOCK].ravel().tolist()
+            cells = (((_FLOAT_FMT + "\n") * len(block)) % tuple(block)).splitlines()
+            if wide:  # date , v_1 , ... , v_k \n
+                parts = [","] * (len(day) * (2 * k + 2))
+                parts[:: 2 * k + 2] = day
+                for j in range(k):
+                    parts[2 + 2 * j :: 2 * k + 2] = cells[j::k]
+                parts[2 * k + 1 :: 2 * k + 2] = ["\n"] * len(day)
+                out[0].write("".join(parts))
+            if long:  # date ,key_j, v_j \n
+                parts = ["\n"] * (4 * len(cells))
+                parts[2::4] = cells
+                for j, key in enumerate(long[2]):
+                    parts[4 * j :: 4 * k] = day
+                    parts[4 * j + 1 :: 4 * k] = [f",{key},"] * len(day)
+                out[1].write("".join(parts))
+    return values.shape[0], values.size
 
 
 def emit_reports(bundle, out_dir):
     """Write every non-empty table plus the JSON manifest; returns the paths.
 
     forecasts.csv is wide (one row per date) so it round-trips through
-    :func:`load_returns`; the long companion file drives path plots.
+    :func:`load_returns`; the long companion file drives path plots. Each panel
+    value is formatted once, in blocks of dates, by :func:`write_panel`.
     """
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValidationError(f"cannot create {out}: {exc}") from exc
-    written = []
     tables = {}
-
-    def _table(name, header, rows, row_fmt=None):
-        path = out / name
-        tables[name] = (write_csv(path, header, rows) if row_fmt is None
-                        else _write_rows(path, header, row_fmt, rows))
-        written.append(path)
 
     dates = [_csv_cell(d) for d in bundle.dates]
     names = [_csv_cell(c) for c in bundle.columns]
@@ -631,25 +647,26 @@ def emit_reports(bundle, out_dir):
         n, p = bundle.y.shape
         wide = np.stack([bundle.y, bundle.var, bundle.es], axis=2).reshape(n, 3 * p)
         header = ["date"] + [f"{s}_{c}" for c in bundle.columns for s in ("y", "var", "es")]
-        _table("forecasts.csv", header, zip(dates, *wide.T.tolist()),
-               "%s" + ",%.10g" * (3 * p) + "\n")
         keys = [f"{a},{series}" for a in names for series in ("y", "var", "es")]
-        _table("paths_long.csv", ["date", "asset", "series", "value"],
-               _long_rows(dates, keys, wide), "%s,%s,%.10g\n")
+        tables["forecasts.csv"], tables["paths_long.csv"] = write_panel(
+            dates, wide, wide=(out / "forecasts.csv", header),
+            long=(out / "paths_long.csv", ["date", "asset", "series", "value"], keys))
     if bundle.scores:
-        _table("scores.csv", ["rule", "asset", "value"],
-               [[r["rule"], r["asset"], r["value"]] for r in bundle.scores])
+        tables["scores.csv"] = write_csv(
+            out / "scores.csv", ["rule", "asset", "value"],
+            [[r["rule"], r["asset"], r["value"]] for r in bundle.scores])
     if bundle.score_paths:
         keys, blocks = [], []
         for rule, vals in bundle.score_paths.items():
             keys += [f"{a},{rule}" for a in names] if vals.ndim == 2 else [f"joint,{rule}"]
             blocks.append(vals.reshape(len(dates), -1))
-        _table("score_paths.csv", ["date", "asset", "rule", "value"],
-               _long_rows(dates, keys, np.concatenate(blocks, axis=1)), "%s,%s,%.10g\n")
+        tables["score_paths.csv"] = write_panel(
+            dates, np.concatenate(blocks, axis=1),
+            long=(out / "score_paths.csv", ["date", "asset", "rule", "value"], keys))[1]
     for name, rows in (("backtests.csv", bundle.backtests), ("portfolio.csv", bundle.portfolio)):
         if rows:
             cols = list(rows[0])
-            _table(name, cols, [[r[c] for c in cols] for r in rows])
+            tables[name] = write_csv(out / name, cols, [[r[c] for c in cols] for r in rows])
 
     manifest = dict(bundle.manifest) if bundle.manifest else {}
     manifest.setdefault("versions", _versions())
@@ -658,5 +675,4 @@ def emit_reports(bundle, out_dir):
     with open(path, "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    written.append(path)
-    return [str(p) for p in written]
+    return [str(out / name) for name in tables] + [str(path)]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from quantes.backtests import (
     CHI2_1,
@@ -215,3 +216,58 @@ def test_battery_calibration_on_true_forecasts():
     for name, n_reject in counts.items():
         rate = n_reject / 500
         assert 0.02 <= rate <= 0.08, (name, rate)
+
+
+# -- p-values -----------------------------------------------------------------
+
+
+def _hits(n, rate, seed):
+    return (np.random.default_rng(seed).uniform(size=n) < rate).astype(float)
+
+
+@pytest.mark.parametrize(
+    "hits",
+    [np.r_[np.ones(5), np.zeros(95)], _hits(400, 0.055, 87), _hits(400, 0.3, 88)],
+    ids=["zero", "small", "large"],
+)
+def test_chi2_p_values_equal_the_scipy_stats_ones(hits):
+    uc, cc, dq = lr_uc(hits, 0.05), lr_cc(hits, 0.05), dq_test(hits, None, 0.05)
+    assert (uc.df, cc.df, dq.df) == (1, 2, 4)
+    for rep in (uc, cc, dq):
+        assert rep.p_value == float(stats.chi2.sf(rep.statistic, rep.df))
+    if hits.mean() == 0.05:  # the exact rate: a zero statistic has p-value one
+        assert uc.statistic == 0.0 and uc.p_value == 1.0
+
+
+@pytest.mark.parametrize("df", [1, 2, 4])
+def test_chi2_survival_at_zero_small_and_large_statistics(df):
+    # the statistics the reports never hit exactly, taken straight to the function
+    for x in (0.0, 1e-12, 1e-3, 0.7, 3.84, 9.49, 60.0, 800.0, 1e4):
+        assert float(special.chdtrc(df, x)) == float(stats.chi2.sf(x, df))
+
+
+@pytest.mark.parametrize("seed, shift", [(89, 0.0), (90, 0.4), (91, -3.0)])
+def test_es_p_values_equal_the_scipy_stats_ones(seed, shift):
+    rng = np.random.default_rng(seed)
+    y = _al_draws(rng, 300, -0.5, 0.1, 0.8) + shift
+    u_rep, c_rep = es_tests(y, np.full(300, -0.5), np.full(300, 0.8), 0.1)
+    assert u_rep.p_value == float(2.0 * stats.norm.sf(abs(u_rep.statistic)))
+    assert c_rep.p_value == float(stats.chi2.sf(c_rep.statistic, 4))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (np.random.default_rng(92).normal(size=200), np.random.default_rng(93).normal(size=200)),
+        (np.zeros(100), -np.random.default_rng(94).normal(0.5, 1.0, 100)),
+        (np.full(50, 0.3), np.zeros(50)),
+        (np.zeros(50), np.full(50, 0.3)),
+    ],
+    ids=["noise", "shifted", "plus-inf", "minus-inf"],
+)
+def test_dm_p_values_equal_the_scipy_stats_ones(a, b):
+    report = dm_test(a, b)
+    assert report.p_value == float(stats.norm.cdf(report.statistic))
+    if report.degenerate:
+        assert abs(report.statistic) == math.inf
+        assert report.p_value == (1.0 if report.statistic > 0 else 0.0)

@@ -4,10 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from quantes import cli, dynamics
+from quantes import cli, dynamics, pipeline
 from quantes.dynamics import initial_quantile, risk_path
 from quantes.estimation import EMConfig
-from quantes.exceptions import NumericError
+from quantes.exceptions import NumericError, ValidationError
 from quantes.pipeline import RunConfig, load_returns, rolling_forecast, summary_stats
 from quantes.simulate import SimScenario, generate, reference_params
 
@@ -189,3 +189,121 @@ def test_degenerate_first_forecast_still_raises(tmp_path, monkeypatch):
     _spoil_call(monkeypatch, bad_call=1)
     with pytest.raises(NumericError, match=r"degenerate forecast at t=100"):
         rolling_forecast(config)
+
+
+def test_forecast_rejects_a_short_backtest_block_before_any_fit(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "panel.csv"
+    assert cli.main(["simulate", "--dimension", "2", "--length", "110", "--out", str(data)]) == 0
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fit ran for an out-of-sample block dq_test cannot test")
+
+    monkeypatch.setattr(pipeline, "fit", no_fit)
+    code = cli.main(["forecast", "--input", str(data), "--oos", "4", "--n-starts", "1",
+                     "--out", str(tmp_path / "reports")])
+    assert code == 2
+    assert "out-of-sample length must be at least 9" in capsys.readouterr().err
+    assert not (tmp_path / "reports").exists()
+    with pytest.raises(ValidationError, match="at least 9"):
+        RunConfig(input_path=str(data), oos=8)
+    assert RunConfig(input_path=str(data), oos=9).oos == 9
+
+
+# -- the loader ---------------------------------------------------------------
+
+_PANEL = "date,a,b\n2001-01-02,0.5,-1\n2001-01-03,1.5,2e-3\n2001-01-04,-0.25,7\n"
+
+
+def _panel_with(tmp_path, line, text):
+    """The three-row panel with data line ``line`` (2 = first) replaced."""
+    lines = _PANEL.splitlines()
+    lines[line - 1] = text
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "line, text, message",
+    [
+        (3, "2001-01-03,1.5,", "line 3: blank cell in column 'b'"),
+        (3, "2001-01-03, \t ,2", "line 3: blank cell in column 'a'"),
+        (4, "2001-01-04,-0.25,1.2.3", "line 4: non-numeric cell '1.2.3' in column 'b'"),
+        (2, "2001-01-02,0.5", "line 2: expected 3 fields, got 2"),
+        (3, "2001-02-30,1.5,2", "line 3: bad date '2001-02-30'"),
+        (3, " ,1.5,2", "line 3: bad date ''"),
+        (4, "2001-01-03,1,2", "line 4: dates must be strictly increasing"),
+        (3, "2001-01-03,1.5, nan", "2001-01-03 b: non-finite value nan"),
+    ],
+    ids=["blank", "whitespace", "non-numeric", "field-count", "bad-date", "blank-date",
+         "not-increasing", "nan"],
+)
+def test_loader_names_the_bad_line_and_column(tmp_path, line, text, message):
+    path = _panel_with(tmp_path, line, text)
+    with pytest.raises(ValidationError) as err:
+        load_returns(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_loader_skips_blank_rows(tmp_path):
+    path = _panel_with(tmp_path, 3, " , \t,")
+    path.write_text(path.read_text() + "\n,,\n")
+    table = load_returns(path)
+    assert table.dates == ("2001-01-02", "2001-01-04")
+    assert table.values.tolist() == [[0.5, -1.0], [-0.25, 7.0]]
+
+
+def test_loader_reads_only_the_picked_columns(tmp_path):
+    path = _panel_with(tmp_path, 3, "2001-01-03,oops,2e-3")
+    with pytest.raises(ValidationError, match="non-numeric cell 'oops' in column 'a'"):
+        load_returns(path)
+    table = load_returns(path, columns=["b"])
+    assert table.columns == ("b",)
+    assert table.values.tolist() == [[-1.0], [2e-3], [7.0]]
+
+
+def test_loader_values_equal_float_of_the_stripped_cell(tmp_path):
+    rng = np.random.default_rng(31)
+    values = rng.standard_normal(10_000) * 10.0 ** rng.integers(-300, 300, 10_000)
+    pads = ["", " ", "  ", "\t", " \x1f"]  # str.strip drops 0x1f, float does not
+    cells = ["%s%.17g%s" % (pads[i % 5], v, pads[i % 3]) for i, v in enumerate(values)]
+    day = datetime.date(1990, 1, 1)
+    lines = ["date,a,b"]
+    for i in range(0, len(cells), 2):
+        date = (day + datetime.timedelta(days=i)).isoformat()
+        lines.append(f"{date},{cells[i]},{cells[i + 1]}")
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join(lines) + "\n")
+    got = load_returns(path).values.reshape(-1)
+    want = np.array([float(c.strip()) for c in cells])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.array_equal(want, values)
+
+
+# -- simulate -----------------------------------------------------------------
+
+
+def reference_simulate_file(out, y, length, p):
+    """The per-row writer ``quantes simulate`` used before the block writer."""
+    names = [f"asset{j + 1}" for j in range(p)]
+    day = datetime.date(2000, 1, 7)
+    with open(out, "w") as handle:
+        handle.write("date," + ",".join(names) + "\n")
+        for t in range(length):
+            cells = ",".join("%.10g" % v for v in y[t])
+            handle.write(f"{day.isoformat()},{cells}\n")
+            day += datetime.timedelta(days=7)
+
+
+@pytest.mark.parametrize("p, kind, family", [(1, "sav", "normal"), (3, "ig", "student_t")])
+def test_simulate_file_matches_the_per_row_writer(tmp_path, capsys, p, kind, family):
+    length = 2 * pipeline._BLOCK + 3
+    out = tmp_path / "sim" / "panel.csv"
+    code = cli.main(["simulate", "--dimension", str(p), "--length", str(length),
+                     "--kind", kind, "--family", family, "--seed", "3", "--replication", "2",
+                     "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    y = generate(SimScenario(params=reference_params(kind, "mult", p), tau=np.full(p, 0.1),
+                             T=length, error_family=family, seed=3), 2)
+    reference_simulate_file(tmp_path / "ref.csv", y, length, p)
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()

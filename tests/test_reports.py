@@ -17,7 +17,7 @@ from quantes.backtests import dq_test, es_tests, lr_cc, lr_uc
 from quantes.dynamics import initial_quantile, risk_path
 from quantes.exceptions import ValidationError
 from quantes.mal import MALConstraints, as_levels, assemble_sigma
-from quantes.pipeline import emit_reports, evaluate_forecasts
+from quantes.pipeline import _BLOCK, ReportBundle, emit_reports, evaluate_forecasts
 from quantes.scoring import ForecastRecord, s_al, s_al_sum, s_fz0, s_fzn, s_mal
 from quantes.simulate import SimScenario, generate, reference_params
 
@@ -282,3 +282,50 @@ def test_evaluate_names_the_first_bad_cell(cell, message):
     with pytest.raises(ValidationError) as err:
         evaluate_forecasts(dates, names, tau, y, var, es)
     assert str(err.value) == message
+
+
+# -- block boundaries of the panel writer ---------------------------------------
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize(
+    "n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1], ids=lambda n: f"n{n}"
+)
+def test_panel_tables_match_per_record_reference_across_blocks(tmp_path, n, p):
+    rng = np.random.default_rng(1000 * p + n)
+    y = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-12, 12, (n, p))
+    var = -rng.uniform(0.0, 1.0, (n, p)) * 10.0 ** rng.integers(-12, 12, (n, p))
+    es = var * rng.uniform(1.0, 3.0, (n, p)) - 1e-300
+    names = ('x,"y', "a b", "e")[:p]
+    day = datetime.date(2003, 2, 3)
+    dates = tuple((day + datetime.timedelta(days=k)).isoformat() for k in range(n))
+    dates = ('2003-02-02 "noon", UTC',) + dates[1:]  # a date cell that needs quoting
+    tau = as_levels(0.1, p)
+    paths = {"s_fzn": rng.standard_normal((n, p)), "s_fz0": rng.standard_normal((n, p)),
+             "s_al": rng.standard_normal((n, p)), "s_mal": rng.standard_normal(n)}
+    bundle = ReportBundle(dates=dates, columns=names, tau=tau, t=np.arange(n), y=y,
+                          var=var, es=es, score_paths=paths)
+    records = bundle.records
+    rows = [
+        {"t": k, "asset": asset, "rule": rule, "value": paths[rule][k, j]}
+        for k in range(n)
+        for rule in ("s_fzn", "s_fz0", "s_al")
+        for j, asset in enumerate(names)
+    ]
+    for k in range(n):  # the joint rule follows the per-asset rules of each date
+        rows.insert(k * (3 * p + 1) + 3 * p, {"t": k, "asset": "joint", "rule": "s_mal",
+                                              "value": paths["s_mal"][k]})
+    ref = SimpleNamespace(dates=dates, columns=names, records=records, scores=(),
+                          score_paths=tuple(rows), backtests=())
+
+    (tmp_path / "new").mkdir()
+    (tmp_path / "ref").mkdir()
+    emit_reports(bundle, tmp_path / "new")
+    ref_rows = reference_emit(ref, tmp_path / "ref")
+    assert set(ref_rows) == {"forecasts.csv", "paths_long.csv", "score_paths.csv"}
+    for name in ref_rows:
+        new = (tmp_path / "new" / name).read_bytes()
+        assert new == (tmp_path / "ref" / name).read_bytes(), name
+    assert b'"2003-02-02 ""noon"", UTC"' in (tmp_path / "new" / "forecasts.csv").read_bytes()
+    manifest = json.loads((tmp_path / "new" / "manifest.json").read_text())
+    assert manifest["tables"] == ref_rows
