@@ -11,6 +11,7 @@ config file can hold any flag; explicit flags win. Exit codes: 0 success,
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -104,6 +105,7 @@ def _read_config_file(path):
     return out
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="quantes",

@@ -318,10 +318,21 @@ def one_step_forecast(spec, link, q_last, y_last, x_last=0.0):
 
 
 def initial_quantile(y, tau, frac=0.1, min_obs=50):
-    """Empirical tau-quantile of the leading segment of the sample."""
+    """Empirical tau-quantile of the leading segment of the sample: the
+    order statistics around (n - 1) tau from one partition, blended as
+    ``np.quantile``'s linear method blends them, so equal to it bit for bit."""
     y = np.asarray(y, dtype=float)
     n = min(y.size, max(int(np.ceil(frac * y.size)), min_obs))
-    return float(np.quantile(y[:n], tau))
+    if not 0.0 <= tau <= 1.0:
+        raise ValidationError("tau must lie in [0, 1]")
+    v = (n - 1) * float(tau)
+    # at the top numpy blends the maximum with itself, at weight v - (-1)
+    lo, hi = (int(v), int(v) + 1) if v < n - 1 else (-1, -1)
+    part = np.partition(y[:n], (lo, hi, n - 1))
+    if np.isnan(part[-1]):
+        return float(part[-1])
+    a, b, g = float(part[lo]), float(part[hi]), v - lo
+    return a + (b - a) * g if g < 0.5 else b - (b - a) * (1.0 - g)
 
 
 def initial_es_offset(y, q0, frac=0.1, min_obs=50):

@@ -41,13 +41,16 @@ def nearest_pd_correlation(a, eig_floor=EIG_FLOOR):
 
 
 def check_correlation(psi, tol=1e-8):
-    """Validate that ``psi`` is a symmetric PD correlation matrix."""
+    """Validate that ``psi`` is a finite, symmetric PD correlation matrix. The
+    symmetry and unit-diagonal tests are ``np.allclose``'s with ``atol=tol``."""
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 2 or psi.shape[0] != psi.shape[1]:
         raise ValidationError("correlation matrix must be square")
-    if not np.allclose(psi, psi.T, atol=tol):
+    if not np.isfinite(psi).all():
+        raise ValidationError("correlation matrix must be finite")
+    if not (np.abs(psi - psi.T) <= tol + 1e-5 * np.abs(psi.T)).all():
         raise ValidationError("correlation matrix must be symmetric")
-    if not np.allclose(np.diag(psi), 1.0, atol=tol):
+    if not (np.abs(np.diagonal(psi) - 1.0) <= tol + 1e-5).all():
         raise ValidationError("correlation matrix must have a unit diagonal")
     if np.linalg.eigvalsh(psi).min() <= 0.0:
         raise ValidationError("correlation matrix must be positive definite")

@@ -48,7 +48,7 @@ def as_levels(tau, p=None):
     tau = np.atleast_1d(np.asarray(tau, dtype=float))
     if tau.ndim != 1 or tau.size == 0:
         raise ValidationError("tau must be a one-dimensional non-empty vector")
-    if np.any(tau <= 0.0) or np.any(tau >= 1.0) or not np.all(np.isfinite(tau)):
+    if not ((tau > 0.0) & (tau < 1.0)).all():
         raise ValidationError("every tau level must lie strictly inside (0, 1)")
     if p is None or tau.size == p:
         return tau
@@ -112,8 +112,9 @@ def assemble_sigma(psi, constraints):
 class MALParams:
     """Full parameter set: location mu, positive scales delta, correlation psi.
 
-    ``constraints`` is derived from ``tau`` on construction and carried along
-    so downstream code never recomputes it inconsistently.
+    Validated once, on construction, into read-only copies of the inputs.
+    ``constraints`` and the read-only Sigma that :meth:`sigma` returns are
+    derived then, so nothing validates psi or assembles Sigma again.
     """
 
     mu: np.ndarray
@@ -121,29 +122,36 @@ class MALParams:
     psi: np.ndarray
     tau: np.ndarray
     constraints: MALConstraints = field(init=False, repr=False)
+    _sigma: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        delta = np.atleast_1d(np.asarray(self.delta, dtype=float))
-        tau = as_levels(self.tau)
-        psi = check_correlation(np.atleast_2d(np.asarray(self.psi, dtype=float)))
-        p = tau.size
+        # copies, so that freezing them leaves the caller's arrays writable
+        mu, delta, tau = (np.array(a, dtype=float, ndmin=1)
+                          for a in (self.mu, self.delta, self.tau))
+        cons = MALConstraints.from_levels(tau)
+        psi = check_correlation(np.array(self.psi, dtype=float, ndmin=2))
+        p = cons.p
         if mu.shape != (p,) or delta.shape != (p,) or psi.shape != (p, p):
             raise ValidationError("mu, delta, psi and tau dimensions disagree")
-        if np.any(delta <= 0.0) or not np.all(np.isfinite(delta)):
+        if not ((delta > 0.0) & np.isfinite(delta)).all():
             raise ValidationError("delta entries must be strictly positive and finite")
+        # the expression of assemble_sigma, so both give the same floats
+        sigma = psi * np.outer(cons.sigma_tilde, cons.sigma_tilde)
+        for a in (mu, delta, psi, cons.tau, sigma):
+            a.flags.writeable = False
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "psi", psi)
-        object.__setattr__(self, "tau", tau)
-        object.__setattr__(self, "constraints", MALConstraints.from_levels(tau))
+        object.__setattr__(self, "tau", cons.tau)
+        object.__setattr__(self, "constraints", cons)
+        object.__setattr__(self, "_sigma", sigma)
 
     @property
     def p(self):
         return self.tau.size
 
     def sigma(self):
-        return assemble_sigma(self.psi, self.constraints)
+        return self._sigma
 
 
 @dataclass(frozen=True)

@@ -299,7 +299,7 @@ def _forecast_state(config, table):
     forecast panels. Fit failures after the first window fall back to the
     previous parameter set, and degenerate forecasts after the first period
     to the previous forecast, each with a warning; the first window must fit
-    and the first forecast must be valid.
+    and the first forecast must be valid. Sigma is assembled once per refit.
     """
     y = table.values
     T, p = y.shape
@@ -332,6 +332,7 @@ def _forecast_state(config, table):
                     init=params,
                 )
                 params = result.params
+                sigma = assemble_sigma(params.psi, cons)
                 n_refits += 1
             except NumericError as exc:
                 if params is None:
@@ -357,7 +358,7 @@ def _forecast_state(config, table):
                 f"t={t} ({table.dates[t]}): degenerate forecast ({exc}); "
                 "previous forecast carried"
             )
-        sigmas.append(assemble_sigma(params.psi, cons))
+        sigmas.append(sigma)
         psis.append(params.psi)
     return var, es, tuple(sigmas), tuple(psis), warnings, n_refits
 

@@ -157,28 +157,17 @@ def smv_weights(params, tau_tilde, b_init=None, seed=0):
     tau_tilde = float(tau_tilde)
     if not 0.0 < tau_tilde <= 0.5:
         raise ValidationError("target level must lie in (0, 0.5]")
-    p = params.p
-    if p == 1:
+    if params.p == 1:
         if abs(tau_tilde - float(params.tau[0])) > _LEVEL_TOL:
             raise InfeasibleAllocationError(
                 "a single asset pins the portfolio level to its own tau",
                 residual=abs(tau_tilde - float(params.tau[0])),
             )
-        b = np.ones(1)
-        al = linear_combine(b, params)
-        var, es = portfolio_risk(al, tau_tilde)
-        return AllocationResult(
-            weights=b,
-            tau_star_achieved=al.tau_star,
-            objective=float(params.delta[0] ** 2 * params.sigma()[0, 0]),
-            al=al,
-            var=var,
-            es=es,
-        )
-
-    a_matrix = params.sigma() * np.outer(params.delta, params.delta)
-    skew_vec = params.delta * params.constraints.xi_tilde
-    b, obj = _allocate(a_matrix, skew_vec, tau_tilde, b_init)
+        b, obj = np.ones(1), float(params.delta[0] ** 2 * params.sigma()[0, 0])
+    else:
+        a_matrix = params.sigma() * np.outer(params.delta, params.delta)
+        skew_vec = params.delta * params.constraints.xi_tilde
+        b, obj = _allocate(a_matrix, skew_vec, tau_tilde, b_init)
     al = linear_combine(b, params)
     var, es = portfolio_risk(al, tau_tilde)
     return AllocationResult(

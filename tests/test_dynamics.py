@@ -202,6 +202,20 @@ def test_initial_state_helpers():
     assert initial_es_offset(y, y.min() - 1.0) == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 49, 50, 51, 120])
+def test_initial_quantile_equals_numpy(n):
+    rng = np.random.default_rng(n)
+    samples = [rng.normal(size=n), rng.integers(-2, 3, size=n).astype(float)]
+    for y in samples:
+        for tau in (1e-9, 0.01, 0.1, 0.5, 0.999999):
+            assert initial_quantile(y, tau, frac=1.0, min_obs=0) == np.quantile(y, tau)
+    y = samples[0].copy()
+    y[n // 2] = np.nan
+    assert np.isnan(initial_quantile(y, 0.1, frac=1.0, min_obs=0))
+    with pytest.raises(ValidationError):
+        initial_quantile(y, 1.5)
+
+
 def test_spec_validation():
     with pytest.raises(ValidationError):
         CaviarSpec("garch", -0.1, 0.8, [-0.1])

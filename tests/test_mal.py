@@ -118,6 +118,77 @@ def test_params_validation():
         MALParams(mu=[0.0], delta=[1.0, 1.0], psi=[[1.0]], tau=[0.1])
 
 
+BAD_CORRELATIONS = [
+    ([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3]], "must be square"),
+    ([[1.0, np.inf], [np.inf, 1.0]], "must be finite"),
+    ([[1.0, np.nan], [np.nan, 1.0]], "must be finite"),
+    ([[1.0, 0.2], [0.3, 1.0]], "must be symmetric"),
+    ([[1.1, 0.2], [0.2, 1.0]], "must have a unit diagonal"),
+    ([[1.0, 1.2], [1.2, 1.0]], "must be positive definite"),
+]
+
+
+@pytest.mark.parametrize("psi, message", BAD_CORRELATIONS,
+                         ids=["square", "inf", "nan", "symmetric", "diagonal", "pd"])
+def test_correlation_messages_through_params_and_assemble_sigma(psi, message):
+    with pytest.raises(ValidationError, match=f"correlation matrix {message}"):
+        MALParams(mu=[0.0, 0.0], delta=[1.0, 1.0], psi=psi, tau=[0.1, 0.1])
+    with pytest.raises(ValidationError, match=f"correlation matrix {message}"):
+        assemble_sigma(psi, MALConstraints.from_levels([0.1, 0.1]))
+
+
+def _rejected(psi):
+    try:
+        assemble_sigma(psi, MALConstraints.from_levels(np.full(psi.shape[0], 0.1)))
+    except ValidationError:
+        return True
+    return False
+
+
+def test_inline_tolerance_agrees_with_allclose():
+    """Entries moved by about 1e-8 + 1e-5 |b|, just inside and just outside."""
+    rng = np.random.default_rng(29)
+    outcomes = set()
+    for _ in range(400):
+        psi = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        psi[0, 1] = psi[1, 0] = rng.uniform(-0.6, 0.6)
+        psi[1, 2] = psi[2, 1] = rng.uniform(-0.3, 0.3)
+        factor = rng.uniform(1.0 - 1e-6, 1.0 + 1e-6)
+        if rng.uniform() < 0.5:
+            i, j = (0, 1) if rng.uniform() < 0.5 else (2, 1)
+            psi[i, j] = psi[j, i] + rng.choice([-1, 1]) * factor * (
+                1e-8 + 1e-5 * abs(psi[j, i]))
+            expected = not np.allclose(psi, psi.T, atol=1e-8)
+        else:
+            k = rng.integers(3)
+            psi[k, k] = 1.0 + rng.choice([-1, 1]) * factor * (1e-8 + 1e-5)
+            expected = not np.allclose(np.diag(psi), 1.0, atol=1e-8)
+        assert _rejected(psi) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_params_sigma_is_assemble_sigma():
+    psi = np.array([[1.0, 0.3, -0.2], [0.3, 1.0, 0.5], [-0.2, 0.5, 1.0]])
+    params = MALParams(mu=[0.1, 0.0, -0.2], delta=[0.5, 1.0, 2.0], psi=psi, tau=[0.05, 0.1, 0.3])
+    assert np.array_equal(params.sigma(), assemble_sigma(psi, params.constraints))
+    assert params.sigma() is params.sigma()
+
+
+def test_params_hold_read_only_copies():
+    mu, psi = np.array([0.1, -0.2]), np.array([[1.0, 0.4], [0.4, 1.0]])
+    params = MALParams(mu=mu, delta=np.ones(2), psi=psi, tau=np.full(2, 0.1))
+    for target in (params.psi, params.mu, params.sigma()):
+        with pytest.raises(ValueError):
+            target[0] = 5.0
+    psi[0, 1] = psi[1, 0] = -0.9
+    mu[0] = 7.0
+    assert psi.flags.writeable and mu.flags.writeable
+    assert params.psi[0, 1] == 0.4 and params.mu[0] == 0.1
+    assert np.array_equal(params.sigma(), assemble_sigma([[1.0, 0.4], [0.4, 1.0]],
+                                                         params.constraints))
+
+
 @pytest.mark.parametrize("kw,y,expected", DENSITY_ORACLE)
 def test_log_density_matches_quadrature_oracle(kw, y, expected):
     params = MALParams(**kw)

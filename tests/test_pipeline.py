@@ -4,10 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from quantes import cli, dynamics, pipeline
+from quantes import __version__, cli, dynamics, pipeline
 from quantes.dynamics import initial_quantile, risk_path
 from quantes.estimation import EMConfig
 from quantes.exceptions import NumericError, ValidationError
+from quantes.mal import MALConstraints, MALParams, assemble_sigma, linear_combine
 from quantes.pipeline import RunConfig, load_returns, rolling_forecast, summary_stats
 from quantes.simulate import SimScenario, generate, reference_params
 
@@ -93,6 +94,31 @@ def test_backtest_without_any_tau_exits_2(tmp_path, capsys):
         assert cli.main(["backtest", "--forecasts", str(source), "--out", str(out)]) == 2
         assert "--tau" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_consecutive_main_calls_share_no_values(tmp_path, capsys):
+    source = tmp_path / "forecasts.csv"
+    _write_forecasts(source)
+    (tmp_path / "manifest.json").write_text(json.dumps({"tau": [0.1, 0.2]}))
+    out = tmp_path / "reports"
+    argv = ["backtest", "--forecasts", str(source), "--out", str(out)]
+    assert cli.main(argv + ["--tau", "0.05"]) == 0, capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["tau"] == [0.05, 0.05]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["tau"] == [0.1, 0.2]
+    assert cli._build_parser() is cli._build_parser()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"quantes {__version__}\n"
+    for bad, message in (([], "the following arguments are required: command"),
+                         (argv + ["--bogus"], "unrecognized arguments: --bogus")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: quantes") and message in err
 
 
 def _edit_cell(path, row, column, text):
@@ -307,3 +333,63 @@ def test_simulate_file_matches_the_per_row_writer(tmp_path, capsys, p, kind, fam
                              T=length, error_family=family, seed=3), 2)
     reference_simulate_file(tmp_path / "ref.csv", y, length, p)
     assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# -- portfolio ----------------------------------------------------------------
+
+
+def _portfolio_config(tmp_path, out):
+    data = tmp_path / "panel.csv"
+    if not data.exists():
+        assert cli.main(["simulate", "--dimension", "2", "--length", "130", "--seed", "4",
+                         "--out", str(data)]) == 0
+    return RunConfig(input_path=str(data), tau=TAU, oos=12, tau_tilde=0.15, seed=3,
+                     out_dir=str(out), em=EMConfig(n_starts=1, max_iterations=2))
+
+
+def test_portfolio_run_is_deterministic_and_meets_its_constraints(tmp_path):
+    bundles = []
+    for name in ("first", "second"):
+        config = _portfolio_config(tmp_path, tmp_path / name)
+        bundles.append(pipeline.portfolio_run(config))
+        pipeline.emit_reports(bundles[-1], config.out_dir)
+    first, second = bundles
+    assert first.portfolio == second.portfolio
+    for table in ("portfolio.csv", "forecasts.csv", "scores.csv", "backtests.csv"):
+        assert (tmp_path / "first" / table).read_bytes() == \
+            (tmp_path / "second" / table).read_bytes(), table
+    with open(tmp_path / "first" / "portfolio.csv") as handle:
+        assert sum(1 for _ in handle) - 1 == 12
+    manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
+    assert manifest["command"] == "portfolio"
+    assert set(manifest["portfolio"]) == {
+        "tau_tilde", "sharpe", "hhi", "compound_final", "infeasible_periods"
+    }
+    tau = first.tau
+    # refits every 4 periods: each block shares one Sigma, assembled from its psi
+    assert len({psi.tobytes() for psi in first.psis}) > 1
+    for i, (sigma, psi) in enumerate(zip(first.sigmas, first.psis)):
+        assert sigma is first.sigmas[i - i % 4]
+        assert np.array_equal(sigma, assemble_sigma(psi, MALConstraints.from_levels(tau)))
+    feasible = [i for i, row in enumerate(first.portfolio) if row["feasible"]]
+    assert feasible
+    for i in feasible:
+        weights = np.array([first.portfolio[i][f"w_{c}"] for c in first.columns])
+        params_t = MALParams(mu=first.var[i], delta=tau * (0.0 - first.es[i]),
+                             psi=first.psis[i], tau=tau)
+        assert abs(weights.sum() - 1.0) <= 1e-10
+        assert abs(linear_combine(weights, params_t).tau_star - 0.15) <= 1e-6
+
+
+def test_portfolio_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):
+    config = _portfolio_config(tmp_path, tmp_path / "reports")
+
+    def failing_fit(*args, **kwargs):
+        raise NumericError("no start converged")
+
+    monkeypatch.setattr(pipeline, "fit", failing_fit)
+    code = cli.main(["portfolio", "--input", config.input_path, "--oos", "12",
+                     "--n-starts", "1", "--tau-tilde", "0.15", "--out", config.out_dir])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numeric failure: no start converged")
+    assert not (tmp_path / "reports").exists()
