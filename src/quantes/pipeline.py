@@ -13,6 +13,7 @@ import dataclasses
 import datetime
 import io
 import json
+import operator
 import platform
 import re
 import time
@@ -153,35 +154,97 @@ def load_returns(path, columns=None):
     """Parse a delimited file with a leading date column into a panel.
 
     The first header field names the date column; every other header names an
-    asset. Dates must be ISO formatted and strictly increasing. A cell is in
-    Python ``float`` syntax, surrounding whitespace allowed; a blank or
-    non-numeric cell fails with its line number and column name, a non-finite
-    value with its date and column name. Columns not picked are not read.
+    asset, once and not blank. Dates must be ISO formatted and strictly
+    increasing. A cell is in Python ``float`` syntax, surrounding whitespace
+    allowed. Columns not picked are not read.
+
+    numpy's C reader parses the body when the text has no ``"``, ``\\r`` or
+    NUL, every line has the header's comma count, the dates parse and
+    increase, and every picked cell parses to a finite value. Any other input
+    goes to the per-row parser, which gives the same table or names the first
+    bad cell: a blank or non-numeric cell by line number and column name, a
+    non-finite value by date and column name.
     """
     path = Path(path)
+    with _open(path) as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError:  # the per-row parser raises it from its own reads
+            text = None
+    table = None if text is None else _read_panel(path, text, columns)
+    return _load_rows(path, columns) if table is None else table
+
+
+def _open(path):
     try:
-        handle = open(path, newline="")
+        return open(path, newline="")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    with handle:
+
+
+def _picked_fields(path, header, columns):
+    """Indices of the ``columns`` (default: all assets) in the stripped header."""
+    if len(header) < 2:
+        raise ValidationError(f"{path}: need a date column plus data columns")
+    names = header[1:]
+    seen = set()
+    for k, name in enumerate(names, start=2):
+        if not name:
+            raise ValidationError(f"{path}: header field {k} names no column")
+        if name in seen:
+            raise ValidationError(f"{path}: header names column {name!r} twice")
+        seen.add(name)
+    if columns is None:
+        return list(range(1, len(header)))
+    missing = [c for c in columns if c not in names]
+    if missing:
+        raise ValidationError(f"{path}: columns not in header: {', '.join(missing)}")
+    return [1 + names.index(c) for c in columns]
+
+
+def _read_panel(path, text, columns):
+    """The panel in ``text`` through ``np.loadtxt``, or None for the per-row parser.
+
+    Takes only text that csv splits at every comma: no ``"``, ``\\r`` or NUL
+    (csv rejects NUL before Python 3.11). With the header's comma count on
+    every line no line is blank. A line as long as csv's field limit is left
+    to the per-row parser, which raises csv's error if a field is that long.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if len(lines) < 2 or max(map(len, lines)) >= csv.field_size_limit():
+        return None
+    header = [h.strip() for h in lines[0].split(",")]
+    fields = _picked_fields(path, header, columns)
+    body = lines[1:]
+    if set(map(str.count, body, [","] * len(body))) != {len(header) - 1}:
+        return None
+    dates = [line.partition(",")[0].strip() for line in body]
+    try:
+        days = list(map(datetime.date.fromisoformat, dates))
+        values = np.loadtxt(body, delimiter=",", comments=None, quotechar=None,
+                            usecols=fields, dtype=float, ndmin=2)
+    except ValueError:
+        return None
+    if not all(map(operator.lt, days, days[1:])) or not np.isfinite(values).all():
+        return None
+    return ReturnsTable(dates=tuple(map(datetime.date.isoformat, days)), values=values,
+                        columns=tuple(header[f] for f in fields))
+
+
+def _load_rows(path, columns):
+    """:func:`load_returns` one csv row and one ``float`` per cell at a time."""
+    with _open(path) as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
-        if len(header) < 2:
-            raise ValidationError(f"{path}: need a date column plus data columns")
-        names = header[1:]
-        if columns is None:
-            fields = list(range(1, len(header)))
-        else:
-            missing = [c for c in columns if c not in names]
-            if missing:
-                raise ValidationError(
-                    f"{path}: columns not in header: {', '.join(missing)}"
-                )
-            fields = [1 + names.index(c) for c in columns]
+        fields = _picked_fields(path, header, columns)
         dates = []
         rows = []
         prev = None

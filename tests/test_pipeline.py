@@ -1,16 +1,18 @@
+import csv
 import datetime
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from quantes import __version__, cli, dynamics, pipeline
 from quantes.dynamics import initial_quantile, risk_path
-from quantes.estimation import EMConfig
+from quantes.estimation import EMConfig, ParameterSet
 from quantes.exceptions import NumericError, ValidationError
 from quantes.mal import MALConstraints, MALParams, assemble_sigma, linear_combine
 from quantes.pipeline import RunConfig, load_returns, rolling_forecast, summary_stats
-from quantes.simulate import SimScenario, generate, reference_params
+from quantes.simulate import SimScenario, generate, reference_params, run_study
 
 TAU = 0.1
 
@@ -173,6 +175,23 @@ def test_stats_out_writes_both_tables(tmp_path, capsys):
     assert "correlation.csv" in capsys.readouterr().out
 
 
+def test_fit_out_writes_a_parameter_set_that_round_trips(tmp_path, capsys):
+    data = tmp_path / "panel.csv"
+    assert cli.main(["simulate", "--dimension", "2", "--length", "150", "--out", str(data)]) == 0
+    out = tmp_path / "fit"
+    code = cli.main(["fit", "--input", str(data), "--n-starts", "1", "--max-iterations", "2",
+                     "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert f"wrote {out / 'fit.json'}" in capsys.readouterr().out
+    payload = json.loads((out / "fit.json").read_text())
+    assert set(payload) == {"params", "tau", "q0", "loglik", "iterations", "converged",
+                            "start_index", "columns", "versions"}
+    assert payload["columns"] == ["asset1", "asset2"]
+    assert payload["tau"] == [TAU, TAU]
+    assert 1 <= payload["iterations"] <= 2
+    assert ParameterSet.from_dict(payload["params"]).to_dict() == payload["params"]
+
+
 def _small_run(tmp_path):
     data = tmp_path / "panel.csv"
     assert cli.main(["simulate", "--dimension", "2", "--length", "110", "--out", str(data)]) == 0
@@ -256,13 +275,14 @@ def _panel_with(tmp_path, line, text):
         (3, "2001-01-03, \t ,2", "line 3: blank cell in column 'a'"),
         (4, "2001-01-04,-0.25,1.2.3", "line 4: non-numeric cell '1.2.3' in column 'b'"),
         (2, "2001-01-02,0.5", "line 2: expected 3 fields, got 2"),
+        (2, "2001-01-02,0.5,-1,3", "line 2: expected 3 fields, got 4"),
         (3, "2001-02-30,1.5,2", "line 3: bad date '2001-02-30'"),
         (3, " ,1.5,2", "line 3: bad date ''"),
         (4, "2001-01-03,1,2", "line 4: dates must be strictly increasing"),
         (3, "2001-01-03,1.5, nan", "2001-01-03 b: non-finite value nan"),
     ],
-    ids=["blank", "whitespace", "non-numeric", "field-count", "bad-date", "blank-date",
-         "not-increasing", "nan"],
+    ids=["blank", "whitespace", "non-numeric", "field-count", "extra-field", "bad-date",
+         "blank-date", "not-increasing", "nan"],
 )
 def test_loader_names_the_bad_line_and_column(tmp_path, line, text, message):
     path = _panel_with(tmp_path, line, text)
@@ -306,7 +326,168 @@ def test_loader_values_equal_float_of_the_stripped_cell(tmp_path):
     assert np.array_equal(want, values)
 
 
+def _text(path):
+    with open(path, newline="") as handle:
+        return handle.read()
+
+
+def _random_panel(rng, T, p):
+    """Header and body lines of a well-formed panel with varied cell text."""
+    bits = rng.integers(0, 2**63, (T, p), dtype=np.int64)
+    values = bits.view(np.float64) * rng.choice([-1.0, 1.0], (T, p))
+    values[~np.isfinite(values)] = -0.0
+    ordinary = rng.random((T, p)) < 0.3
+    values[ordinary] = rng.standard_normal(ordinary.sum()) * 1e-3
+    formats = ["%.17g", "%r", "%.10g", "%.3e", "%.0f"]
+    pads = ["", " ", "\t", "\x1c", " \x1f", "\x0b"]  # str.strip drops all of these
+    day = datetime.date(1901, 1, 1) + datetime.timedelta(days=int(rng.integers(0, 40000)))
+    header = "date," + ",".join(f" c{j} " for j in range(p))
+    lines = [header]
+    for t in range(T):
+        day += datetime.timedelta(days=int(rng.integers(1, 5)))
+        date = day.isoformat() if rng.random() < 0.9 else f" {day.isoformat()}\t"
+        cells = [pads[rng.integers(6)] + formats[rng.integers(5)] % v + pads[rng.integers(6)]
+                 for v in values[t].tolist()]
+        lines.append(",".join([date, *cells]))
+    return lines
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_loader_fast_path_matches_the_per_row_parser(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 5))
+    lines = _random_panel(rng, int(rng.integers(1, 400)), p)
+    if seed == 5 and sys.version_info >= (3, 11):  # a date isoformat writes differently
+        lines[1] = lines[1].replace("-", "", 2)
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join(lines) + ("\n" if seed % 2 else ""))
+    text = _text(path)
+    picks = [None, [f"c{j}" for j in rng.permutation(p)[: rng.integers(1, p + 1)]]]
+    for columns in picks:
+        fast = pipeline._read_panel(path, text, columns)
+        slow = pipeline._load_rows(path, columns)
+        assert fast is not None
+        assert fast.dates == slow.dates
+        assert fast.columns == slow.columns
+        assert fast.values.shape == slow.values.shape
+        assert np.array_equal(fast.values.view(np.int64), slow.values.view(np.int64))
+        loaded = load_returns(path, columns)
+        assert loaded.dates == slow.dates
+        assert np.array_equal(loaded.values.view(np.int64), slow.values.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'date,"a",b\n2001-01-02,0.5,"1"\n',
+        "date,a,b\r\n2001-01-02,0.5,1\r\n2001-01-03,1.5,2\r\n",
+        "date,a,b\n2001-01-02,0.5,1\n\n  \n2001-01-03,1.5,2\n",
+        "date,a,b\n2001-01-02,0.5,1\n,,\n2001-01-03,1_5,2\n",
+    ],
+    ids=["quoted", "crlf", "blank-lines", "blank-row-and-underscore"],
+)
+def test_loader_hands_what_the_c_reader_cannot_take_to_the_per_row_parser(tmp_path, text):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode())
+    assert pipeline._read_panel(path, _text(path), None) is None
+    table = load_returns(path)
+    assert table.columns == ("a", "b")
+    assert table.dates[0] == "2001-01-02"
+    assert table.values[0].tolist() == [0.5, 1.0]
+
+
+def _outcome(load, *args):
+    try:
+        table = load(*args)
+    except Exception as exc:  # noqa: BLE001 - the two loaders must fail alike
+        return type(exc), str(exc)
+    return table.dates, table.columns, table.values.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("columns", [None, ["a"]], ids=["all", "picked"])
+def test_loader_leaves_a_nul_to_the_per_row_parser(tmp_path, columns):
+    # csv rejects a NUL anywhere in the line before Python 3.11, even in a
+    # column that is not picked; the C reader would read past it.
+    path = tmp_path / "panel.csv"
+    path.write_bytes(b"date,a,b\n2001-01-02,0.5,1\n2001-01-03,1.5,2\0\n")
+    assert pipeline._read_panel(path, _text(path), columns) is None
+    assert _outcome(load_returns, path, columns) == _outcome(pipeline._load_rows, path, columns)
+
+
+def test_loader_leaves_a_line_over_the_csv_field_limit_to_the_per_row_parser(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(b"date,a,b\n2001-01-02,0.5,1\n2001-01-03,0." + b"5" * 30 + b",2\n")
+    limit = csv.field_size_limit(20)
+    try:
+        assert pipeline._read_panel(path, _text(path), None) is None
+        slow = _outcome(pipeline._load_rows, path, None)
+        assert slow[0] is csv.Error
+        assert _outcome(load_returns, path, None) == slow
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_loader_fails_on_undecodable_text_as_the_per_row_parser_does(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(b"date,a\n2001-01-02,1\n2001-01-03,\xff\n")
+    with pytest.raises((UnicodeDecodeError, ValidationError)) as slow:
+        pipeline._load_rows(path, None)
+    with pytest.raises(slow.type) as fast:
+        load_returns(path)
+    assert str(fast.value) == str(slow.value)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("date,y_a,var_a,es_a,y_a", "header names column 'y_a' twice"),
+        ('date,a,"a"', "header names column 'a' twice"),
+        ("date,a,,b", "header field 3 names no column"),
+        ("date,a,b, ", "header field 4 names no column"),
+    ],
+    ids=["repeated", "repeated-quoted", "blank", "trailing-blank"],
+)
+def test_loader_rejects_repeated_or_blank_column_names(tmp_path, header, message):
+    n = header.count(",")
+    path = tmp_path / "panel.csv"
+    path.write_text(f"{header}\n2001-01-02" + ",1" * n + "\n")
+    for columns in (None, ["a"]):  # the header is checked before the pick
+        with pytest.raises(ValidationError) as err:
+            load_returns(path, columns)
+        assert str(err.value) == f"{path}: {message}"
+
+
+def test_backtest_rejects_a_repeated_column_with_exit_2(tmp_path, capsys):
+    source = tmp_path / "forecasts.csv"
+    _write_forecasts(source)
+    lines = source.read_text().splitlines()
+    lines = [line + "," + line.split(",")[1] for line in lines]  # y_a1 a second time
+    source.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "reports"
+    code = cli.main(["backtest", "--forecasts", str(source), "--tau", str(TAU), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {source}: header names column 'y_a1' twice\n"
+    assert not out.exists()
+
+
 # -- simulate -----------------------------------------------------------------
+
+
+def test_run_study_gives_the_same_result_in_one_or_two_processes():
+    scenario = SimScenario(params=reference_params(p=2), tau=np.full(2, TAU), T=200,
+                           burn_in=50, B=2, seed=7)
+    em = EMConfig(n_starts=1, max_iterations=2)
+    serial, pooled = (run_study(scenario, em, n_jobs=n) for n in (1, 2))
+    assert serial.n_failed == pooled.n_failed == 0
+    for name in ("estimates", "truths", "bias_pct", "rmse"):
+        one, two = getattr(serial, name), getattr(pooled, name)
+        assert list(one) == list(two), name
+        for key in one:
+            assert np.array_equal(one[key], two[key], equal_nan=True), (name, key)
+    assert serial.aggregate_bias_pct == pooled.aggregate_bias_pct
+    assert serial.aggregate_rmse == pooled.aggregate_rmse
+    assert np.array_equal(serial.iterations, pooled.iterations)
+    assert serial.fit_seconds.shape == pooled.fit_seconds.shape == (2,)
 
 
 def reference_simulate_file(out, y, length, p):
