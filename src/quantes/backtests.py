@@ -142,22 +142,16 @@ def lr_cc(hits, tau):
     )
 
 
-def dq_test(hits, var_forecasts, tau, n_lags=4):
+def dq_test(hits, tau, n_lags=4):
     """Dynamic quantile regression test on lagged violations.
 
     Regresses the demeaned hit on a constant and ``n_lags`` lagged hit
-    indicators and applies a Wald test to the lag coefficients alone.
-    ``var_forecasts`` is accepted for signature compatibility with callers
-    holding the full forecast set and is reserved; the regressor set is
-    deliberately limited to lagged hits so the chi-square reference with
-    ``n_lags`` degrees of freedom applies.
+    indicators and applies a Wald test to the lag coefficients alone. The
+    regressor set is deliberately limited to lagged hits so the chi-square
+    reference with ``n_lags`` degrees of freedom applies.
     """
     hits = _as_hits(hits)
     tau = float(tau)
-    if var_forecasts is not None:
-        var_forecasts = np.asarray(var_forecasts, dtype=float)
-        if var_forecasts.shape != hits.shape:
-            raise ValidationError("var_forecasts must align with hits")
     n = hits.size
     if n <= n_lags + 4:
         raise ValidationError("series too short for the lag structure")

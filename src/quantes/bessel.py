@@ -10,7 +10,7 @@ from scipy import special
 
 from .exceptions import ValidationError
 
-__all__ = ["log_bessel_k", "bessel_k_ratio"]
+__all__ = ["log_bessel_k"]
 
 
 def log_bessel_k(nu, x):
@@ -24,14 +24,4 @@ def log_bessel_k(nu, x):
     if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
         raise ValidationError("log_bessel_k requires strictly positive finite x")
     out = np.log(special.kve(nu, x)) - x
-    return out if out.ndim else float(out)
-
-
-def bessel_k_ratio(nu, x):
-    """K_{nu+1}(x) / K_nu(x), computed from scaled values to avoid overflow."""
-    nu = np.asarray(nu, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or not np.all(np.isfinite(x)):
-        raise ValidationError("bessel_k_ratio requires strictly positive finite x")
-    out = special.kve(nu + 1.0, x) / special.kve(nu, x)
     return out if out.ndim else float(out)

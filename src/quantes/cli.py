@@ -14,7 +14,6 @@ import datetime
 import functools
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -187,37 +186,26 @@ def _require(args, key):
     return val
 
 
-def _em_config(args, seed):
-    em = EMConfig(seed=seed)
-    n_starts = _merge(args, "n_starts")
-    if n_starts is not None:
-        em = replace(em, n_starts=int(n_starts))
-    tol = _merge(args, "tol")
-    if tol is not None:
-        em = replace(em, tol=float(tol))
-    max_iterations = _merge(args, "max_iterations")
-    if max_iterations is not None:
-        em = replace(em, max_iterations=int(max_iterations))
-    return em
+def _given(args, fields):
+    """``{field: value}`` for each ``{option: field}`` set by flag or config file."""
+    return {f: v for key, f in fields.items() if (v := _merge(args, key)) is not None}
+
+
+_EM_FIELDS = {k: k for k in ("n_starts", "tol", "max_iterations", "seed")}
+_RUN_FIELDS = {
+    "tau": "tau", "columns": "columns", "kind": "kind", "link": "link_kind",
+    "window": "window", "window_width": "window_width", "oos": "oos",
+    "refit_every": "refit_every", "tau_tilde": "tau_tilde", "out": "out_dir", "seed": "seed",
+}
+
+
+def _em_config(args):
+    return EMConfig(**_given(args, _EM_FIELDS))
 
 
 def _run_config(args):
-    seed = int(_merge(args, "seed", 0))
-    columns = _merge(args, "columns")
     return RunConfig(
-        input_path=_require(args, "input"),
-        tau=_merge(args, "tau", 0.1),
-        columns=None if columns is None else tuple(columns),
-        kind=_merge(args, "kind", dyn.SAV),
-        link_kind=_merge(args, "link", dyn.MULT),
-        window=_merge(args, "window", "rolling"),
-        window_width=_merge(args, "window_width"),
-        oos=int(_merge(args, "oos", 368)),
-        refit_every=int(_merge(args, "refit_every", 4)),
-        tau_tilde=_merge(args, "tau_tilde"),
-        out_dir=_merge(args, "out", "reports"),
-        seed=seed,
-        em=_em_config(args, seed),
+        input_path=_require(args, "input"), em=_em_config(args), **_given(args, _RUN_FIELDS)
     )
 
 
@@ -269,13 +257,9 @@ def _recorded_levels(args, path, p):
 
 def _cmd_fit(args, stream):
     table = load_returns(_require(args, "input"), _merge(args, "columns"))
-    tau = as_levels(_merge(args, "tau", 0.1), table.shape[1])
-    seed = int(_merge(args, "seed", 0))
-    kind = _merge(args, "kind", dyn.SAV)
-    link = _merge(args, "link", dyn.MULT)
-    result = fit(
-        table.values, tau, kind=kind, link_kind=link, config=_em_config(args, seed)
-    )
+    tau = as_levels(_merge(args, "tau", RunConfig.tau), table.shape[1])
+    model = _given(args, {"kind": "kind", "link": "link_kind"})
+    result = fit(table.values, tau, config=_em_config(args), **model)
     print(
         f"loglik {result.loglik:.6f}  iterations {result.iterations}  "
         f"converged {result.converged}  start {result.start_index}",

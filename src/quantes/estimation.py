@@ -11,6 +11,10 @@ rescaled back onto the correlation manifold. Numerical maximization uses a
 simplex search on the first sweep to move off the start, then quasi-Newton
 refinement with exact gradients from forward sensitivity recursions.
 
+The likelihood rows come from the density core in ``mal``, with the
+quadratic form floored at ``_M_FLOOR``; the expected complete-data
+objective (the Q-value) is computed only in :func:`_assemble`.
+
 Freezing the scale paths while the quantile coefficients move keeps that
 block's first-order condition centered on the conditional-quantile fit
 itself, so the quantile dynamics are recovered without bias even when the
@@ -32,7 +36,7 @@ from scipy import optimize, special
 from . import dynamics as dyn
 from .exceptions import NumericError, PathError, ValidationError
 from .linalg import nearest_pd_correlation
-from .mal import MALConstraints, as_levels, assemble_sigma
+from .mal import MALConstraints, _log_density_rows, _quad_form, _SigmaCache, as_levels
 
 __all__ = [
     "EMConfig",
@@ -49,26 +53,28 @@ __all__ = [
 _PENALTY = 1e10
 _LOG_FLOOR = math.log(1e-10)
 _M_FLOOR = 1e-300
+_SIMPLEX_MAXITER = 400  # Nelder-Mead budget of a block, first EM iteration only
+_GRADIENT_MAXITER = 60  # L-BFGS-B budget of a block
+_INIT_CANDIDATES = 24  # random univariate candidates per asset
+_PERTURB_SD = 0.1  # sd of the multiplicative noise of starts after the first
+_ETA_BOUND = 0.999  # |eta| bound of the quantile recursions
 
 
 @dataclass(frozen=True)
 class EMConfig:
-    """Tuning knobs for :func:`fit`.
+    """The settings of :func:`fit` that a caller chooses.
 
     ``n_starts`` random starts perturb the univariate-calibrated initial
-    point multiplicatively with N(0, perturb_sd^2) noise (the first start is
-    unperturbed). ``tol`` is the absolute change in observed log-likelihood
-    between consecutive iterations that counts as converged.
+    point multiplicatively with N(0, _PERTURB_SD^2) noise (the first start
+    is unperturbed). ``tol`` is the absolute change in observed
+    log-likelihood between consecutive iterations that counts as converged,
+    ``max_iterations`` caps the iterations of a start, and ``seed`` drives
+    every random draw. The optimizer budgets are module constants.
     """
 
     tol: float = 1e-5
     max_iterations: int = 200
     n_starts: int = 100
-    simplex_maxiter: int = 400
-    gradient_maxiter: int = 60
-    init_candidates: int = 24
-    perturb_sd: float = 0.1
-    eta_bound: float = 0.999
     seed: int = 0
 
 
@@ -188,12 +194,12 @@ def _unpack(theta, kind, link_kind, p, x0s):
     return tuple(specs), tuple(links)
 
 
-def _quantile_bounds(kind, p, eta_bound):
+def _quantile_bounds(kind, p):
     nq = 4 if kind == dyn.AS else 3
     bounds = []
     for _ in range(p):
         for i in range(nq):
-            bounds.append((-eta_bound, eta_bound) if i == 1 else (None, None))
+            bounds.append((-_ETA_BOUND, _ETA_BOUND) if i == 1 else (None, None))
     return bounds
 
 
@@ -209,6 +215,20 @@ def _link_bounds(link_kind, p):
 # -- paths of a packed parameter vector --------------------------------------
 
 
+def _link_scale(link_kind, b, q, ycol, x0j, tau_j, want_grad=False):
+    """Scale path of one asset's link coefficients ``b`` given its quantile
+    path ``q``, with its (T, len(b)) derivative under ``want_grad``, else None."""
+    if link_kind == dyn.MULT:
+        g = math.exp(min(b[0], 60.0))
+        return -tau_j * (1.0 + g) * q, (-tau_j * g * q)[:, None] if want_grad else None
+    gamma = np.exp(np.clip(b, _LOG_FLOOR, 60.0))
+    # zero-width quantile derivatives: only the gamma columns are wanted
+    no_dq = np.zeros((q.size, 0)) if want_grad else None
+    x, dx = dyn.ar_offset(gamma, q, ycol, x0j, no_dq)
+    # chain rule through the log-parameterization
+    return -tau_j * (q - x), tau_j * dx * gamma if want_grad else None
+
+
 def _block_paths(kind, link_kind, block, ycol, q0j, x0j, tau_j):
     """Quantile and scale paths for one asset block, or None when invalid
     (diverging path, non-positive radicand or scale)."""
@@ -217,12 +237,7 @@ def _block_paths(kind, link_kind, block, ycol, q0j, x0j, tau_j):
         q, _ = dyn.filter_path(kind, block[:nq], ycol, q0j)
     except PathError:
         return None
-    if link_kind == dyn.MULT:
-        delta = -tau_j * (1.0 + math.exp(min(block[nq], 60.0))) * q
-    else:
-        gamma = np.exp(np.clip(block[nq : nq + 3], _LOG_FLOOR, 60.0))
-        x, _ = dyn.ar_offset(gamma, q, ycol, x0j)
-        delta = -tau_j * (q - x)
+    delta, _ = _link_scale(link_kind, block[nq:], q, ycol, x0j, tau_j)
     if not np.all(delta > 0.0):
         return None
     return q, delta
@@ -248,20 +263,6 @@ def _panel_paths(kind, link_kind, theta, y, q0, x0s, tau):
 # -- likelihood machinery ----------------------------------------------------
 
 
-class _SigmaCache:
-    """Quantities derived from (psi, constraints) reused across evaluations."""
-
-    __slots__ = ("sigma", "inv", "logdet", "skew", "lin", "nu")
-
-    def __init__(self, psi, cons):
-        self.sigma = assemble_sigma(psi, cons)
-        self.inv = np.linalg.inv(self.sigma)
-        self.logdet = float(np.linalg.slogdet(self.sigma)[1])
-        self.lin = self.inv @ cons.xi_tilde
-        self.skew = float(cons.xi_tilde @ self.lin)
-        self.nu = cons.nu
-
-
 def _paths(specs, links, y, q0, tau):
     """Paths for all assets via the public recursion API (validated route)."""
     T, p = y.shape
@@ -274,20 +275,14 @@ def _paths(specs, links, y, q0, tau):
     return q, dl
 
 
-def _loglik_rows(y, q, dl, cache, p):
-    u_rows = (y - q) / dl
-    m = np.maximum(np.einsum("ti,ij,tj->t", u_rows, cache.inv, u_rows), _M_FLOOR)
-    s = np.sqrt((2.0 + cache.skew) * m)
-    log_k = np.log(special.kve(cache.nu, s)) - s
-    return (
-        math.log(2.0)
-        + u_rows @ cache.lin
-        - 0.5 * p * math.log(2.0 * math.pi)
-        - np.log(dl).sum(axis=1)
-        - 0.5 * cache.logdet
-        + 0.5 * cache.nu * (np.log(m) - math.log(2.0 + cache.skew))
-        + log_k
-    )
+def _floored_m(v, cache):
+    """Quadratic form of the scaled residuals ``v``, floored at ``_M_FLOOR``."""
+    return np.maximum(_quad_form(v, cache), _M_FLOOR)
+
+
+def _loglik_rows(y, q, dl, cache):
+    v = (y - q) / dl
+    return _log_density_rows(v, _floored_m(v, cache), np.log(dl).sum(axis=1), cache)
 
 
 def e_step(y, q, delta, psi, constraints):
@@ -300,12 +295,11 @@ def e_step(y, q, delta, psi, constraints):
     q = np.atleast_2d(np.asarray(q, dtype=float))
     delta = np.atleast_2d(np.asarray(delta, dtype=float))
     cache = _SigmaCache(psi, constraints)
-    u_rows = (y - q) / delta
-    m = np.maximum(np.einsum("ti,ij,tj->t", u_rows, cache.inv, u_rows), _M_FLOOR)
-    return _weights_from_m(m, cache)
+    return _weights((y - q) / delta, cache)
 
 
-def _weights_from_m(m, cache):
+def _weights(v, cache):
+    m = _floored_m(v, cache)
     s = np.sqrt((2.0 + cache.skew) * m)
     log_ratio = np.log(special.kve(cache.nu + 1.0, s)) - np.log(
         special.kve(cache.nu, s)
@@ -314,16 +308,6 @@ def _weights_from_m(m, cache):
     u = np.sqrt(m / (2.0 + cache.skew)) * ratio
     z = np.sqrt((2.0 + cache.skew) / m) * ratio - 2.0 * cache.nu / m
     return u, z
-
-
-def _q_value_core(dl, u_rows, au, m, cache, u, z, T):
-    return (
-        -0.5 * T * cache.logdet
-        - np.log(dl).sum()
-        + float(u_rows.sum(axis=0) @ cache.lin)
-        - 0.5 * float(z @ m)
-        - 0.5 * cache.skew * float(u.sum())
-    )
 
 
 def _assemble(y, q, dl, cache, u, z, dq=None, ddl=None):
@@ -337,7 +321,13 @@ def _assemble(y, q, dl, cache, u, z, dq=None, ddl=None):
     rows = (y - q) / dl
     au = rows @ cache.inv
     m = np.einsum("tj,tj->t", rows, au)
-    val = _q_value_core(dl, rows, au, m, cache, u, z, y.shape[0])
+    val = (
+        -0.5 * y.shape[0] * cache.logdet
+        - np.log(dl).sum()
+        + float(rows.sum(axis=0) @ cache.lin)
+        - 0.5 * float(z @ m)
+        - 0.5 * cache.skew * float(u.sum())
+    )
     if dq is None and ddl is None:
         return val, None
     # dQ/d(rows) = lin - z au, d(rows) = -(dq + rows ddl) / dl and
@@ -358,12 +348,7 @@ def q_function(params, y, tau, q0, u, z):
     cons = MALConstraints.from_levels(tau)
     q, dl = _paths(params.specs, params.links, y, np.asarray(q0, float), tau)
     cache = _SigmaCache(params.psi, cons)
-    u_rows = (y - q) / dl
-    au = u_rows @ cache.inv
-    m = np.einsum("ti,ti->t", u_rows, au)
-    return _q_value_core(
-        dl, u_rows, au, m, cache, np.asarray(u, float), np.asarray(z, float), y.shape[0]
-    )
+    return _assemble(y, q, dl, cache, np.asarray(u, float), np.asarray(z, float))[0]
 
 
 def observed_loglik(params, y, tau, q0):
@@ -373,7 +358,7 @@ def observed_loglik(params, y, tau, q0):
     cons = MALConstraints.from_levels(tau)
     q, dl = _paths(params.specs, params.links, y, np.asarray(q0, float), tau)
     cache = _SigmaCache(params.psi, cons)
-    return float(_loglik_rows(y, q, dl, cache, tau.size).sum())
+    return float(_loglik_rows(y, q, dl, cache).sum())
 
 
 def sigma_m_step(u_rows, u, z, constraints):
@@ -493,35 +478,23 @@ class _LinkStep(_StepBase):
         self._q = q_fixed
         self._dl = np.empty((self.T, self.p))
         self._dscale = np.zeros((self.p, self.T, self.nl))
-        # zero-width quantile derivatives: only the gamma columns are wanted
-        self._no_dq = np.zeros((self.T, 0))
 
     def _fill(self, theta, want_grad):
         nl = self.nl
         for j in range(self.p):
-            b = theta[j * nl : (j + 1) * nl]
-            qj = self._q[:, j]
-            if self.link_kind == dyn.MULT:
-                g0 = min(b[0], 60.0)
-                dlj = -self.tau[j] * (1.0 + math.exp(g0)) * qj
-                if want_grad:
-                    self._dscale[j, :, 0] = -self.tau[j] * math.exp(g0) * qj
-            else:
-                gamma = np.exp(np.clip(b, _LOG_FLOOR, 60.0))
-                x, dx = dyn.ar_offset(
-                    gamma, qj, self.y[:, j], self.x0s[j], self._no_dq if want_grad else None
-                )
-                if want_grad:
-                    # chain rule through the log-parameterization
-                    self._dscale[j] = self.tau[j] * dx * gamma
-                dlj = -self.tau[j] * (qj - x)
+            dlj, dsj = _link_scale(
+                self.link_kind, theta[j * nl : (j + 1) * nl], self._q[:, j], self.y[:, j],
+                self.x0s[j], self.tau[j], want_grad,
+            )
             if not np.all(np.isfinite(dlj)) or not np.all(dlj > 0.0):
                 return False
             self._dl[:, j] = dlj
+            if want_grad:
+                self._dscale[j] = dsj
         return True
 
 
-def _maximize(objective, theta0, bounds, config, use_simplex):
+def _maximize(objective, theta0, bounds, use_simplex):
     """Inner minimizer for one block: simplex warmup, quasi-Newton polish.
 
     Returns whichever candidate (including ``theta0`` itself) achieves the
@@ -537,14 +510,14 @@ def _maximize(objective, theta0, bounds, config, use_simplex):
         seed = np.clip(theta0, lo, hi)
         if not np.array_equal(seed, theta0):
             candidates.append(seed)
-    if use_simplex and config.simplex_maxiter > 0:
+    if use_simplex:
         try:
             nm = optimize.minimize(
                 objective.value,
                 seed,
                 method="Nelder-Mead",
                 bounds=bounds,
-                options={"maxiter": config.simplex_maxiter, "xatol": 1e-8, "fatol": 1e-10},
+                options={"maxiter": _SIMPLEX_MAXITER, "xatol": 1e-8, "fatol": 1e-10},
             )
             candidates.append(np.asarray(nm.x, dtype=float))
         except ValueError:
@@ -556,7 +529,7 @@ def _maximize(objective, theta0, bounds, config, use_simplex):
             method="L-BFGS-B",
             jac=True,
             bounds=bounds,
-            options={"maxiter": config.gradient_maxiter, "ftol": 1e-11, "gtol": 1e-8},
+            options={"maxiter": _GRADIENT_MAXITER, "ftol": 1e-11, "gtol": 1e-8},
         )
         candidates.append(np.asarray(qn.x, dtype=float))
     except ValueError:
@@ -566,7 +539,7 @@ def _maximize(objective, theta0, bounds, config, use_simplex):
 
 
 def _update_dynamics(y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, dl_prev,
-                     config, use_simplex, quantile_move=True, couple_guard=False):
+                     use_simplex, quantile_move=True, couple_guard=False):
     """One cyclic pass over the dynamic-parameter blocks.
 
     Quantile coefficients move first against frozen scale paths (skipped
@@ -596,10 +569,7 @@ def _update_dynamics(y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, dl_pr
 
     if quantile_move:
         qobj = _QuantileStep(y, kind, q0, cache, u, z, dl_prev)
-        theta_q = _maximize(
-            qobj, theta[qsel], _quantile_bounds(kind, p, config.eta_bound),
-            config, use_simplex,
-        )
+        theta_q = _maximize(qobj, theta[qsel], _quantile_bounds(kind, p), use_simplex)
         cand = theta.copy()
         cand[qsel] = theta_q
         moved = coupled(cand)
@@ -607,7 +577,7 @@ def _update_dynamics(y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, dl_pr
             theta, base = cand, moved
 
     lobj = _LinkStep(y, link_kind, tau, x0s, base[1], cache, u, z)
-    theta_l = _maximize(lobj, theta[lsel], _link_bounds(link_kind, p), config, use_simplex)
+    theta_l = _maximize(lobj, theta[lsel], _link_bounds(link_kind, p), use_simplex)
     cand = theta.copy()
     cand[lsel] = theta_l
     moved = coupled(cand)
@@ -622,9 +592,9 @@ def dynamic_m_step(params, y, tau, q0, u, z, config=None):
     One cyclic pass: quantile blocks against frozen scale paths (kept only
     when the full objective does not fall), then the link blocks exactly.
     Returns a parameter set with updated specs and links; the value of
-    :func:`q_function` never decreases beyond numerical slack.
+    :func:`q_function` never decreases beyond numerical slack. ``config`` is
+    accepted and unused: no :class:`EMConfig` setting bounds a single pass.
     """
-    config = config or EMConfig()
     y = np.asarray(y, dtype=float)
     tau = as_levels(tau)
     q0 = np.asarray(q0, dtype=float)
@@ -640,7 +610,7 @@ def dynamic_m_step(params, y, tau, q0, u, z, config=None):
     theta, _, _ = _update_dynamics(
         y, tau, q0, x0s, kind, link_kind, cache,
         np.asarray(u, float), np.asarray(z, float), theta, dl_prev,
-        config, use_simplex=True, couple_guard=True,
+        use_simplex=True, couple_guard=True,
     )
     specs, links = _unpack(theta, kind, link_kind, tau.size, x0s)
     return ParameterSet(specs=specs, links=links, psi=params.psi)
@@ -682,13 +652,13 @@ def _univariate_theta(y_j, tau_j, kind, link_kind, q0, x0, config, rng):
     x0v = np.array([x0])
 
     best_theta, best_val = None, np.inf
-    for _ in range(config.init_candidates):
+    for _ in range(_INIT_CANDIDATES):
         theta = np.array(_candidate_block(rng, tau_j, kind, link_kind, q0))
         res = _block_paths(kind, link_kind, theta, y_j, q0, x0, tau_j)
         if res is None:
             continue
         q, dl = res[0].reshape(-1, 1), res[1].reshape(-1, 1)
-        val = -float(_loglik_rows(col, q, dl, cache, 1).sum())
+        val = -float(_loglik_rows(col, q, dl, cache).sum())
         if val < best_val:
             best_theta, best_val = theta, val
     if best_theta is None:
@@ -710,39 +680,31 @@ def _em_chain(y, tau, q0, x0s, theta0, psi0, kind, link_kind, config, callback, 
 
     q, dl = _panel_paths(kind, link_kind, theta, y, q0, x0s, tau)
     cache = _SigmaCache(psi, cons)
-    ll = float(_loglik_rows(y, q, dl, cache, p).sum())
+    ll = float(_loglik_rows(y, q, dl, cache).sum())
     trace = [ll]
     converged = False
     iterations = 0
     for it in range(1, config.max_iterations + 1):
         iterations = it
-        u_rows = (y - q) / dl
-        m = np.maximum(np.einsum("ti,ij,tj->t", u_rows, cache.inv, u_rows), _M_FLOOR)
-        u, z = _weights_from_m(m, cache)
+        u, z = _weights((y - q) / dl, cache)
 
         def attempt(quantile_move):
             th, qn, dn = _update_dynamics(
                 y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, dl,
-                config, use_simplex=(it == 1), quantile_move=quantile_move,
+                use_simplex=(it == 1), quantile_move=quantile_move,
             )
             ps, ca = psi, cache
             if p > 1:
-                rows = (y - qn) / dn
                 try:
-                    psi_cand = sigma_m_step(rows, u, z, cons)
+                    psi_cand = sigma_m_step((y - qn) / dn, u, z, cons)
                 except NumericError:
                     psi_cand = None
                 if psi_cand is not None:
                     cache_cand = _SigmaCache(psi_cand, cons)
-                    au_new = rows @ cache_cand.inv
-                    m_new = np.einsum("ti,ti->t", rows, au_new)
-                    au_old = rows @ cache.inv
-                    m_old = np.einsum("ti,ti->t", rows, au_old)
-                    v_new = _q_value_core(dn, rows, au_new, m_new, cache_cand, u, z, y.shape[0])
-                    v_old = _q_value_core(dn, rows, au_old, m_old, cache, u, z, y.shape[0])
-                    if v_new >= v_old:
+                    v_new = _assemble(y, qn, dn, cache_cand, u, z)[0]
+                    if v_new >= _assemble(y, qn, dn, cache, u, z)[0]:
                         ps, ca = psi_cand, cache_cand
-            lln = float(_loglik_rows(y, qn, dn, ca, p).sum())
+            lln = float(_loglik_rows(y, qn, dn, ca).sum())
             return th, qn, dn, ps, ca, lln
 
         out = attempt(True)
@@ -775,9 +737,9 @@ def _em_chain(y, tau, q0, x0s, theta0, psi0, kind, link_kind, config, callback, 
     }
 
 
-def _perturb(theta, rng, sd, eta_idx, eta_bound):
-    out = theta * (1.0 + sd * rng.standard_normal(theta.size))
-    out[eta_idx] = np.clip(out[eta_idx], -eta_bound + 1e-6, eta_bound - 1e-6)
+def _perturb(theta, rng, eta_idx):
+    out = theta * (1.0 + _PERTURB_SD * rng.standard_normal(theta.size))
+    out[eta_idx] = np.clip(out[eta_idx], -_ETA_BOUND + 1e-6, _ETA_BOUND - 1e-6)
     return out
 
 
@@ -854,7 +816,7 @@ def fit(y, tau, kind=dyn.SAV, link_kind=dyn.MULT, config=None, init=None, callba
         # quantile path through data points; clipping the top rows at the
         # next-largest value ranks interior solutions ahead of those
         q, dlm = _panel_paths(kind, link_kind, state["theta"], y, q0, x0s, tau)
-        rows = _loglik_rows(y, q, dlm, _SigmaCache(state["psi"], cons), p)
+        rows = _loglik_rows(y, q, dlm, _SigmaCache(state["psi"], cons))
         w = max(3, T // 300)
         clip = np.sort(rows)[-(w + 1)]
         return float(np.minimum(rows, clip).sum())
@@ -864,11 +826,7 @@ def fit(y, tau, kind=dyn.SAV, link_kind=dyn.MULT, config=None, init=None, callba
     errors = []
     eta_idx = 1 + nb * np.arange(p)
     for k in range(config.n_starts):
-        theta_k = (
-            theta0
-            if k == 0
-            else _perturb(theta0, rng, config.perturb_sd, eta_idx, config.eta_bound)
-        )
+        theta_k = theta0 if k == 0 else _perturb(theta0, rng, eta_idx)
         try:
             state = _em_chain(
                 y, tau, q0, x0s, theta_k, psi0, kind, link_kind, config, callback, k

@@ -7,16 +7,24 @@ functions of tau; the free parameters are the location vector, a positive
 per-coordinate scale vector (the diagonal of D), and a correlation matrix
 Psi mixing the coordinates.
 
+The density is evaluated in one place: :class:`_SigmaCache` derives the
+Sigma terms (inverse, log-determinant, Sigma^-1 xi, xi' Sigma^-1 xi, the
+Bessel order) and :func:`_log_density_rows` turns scaled residuals and their
+quadratic form into row log densities. :func:`mal_log_density`, the joint
+score ``scoring.s_mal`` and the EM likelihood in ``estimation`` all call the
+two; each applies its own policy at the pole m = 0.
+
 All operations treat parameter containers as immutable values; sampling
 takes an explicit seeded generator, so everything here is safe to call from
 worker processes.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import special
 
-from .bessel import log_bessel_k
 from .exceptions import DegeneratePointError, ValidationError
 from .linalg import check_correlation, cholesky_with_jitter
 
@@ -169,6 +177,59 @@ def _as_rng(seed):
     return np.random.default_rng(seed)
 
 
+class _SigmaCache:
+    """The Sigma-derived terms of every density evaluation, computed once.
+
+    Built from (psi, constraints), or by :meth:`from_sigma` from a ready
+    Sigma with its skew vector and Bessel order. ``sign`` is the sign of the
+    determinant, for callers that must reject a Sigma that is not positive
+    definite.
+    """
+
+    __slots__ = ("inv", "sign", "logdet", "lin", "skew", "nu")
+
+    def __init__(self, psi, cons):
+        self._derive(assemble_sigma(psi, cons), cons.xi_tilde, cons.nu)
+
+    @classmethod
+    def from_sigma(cls, sigma, xi, nu):
+        cache = cls.__new__(cls)
+        cache._derive(sigma, xi, nu)
+        return cache
+
+    def _derive(self, sigma, xi, nu):
+        self.inv = np.linalg.inv(sigma)
+        sign, logdet = np.linalg.slogdet(sigma)
+        self.sign, self.logdet = float(sign), float(logdet)
+        self.lin = self.inv @ xi
+        self.skew = float(xi @ self.lin)
+        self.nu = nu
+
+
+def _quad_form(v, cache):
+    """Row-wise v' Sigma^-1 v of the (n, p) scaled residuals ``v``."""
+    return np.einsum("ti,ij,tj->t", v, cache.inv, v)
+
+
+def _log_density_rows(v, m, log_scale, cache):
+    """Row log densities of the scaled residuals ``v`` = (y - mu) / delta.
+
+    ``m`` is their quadratic form after the caller's policy at the pole
+    m = 0, and ``log_scale`` is the sum of log delta, per row or shared.
+    """
+    s = np.sqrt((2.0 + cache.skew) * m)
+    log_k = np.log(special.kve(cache.nu, s)) - s
+    return (
+        math.log(2.0)
+        + v @ cache.lin
+        - 0.5 * v.shape[1] * math.log(2.0 * math.pi)
+        - log_scale
+        - 0.5 * cache.logdet
+        + 0.5 * cache.nu * (np.log(m) - math.log(2.0 + cache.skew))
+        + log_k
+    )
+
+
 def mal_log_density(y, params):
     """Log density of the distribution at ``y`` (one point or rows of points).
 
@@ -190,37 +251,20 @@ def mal_log_density(y, params):
     y = np.asarray(y, dtype=float)
     one_point = y.ndim == 1
     rows = y.reshape(1, -1) if one_point else y
-    p = params.p
-    if rows.shape[1] != p:
+    if rows.shape[1] != params.p:
         raise ValidationError("point dimension does not match the parameter set")
-
+    if not np.isfinite(rows).all():
+        raise ValidationError("points must be finite")
     cons = params.constraints
-    sigma = params.sigma()
-    sigma_inv = np.linalg.inv(sigma)
-    _, logdet_sigma = np.linalg.slogdet(sigma)
-    xi = cons.xi_tilde
-    skew = float(xi @ sigma_inv @ xi)
-
+    cache = _SigmaCache.from_sigma(params.sigma(), cons.xi_tilde, cons.nu)
     v = (rows - params.mu) / params.delta
-    lin = v @ (sigma_inv @ xi)
-    maha = np.einsum("ti,ij,tj->t", v, sigma_inv, v)
-    bad = np.where(maha <= 0.0)[0]
+    m = _quad_form(v, cache)
+    bad = np.flatnonzero(m <= 0.0)
     if bad.size:
         raise DegeneratePointError(
             "density evaluated exactly at the location point", index=int(bad[0])
         )
-
-    nu = cons.nu
-    s = np.sqrt((2.0 + skew) * maha)
-    out = (
-        np.log(2.0)
-        + lin
-        - 0.5 * p * np.log(2.0 * np.pi)
-        - np.sum(np.log(params.delta))
-        - 0.5 * logdet_sigma
-        + 0.5 * nu * (np.log(maha) - np.log(2.0 + skew))
-        + log_bessel_k(nu, s)
-    )
+    out = _log_density_rows(v, m, np.log(params.delta).sum(), cache)
     return float(out[0]) if one_point else out
 
 

@@ -199,6 +199,9 @@ def _picked_fields(path, header, columns):
     missing = [c for c in columns if c not in names]
     if missing:
         raise ValidationError(f"{path}: columns not in header: {', '.join(missing)}")
+    for k, name in enumerate(columns):
+        if name in columns[:k]:
+            raise ValidationError(f"{path}: column {name!r} picked twice")
     return [1 + names.index(c) for c in columns]
 
 
@@ -465,7 +468,7 @@ def _backtest_table(bundle):
         named = {
             "lr_uc": lr_uc(hits, tau[j]),
             "lr_cc": lr_cc(hits, tau[j]),
-            "dq": dq_test(hits, var[:, j], tau[j]),
+            "dq": dq_test(hits, tau[j]),
         }
         named["u_es"], named["c_es"] = es_tests(y[:, j], var[:, j], scale, tau[j])
         for test, rep in named.items():

@@ -13,13 +13,13 @@ forecasts must be strictly negative everywhere; the scores are undefined
 otherwise and the inputs are rejected.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import log_bessel_k
 from .exceptions import DegeneratePointError, ValidationError
-from .mal import as_levels, fixed_skew
+from .mal import _log_density_rows, _quad_form, _SigmaCache, as_levels, fixed_skew
 
 __all__ = [
     "ForecastRecord",
@@ -105,30 +105,17 @@ def s_mal(record, sigma):
     p = record.p
     if sigma.shape != (p, p):
         raise ValidationError("sigma dimension does not match the record")
-    xi = fixed_skew(record.tau)
-    delta = record.tau * (0.0 - record.es)
-
-    sigma_inv = np.linalg.inv(sigma)
-    sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0.0:
+    cache = _SigmaCache.from_sigma(sigma, fixed_skew(record.tau), (2.0 - p) / 2.0)
+    if cache.sign <= 0.0:
         raise ValidationError("sigma must be positive definite")
-
-    w = (record.y - record.var) / delta
-    lin = float(w @ sigma_inv @ xi)
-    maha = float(w @ sigma_inv @ w)
-    if maha <= 0.0:
+    delta = record.tau * (0.0 - record.es)
+    w = ((record.y - record.var) / delta).reshape(1, p)
+    m = _quad_form(w, cache)
+    if m[0] <= 0.0:
         raise DegeneratePointError("score evaluated exactly at the forecast point")
-    skew = float(xi @ sigma_inv @ xi)
-
-    nu = (2.0 - p) / 2.0
-    arg = np.sqrt((2.0 + skew) * maha)
-    return float(
-        0.5 * logdet
-        + np.sum(np.log(delta))
-        - 0.5 * nu * (np.log(maha) - np.log(2.0 + skew))
-        - lin
-        - log_bessel_k(nu, arg)
-    )
+    row = _log_density_rows(w, m, np.log(delta).sum(), cache)[0]
+    # the density without its constants log 2 - (p/2) log(2 pi), negated
+    return float(math.log(2.0) - 0.5 * p * math.log(2.0 * math.pi) - row)
 
 
 def _require_negative_es(es):

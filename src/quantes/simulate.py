@@ -36,7 +36,6 @@ __all__ = [
     "generate",
     "reference_params",
     "run_study",
-    "truth_map",
 ]
 
 FAMILIES = ("normal", "student_t", "none")
@@ -213,7 +212,7 @@ def generate(scenario, replication=0):
     return y[scenario.burn_in :]
 
 
-def truth_map(params):
+def _truth_map(params):
     """Flat name -> value map of the dynamic truth coefficients."""
     out = {}
     for j, (spec, link) in enumerate(zip(params.specs, params.links), start=1):
@@ -247,7 +246,7 @@ def _study_worker(args):
         res = fit(data, scenario.tau, kind=kind, link_kind=link_kind, config=cfg)
     except (PathError, NumericError):
         return rep, None, 0, time.perf_counter() - start
-    return rep, truth_map(res.params), res.iterations, time.perf_counter() - start
+    return rep, _truth_map(res.params), res.iterations, time.perf_counter() - start
 
 
 def run_study(scenario, em_config=None, n_jobs=None, progress=None):
@@ -278,7 +277,7 @@ def run_study(scenario, em_config=None, n_jobs=None, progress=None):
             if progress is not None:
                 progress(rep, est is not None)
 
-    truths = truth_map(scenario.params)
+    truths = _truth_map(scenario.params)
     ok = [r for r in results if r[0] is not None]
     if not ok:
         raise NumericError("every replication failed")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from quantes import backtests
 from quantes.backtests import (
     CHI2_1,
     CHI2_2,
@@ -87,20 +88,20 @@ def test_lr_cc_exceeds_uc_component():
 def test_dq_lag_predictable_hits_reject():
     # every violation follows a violation: the lag-1 coefficient is huge
     hits = np.tile([1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], 50)
-    report = dq_test(hits, -np.ones(500), 0.2)
+    report = dq_test(hits, 0.2)
     assert report.critical_value == CHI2_4
     assert report.reject
 
 
 def test_dq_degenerate_regressors_flagged():
-    report = dq_test(np.zeros(100), -np.ones(100), 0.05)
+    report = dq_test(np.zeros(100), 0.05)
     assert report.degenerate
     assert report.reject
 
 
 def test_dq_minimal_window_runs():
     hits = np.array([0, 1, 0, 0, 1, 0, 0, 0, 1], dtype=float)
-    report = dq_test(hits, -np.ones(9), 0.2)
+    report = dq_test(hits, 0.2)
     assert np.isfinite(report.statistic) or report.degenerate
 
 
@@ -109,7 +110,7 @@ def test_dq_calibrated_under_null():
     rejections = 0
     for _ in range(300):
         hits = (rng.uniform(size=368) < 0.05).astype(float)
-        rejections += dq_test(hits, -np.ones(368), 0.05).reject
+        rejections += dq_test(hits, 0.05).reject
     assert rejections / 300 < 0.12
 
 
@@ -210,7 +211,7 @@ def test_battery_calibration_on_true_forecasts():
         hits = (y <= var_true).astype(float)
         counts["uc"] += lr_uc(hits, tau).reject
         counts["cc"] += lr_cc(hits, tau).reject
-        counts["dq"] += dq_test(hits, np.full(T, var_true), tau).reject
+        counts["dq"] += dq_test(hits, tau).reject
         u_rep, _ = es_tests(y, np.full(T, mu), np.full(T, delta), 0.05)
         counts["ues"] += u_rep.reject
     for name, n_reject in counts.items():
@@ -231,7 +232,8 @@ def _hits(n, rate, seed):
     ids=["zero", "small", "large"],
 )
 def test_chi2_p_values_equal_the_scipy_stats_ones(hits):
-    uc, cc, dq = lr_uc(hits, 0.05), lr_cc(hits, 0.05), dq_test(hits, None, 0.05)
+    uc, cc, dq = lr_uc(hits, 0.05), lr_cc(hits, 0.05), dq_test(hits, 0.05)
+    assert all(isinstance(rep, backtests.TestReport) for rep in (uc, cc, dq))
     assert (uc.df, cc.df, dq.df) == (1, 2, 4)
     for rep in (uc, cc, dq):
         assert rep.p_value == float(stats.chi2.sf(rep.statistic, rep.df))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quantes.bessel import bessel_k_ratio, log_bessel_k
+from quantes.bessel import log_bessel_k
 from quantes.exceptions import ValidationError
 
 # High-precision reference values (40-digit arbitrary-precision evaluation
@@ -44,12 +44,6 @@ def test_half_integer_closed_form():
     np.testing.assert_allclose(log_bessel_k(-0.5, x), expected, rtol=1e-13)
 
 
-def test_ratio_half_integer_closed_form():
-    # K_{3/2}(x)/K_{1/2}(x) = 1 + 1/x
-    x = np.array([0.05, 0.5, 2.0, 40.0, 1e4])
-    np.testing.assert_allclose(bessel_k_ratio(0.5, x), 1.0 + 1.0 / x, rtol=1e-13)
-
-
 def test_recurrence_in_log_space():
     # K_{nu+1}(x) = K_{nu-1}(x) + (2 nu / x) K_nu(x), checked on a wide grid
     # entirely through the log-scale interface.
@@ -81,5 +75,3 @@ def test_rejects_nonpositive_argument():
         log_bessel_k(0.5, 0.0)
     with pytest.raises(ValidationError):
         log_bessel_k(0.5, -1.0)
-    with pytest.raises(ValidationError):
-        bessel_k_ratio(0.0, np.array([1.0, -2.0]))

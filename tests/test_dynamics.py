@@ -12,6 +12,7 @@ from quantes.dynamics import (
     SAV,
     CaviarSpec,
     ESLink,
+    RiskPath,
     delta_from_es,
     es_path_ar,
     es_path_multiplicative,
@@ -164,6 +165,7 @@ def test_risk_path_bundles_consistently(synthetic):
     spec = CaviarSpec(SAV, -0.2, 0.85, [-0.1])
     link = ESLink(AR, gamma=[0.05, 0.12, 0.8], x0=0.3)
     rp = risk_path(spec, link, synthetic, q0=-1.8, tau=0.1)
+    assert isinstance(rp, RiskPath)
     np.testing.assert_allclose(rp.delta, 0.1 * (0.0 - rp.es), rtol=1e-14)
     np.testing.assert_allclose(rp.es, rp.quantile - rp.x, rtol=1e-14)
     assert np.all(rp.delta > 0.0)

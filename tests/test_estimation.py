@@ -3,8 +3,11 @@ import pytest
 
 from quantes import dynamics as dyn
 from quantes.estimation import (
+    _M_FLOOR,
     EMConfig,
+    FitResult,
     ParameterSet,
+    _loglik_rows,
     _maximize,
     dynamic_m_step,
     e_step,
@@ -14,7 +17,14 @@ from quantes.estimation import (
     sigma_m_step,
 )
 from quantes.exceptions import ValidationError
-from quantes.mal import MALConstraints, mal_log_density, MALParams
+from quantes.mal import (
+    MALConstraints,
+    MALParams,
+    _quad_form,
+    _SigmaCache,
+    mal_log_density,
+    mal_sample,
+)
 from quantes.simulate import SimScenario, generate, reference_params
 
 PSI3 = np.array([[1, 0.3, 0.7], [0.3, 1, 0.5], [0.7, 0.5, 1.0]])
@@ -122,6 +132,22 @@ def test_observed_loglik_is_density_sum():
     assert got == pytest.approx(total, rel=1e-10)
 
 
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_loglik_rows_equal_the_density_row_for_row(p):
+    # constant location and scale: the fit path's rows and the public density
+    # share one core, so away from the m floor they agree bit for bit
+    tau = np.array([0.1, 0.05, 0.25])[:p]
+    params = MALParams(mu=[-1.0, -0.5, -2.0][:p], delta=[0.4, 0.9, 1.3][:p],
+                       psi=PSI3[:p, :p], tau=tau)
+    y = mal_sample(params, 300, 7)
+    q = np.tile(params.mu, (300, 1))
+    dl = np.tile(params.delta, (300, 1))
+    cache = _SigmaCache(params.psi, params.constraints)
+    assert _quad_form((y - q) / dl, cache).min() > _M_FLOOR
+    rows = _loglik_rows(y, q, dl, cache)
+    assert np.array_equal(rows, mal_log_density(y, params))
+
+
 # -- M-steps ------------------------------------------------------------------
 
 
@@ -207,7 +233,7 @@ def test_maximize_mixed_none_and_finite_bounds(use_simplex):
     # coordinate 1 starts outside its box; the unbounded ones sit away from 0
     theta0 = np.array([1.5, 3.0, -2.0, 1.0])
     start_value = objective.value(theta0)
-    best = _maximize(objective, theta0, MIXED_BOUNDS, EMConfig(), use_simplex)
+    best = _maximize(objective, theta0, MIXED_BOUNDS, use_simplex)
     assert np.all(np.isfinite(best))
     assert objective.value(best) <= start_value
     assert -0.5 <= best[1] <= 0.5
@@ -223,7 +249,7 @@ def test_maximize_without_bounds(use_simplex):
     objective = _Quadratic(center=[0.3, 0.9, -1.0], weight=[1.0, 2.0, 0.5])
     theta0 = np.array([1.5, 3.0, -2.0])
     start_value = objective.value(theta0)
-    best = _maximize(objective, theta0, None, EMConfig(), use_simplex)
+    best = _maximize(objective, theta0, None, use_simplex)
     assert np.all(np.isfinite(best))
     assert objective.value(best) <= start_value
 
@@ -257,6 +283,7 @@ def test_fit_bit_reproducible():
 def test_fit_warm_start_stays_near_truth():
     params, y, tau = _sim_panel(T=900, seed=37)
     result = fit(y, tau, config=EMConfig(n_starts=1, seed=0), init=params)
+    assert isinstance(result, FitResult)
     assert result.converged
     q0 = result.q0
     assert result.loglik >= observed_loglik(params, y, tau, q0) - 1e-6

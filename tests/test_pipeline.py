@@ -12,7 +12,7 @@ from quantes.estimation import EMConfig, ParameterSet
 from quantes.exceptions import NumericError, ValidationError
 from quantes.mal import MALConstraints, MALParams, assemble_sigma, linear_combine
 from quantes.pipeline import RunConfig, load_returns, rolling_forecast, summary_stats
-from quantes.simulate import SimScenario, generate, reference_params, run_study
+from quantes.simulate import SimScenario, StudyResult, generate, reference_params, run_study
 
 TAU = 0.1
 
@@ -457,6 +457,43 @@ def test_loader_rejects_repeated_or_blank_column_names(tmp_path, header, message
         assert str(err.value) == f"{path}: {message}"
 
 
+def test_cli_config_file_sets_options_and_explicit_flags_win(tmp_path, monkeypatch, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("# a run\noos = 40\nrefit-every = 7\nn_starts = 3\n")
+    seen = []
+
+    def stop(config):
+        seen.append(config)
+        raise ValidationError("stopped")
+
+    monkeypatch.setattr(cli, "rolling_forecast", stop)
+    code = cli.main(["forecast", "--config", str(conf), "--input", "panel.csv", "--oos", "30"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: stopped\n"
+    # every key neither file nor flag sets keeps the RunConfig / EMConfig default
+    assert seen == [
+        RunConfig(input_path="panel.csv", oos=30, refit_every=7, em=EMConfig(n_starts=3))
+    ]
+
+
+@pytest.mark.parametrize("header", ["date,a,b", 'date,"a",b'], ids=["c-reader", "per-row"])
+def test_loader_rejects_a_repeated_column_pick(tmp_path, header):
+    path = tmp_path / "panel.csv"
+    path.write_text(f"{header}\n2001-01-02,1,2\n2001-01-03,3,4\n")
+    for columns in (["a", "a"], ["b", "a", "b"]):
+        with pytest.raises(ValidationError) as err:
+            load_returns(path, columns)
+        assert str(err.value) == f"{path}: column {columns[-1]!r} picked twice"
+
+
+@pytest.mark.parametrize("command", ["stats", "fit", "forecast"])
+def test_cli_rejects_a_repeated_column_pick_with_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "panel.csv"
+    path.write_text("date,a,b\n2001-01-02,1,2\n2001-01-03,3,4\n")
+    assert cli.main([command, "--input", str(path), "--columns", "a,a"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: column 'a' picked twice\n"
+
+
 def test_backtest_rejects_a_repeated_column_with_exit_2(tmp_path, capsys):
     source = tmp_path / "forecasts.csv"
     _write_forecasts(source)
@@ -478,6 +515,7 @@ def test_run_study_gives_the_same_result_in_one_or_two_processes():
                            burn_in=50, B=2, seed=7)
     em = EMConfig(n_starts=1, max_iterations=2)
     serial, pooled = (run_study(scenario, em, n_jobs=n) for n in (1, 2))
+    assert isinstance(serial, StudyResult)
     assert serial.n_failed == pooled.n_failed == 0
     for name in ("estimates", "truths", "bias_pct", "rmse"):
         one, two = getattr(serial, name), getattr(pooled, name)

@@ -10,8 +10,8 @@ import pytest
 from scipy import optimize
 
 from quantes.exceptions import InfeasibleAllocationError, ValidationError
-from quantes.mal import MALParams, linear_combine
-from quantes.portfolio import smv_weights
+from quantes.mal import MALParams, al_es, linear_combine
+from quantes.portfolio import AllocationResult, portfolio_risk, smv_weights
 
 LEVEL_TOL = 1e-6  # the allocator's own level tolerance
 BUDGET_TOL = 1e-10
@@ -171,6 +171,21 @@ def test_matches_multistart_reference(case):
     _assert_constraints(result, params, tau_tilde)
     assert np.max(np.abs(result.weights - ref[0])) <= 1e-6
     assert abs(result.objective - ref[1]) <= 1e-8 * ref[1]
+
+
+def test_reported_risk_is_the_shortfall_of_the_combined_distribution():
+    params = MALParams(mu=[0.2, -0.1, 0.4], delta=[1.0, 0.6, 1.4],
+                       psi=[[1, 0.3, 0.5], [0.3, 1, 0.2], [0.5, 0.2, 1]], tau=[0.05, 0.1, 0.2])
+    result = smv_weights(params, 0.1)
+    assert isinstance(result, AllocationResult)
+    al = linear_combine(result.weights, params)
+    assert (result.var, result.es) == portfolio_risk(al, 0.1)
+    # at its own level the quantile is the location and the shortfall al_es
+    assert result.var == al.mu_star
+    assert result.es == pytest.approx(al_es(al.tau_star, al.mu_star, al.tau_star, al.delta_star),
+                                      rel=1e-12)
+    with pytest.raises(ValidationError):
+        portfolio_risk(al, 0.2)
 
 
 def test_single_asset_pins_level():

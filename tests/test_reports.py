@@ -83,7 +83,7 @@ def reference_backtest_table(records, columns, tau):
         named = {
             "lr_uc": lr_uc(hits, tau[j]),
             "lr_cc": lr_cc(hits, tau[j]),
-            "dq": dq_test(hits, var[:, j], tau[j]),
+            "dq": dq_test(hits, tau[j]),
         }
         u_rep, c_rep = es_tests(y[:, j], var[:, j], scale, tau[j])
         named["u_es"] = u_rep
