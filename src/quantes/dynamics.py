@@ -11,10 +11,18 @@ Every quantile recursion is a first-order linear filter (in q for the two
 slope kinds, in q^2 for indirect GARCH), and so is each derivative of the
 path with respect to a coefficient; :func:`filter_path` runs them through
 ``scipy.signal.lfilter``. The shortfall offset only changes at violations,
-so its recursion runs over those indices alone. Everything here is a pure
-function of its arguments, so paths are reproducible bit for bit.
+so its recursion runs over those indices alone.
+
+This module is the one path evaluator: :func:`filter_path` gives a quantile
+path and :func:`scale_path` the MAL scale delta = tau (0 - es) of either
+link, each with its derivatives on request. :func:`risk_path` bundles the
+two for one series, and the estimator builds its panels and block
+gradients from the same two functions, so a fitted parameter set means the
+same paths everywhere. Everything here is a pure function of its
+arguments, so paths are reproducible bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +52,7 @@ __all__ = [
     "quantile_path",
     "filter_path",
     "ar_offset",
-    "es_path_multiplicative",
-    "es_path_ar",
-    "delta_from_es",
+    "scale_path",
     "risk_path",
     "one_step_forecast",
     "initial_quantile",
@@ -117,6 +123,12 @@ class ESLink:
                 raise ValidationError("x0 must be finite and >= 0")
             object.__setattr__(self, "gamma", gamma)
             object.__setattr__(self, "x0", float(self.x0))
+
+    @property
+    def coef(self):
+        """The natural coefficients :func:`scale_path` takes: gamma0 for the
+        multiplicative link, the gamma vector for the autoregressive one."""
+        return self.gamma0 if self.kind == MULT else self.gamma
 
 
 @dataclass(frozen=True)
@@ -257,49 +269,43 @@ def quantile_path(spec, y, q0):
     return filter_path(spec.kind, (spec.omega, spec.eta, *spec.beta), y, float(q0))[0]
 
 
-def es_path_multiplicative(q, gamma0):
-    """Shortfall path (1 + exp(gamma0)) * q; same sign as q, further from 0."""
-    return (1.0 + np.exp(gamma0)) * np.asarray(q, dtype=float)
+def scale_path(kind, gamma, q, y, tau, x0=0.0, grad=False):
+    """MAL scale path delta = tau (0 - es) of a shortfall link along ``q``.
 
-
-def es_path_ar(q, y, gamma, x0):
-    """Autoregressive shortfall path.
-
-    Returns ``(es, x)`` with es = q - x. The offset update at time t uses the
-    realized violation indicator y_t <= q_t; entry 0 carries the seed ``x0``.
+    ``gamma`` is the link's natural coefficient: gamma0 for the
+    multiplicative link, delta = -tau (1 + exp(gamma0)) q with gamma0 capped
+    at 60; the vector (g1, g2, g3) for the autoregressive one,
+    delta = -tau (q - x) with the offset x of :func:`ar_offset` seeded by
+    ``x0``. Returns ``(delta, x, ddelta)``: x is None for the multiplicative
+    link, and ``ddelta`` is the (T, len(gamma)) derivative with respect to
+    gamma under ``grad``, else None. Raises :class:`PathError` carrying the
+    first index with a non-positive scale.
     """
-    q = np.asarray(q, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if q.shape != y.shape:
-        raise ValidationError("quantile path and returns must align")
-    x = ar_offset(np.asarray(gamma, dtype=float), q, y, x0)[0]
-    return q - x, x
-
-
-def delta_from_es(es, tau, mean_y=0.0):
-    """Positive scale path tau * (mean_y - es); errors if any entry is not."""
-    delta = tau * (mean_y - np.asarray(es, dtype=float))
-    bad = np.where(~(delta > 0.0))[0] if delta.ndim else None
-    if delta.ndim == 0:
-        if not delta > 0.0:
-            raise PathError("shortfall path implies a non-positive scale")
-        return float(delta)
-    if bad.size:
-        raise PathError(
-            "shortfall path implies a non-positive scale", index=int(bad[0])
-        )
-    return delta
-
-
-def risk_path(spec, link, y, q0, tau, mean_y=0.0):
-    """Quantile, shortfall and scale paths bundled for one series."""
-    q = quantile_path(spec, y, q0)
-    if link.kind == MULT:
-        es = es_path_multiplicative(q, link.gamma0)
-        x = None
+    if kind == MULT:
+        g = math.exp(min(gamma, 60.0))
+        delta, x = -tau * (1.0 + g) * q, None
     else:
-        es, x = es_path_ar(q, y, link.gamma, link.x0)
-    delta = delta_from_es(es, tau, mean_y)
+        # zero-width quantile derivatives: only the gamma columns are wanted
+        x, dx = ar_offset(gamma, q, y, x0, np.zeros((q.size, 0)) if grad else None)
+        delta = -tau * (q - x)
+    positive = delta > 0.0
+    if not positive.all():
+        raise PathError(
+            "shortfall path implies a non-positive scale", index=int(np.argmin(positive))
+        )
+    if not grad:
+        return delta, x, None
+    if kind == MULT:
+        return delta, x, (-tau * g * q)[:, None]
+    return delta, x, tau * dx
+
+
+def risk_path(spec, link, y, q0, tau):
+    """Quantile, shortfall and scale paths bundled for one series."""
+    y = np.asarray(y, dtype=float)
+    q = quantile_path(spec, y, q0)
+    delta, x, _ = scale_path(link.kind, link.coef, q, y, tau, link.x0)
+    es = (1.0 + np.exp(link.gamma0)) * q if link.kind == MULT else q - x
     return RiskPath(quantile=q, es=es, delta=delta, x=x)
 
 

@@ -216,63 +216,48 @@ def _link_bounds(link_kind, p):
 
 
 def _link_scale(link_kind, b, q, ycol, x0j, tau_j, want_grad=False):
-    """Scale path of one asset's link coefficients ``b`` given its quantile
-    path ``q``, with its (T, len(b)) derivative under ``want_grad``, else None."""
-    if link_kind == dyn.MULT:
-        g = math.exp(min(b[0], 60.0))
-        return -tau_j * (1.0 + g) * q, (-tau_j * g * q)[:, None] if want_grad else None
-    gamma = np.exp(np.clip(b, _LOG_FLOOR, 60.0))
-    # zero-width quantile derivatives: only the gamma columns are wanted
-    no_dq = np.zeros((q.size, 0)) if want_grad else None
-    x, dx = dyn.ar_offset(gamma, q, ycol, x0j, no_dq)
-    # chain rule through the log-parameterization
-    return -tau_j * (q - x), tau_j * dx * gamma if want_grad else None
-
-
-def _block_paths(kind, link_kind, block, ycol, q0j, x0j, tau_j):
-    """Quantile and scale paths for one asset block, or None when invalid
-    (diverging path, non-positive radicand or scale)."""
-    nq = 4 if kind == dyn.AS else 3
+    """Scale path of one asset's packed link coefficients ``b`` given its
+    quantile path ``q``, with its (T, len(b)) derivative under ``want_grad``
+    (else None); None when the scale is not finite and positive."""
+    gamma = b[0] if link_kind == dyn.MULT else np.exp(np.clip(b, _LOG_FLOOR, 60.0))
     try:
-        q, _ = dyn.filter_path(kind, block[:nq], ycol, q0j)
+        delta, _, d = dyn.scale_path(link_kind, gamma, q, ycol, tau_j, x0j, want_grad)
     except PathError:
         return None
-    delta, _ = _link_scale(link_kind, block[nq:], q, ycol, x0j, tau_j)
-    if not np.all(delta > 0.0):
+    if not np.all(np.isfinite(delta)):
         return None
-    return q, delta
+    if want_grad and link_kind == dyn.AR:
+        d = d * gamma  # chain rule through the log-parameterization
+    return delta, d
+
+
+def _paths(specs, links, y, q0, tau):
+    """(q, delta) panels: each asset's quantile filter and link scale.
+    Raises :class:`PathError` naming the first asset whose path is invalid."""
+    T, p = y.shape
+    q = np.empty((T, p))
+    dl = np.empty((T, p))
+    for j, (spec, link) in enumerate(zip(specs, links)):
+        ycol = y[:, j]
+        try:
+            q[:, j] = qj = dyn.quantile_path(spec, ycol, q0[j])
+            dl[:, j] = dyn.scale_path(link.kind, link.coef, qj, ycol, tau[j], link.x0)[0]
+        except PathError as exc:
+            raise PathError(f"invalid path for asset {j}: {exc}", index=exc.index) from exc
+    return q, dl
 
 
 def _panel_paths(kind, link_kind, theta, y, q0, x0s, tau):
     """(q, delta) panels of a packed parameter vector; raises
-    :class:`PathError` naming the first asset whose block is invalid."""
-    T, p = y.shape
-    nb = _n_dynamic(kind, link_kind)
-    q = np.empty((T, p))
-    dl = np.empty((T, p))
-    for j in range(p):
-        res = _block_paths(
-            kind, link_kind, theta[j * nb : (j + 1) * nb], y[:, j], q0[j], x0s[j], tau[j]
-        )
-        if res is None:
-            raise PathError(f"invalid path for asset {j}")
-        q[:, j], dl[:, j] = res
-    return q, dl
+    :class:`PathError` when a block is invalid, non-finite entries included."""
+    try:
+        specs, links = _unpack(theta, kind, link_kind, y.shape[1], x0s)
+    except ValidationError as exc:
+        raise PathError(f"invalid coefficients: {exc}") from exc
+    return _paths(specs, links, y, q0, tau)
 
 
 # -- likelihood machinery ----------------------------------------------------
-
-
-def _paths(specs, links, y, q0, tau):
-    """Paths for all assets via the public recursion API (validated route)."""
-    T, p = y.shape
-    q = np.empty((T, p))
-    dl = np.empty((T, p))
-    for j in range(p):
-        rp = dyn.risk_path(specs[j], links[j], y[:, j], q0[j], tau[j])
-        q[:, j] = rp.quantile
-        dl[:, j] = rp.delta
-    return q, dl
 
 
 def _floored_m(v, cache):
@@ -344,7 +329,7 @@ def _assemble(y, q, dl, cache, u, z, dq=None, ddl=None):
 def q_function(params, y, tau, q0, u, z):
     """Expected complete-data objective at a candidate parameter set."""
     y = np.asarray(y, dtype=float)
-    tau = as_levels(tau)
+    tau = as_levels(tau, params.p)
     cons = MALConstraints.from_levels(tau)
     q, dl = _paths(params.specs, params.links, y, np.asarray(q0, float), tau)
     cache = _SigmaCache(params.psi, cons)
@@ -354,7 +339,7 @@ def q_function(params, y, tau, q0, u, z):
 def observed_loglik(params, y, tau, q0):
     """Observed-data log-likelihood of the full parameter set."""
     y = np.asarray(y, dtype=float)
-    tau = as_levels(tau)
+    tau = as_levels(tau, params.p)
     cons = MALConstraints.from_levels(tau)
     q, dl = _paths(params.specs, params.links, y, np.asarray(q0, float), tau)
     cache = _SigmaCache(params.psi, cons)
@@ -482,15 +467,15 @@ class _LinkStep(_StepBase):
     def _fill(self, theta, want_grad):
         nl = self.nl
         for j in range(self.p):
-            dlj, dsj = _link_scale(
+            res = _link_scale(
                 self.link_kind, theta[j * nl : (j + 1) * nl], self._q[:, j], self.y[:, j],
                 self.x0s[j], self.tau[j], want_grad,
             )
-            if not np.all(np.isfinite(dlj)) or not np.all(dlj > 0.0):
+            if res is None:
                 return False
-            self._dl[:, j] = dlj
+            self._dl[:, j] = res[0]
             if want_grad:
-                self._dscale[j] = dsj
+                self._dscale[j] = res[1]
         return True
 
 
@@ -586,17 +571,16 @@ def _update_dynamics(y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, dl_pr
     return theta, base[1], base[2]
 
 
-def dynamic_m_step(params, y, tau, q0, u, z, config=None):
+def dynamic_m_step(params, y, tau, q0, u, z):
     """Conditional maximization over the recursion coefficients, psi fixed.
 
     One cyclic pass: quantile blocks against frozen scale paths (kept only
     when the full objective does not fall), then the link blocks exactly.
     Returns a parameter set with updated specs and links; the value of
-    :func:`q_function` never decreases beyond numerical slack. ``config`` is
-    accepted and unused: no :class:`EMConfig` setting bounds a single pass.
+    :func:`q_function` never decreases beyond numerical slack.
     """
     y = np.asarray(y, dtype=float)
-    tau = as_levels(tau)
+    tau = as_levels(tau, params.p)
     q0 = np.asarray(q0, dtype=float)
     kind = params.specs[0].kind
     link_kind = params.links[0].kind
@@ -654,10 +638,10 @@ def _univariate_theta(y_j, tau_j, kind, link_kind, q0, x0, config, rng):
     best_theta, best_val = None, np.inf
     for _ in range(_INIT_CANDIDATES):
         theta = np.array(_candidate_block(rng, tau_j, kind, link_kind, q0))
-        res = _block_paths(kind, link_kind, theta, y_j, q0, x0, tau_j)
-        if res is None:
+        try:
+            q, dl = _panel_paths(kind, link_kind, theta, col, q0v, x0v, tau_v)
+        except PathError:
             continue
-        q, dl = res[0].reshape(-1, 1), res[1].reshape(-1, 1)
         val = -float(_loglik_rows(col, q, dl, cache).sum())
         if val < best_val:
             best_theta, best_val = theta, val
@@ -749,7 +733,7 @@ def fit(y, tau, kind=dyn.SAV, link_kind=dyn.MULT, config=None, init=None, callba
     Parameters
     ----------
     y : array, shape (T, p)
-    tau : array of levels in (0, 1), length p
+    tau : level in (0, 1) shared by every asset, or one level per asset
     kind : quantile recursion kind (``sav``, ``as``, ``ig``)
     link_kind : shortfall link kind (``mult``, ``ar``)
     config : EMConfig
@@ -772,10 +756,8 @@ def fit(y, tau, kind=dyn.SAV, link_kind=dyn.MULT, config=None, init=None, callba
         raise ValidationError("returns must be a (T, p) panel")
     if not np.all(np.isfinite(y)):
         raise ValidationError("returns contain non-finite values")
-    tau = as_levels(tau)
     T, p = y.shape
-    if tau.size != p:
-        raise ValidationError("tau length must match the number of columns")
+    tau = as_levels(tau, p)
     if kind not in dyn.KINDS or link_kind not in dyn.LINKS:
         raise ValidationError("unknown recursion or link kind")
     n_free = p * _n_dynamic(kind, link_kind) + p * (p - 1) // 2

@@ -13,9 +13,6 @@ from quantes.dynamics import (
     CaviarSpec,
     ESLink,
     RiskPath,
-    delta_from_es,
-    es_path_ar,
-    es_path_multiplicative,
     initial_es_offset,
     initial_quantile,
     one_step_forecast,
@@ -51,9 +48,11 @@ def test_ar_es_matches_golden(synthetic):
     q = quantile_path(spec, synthetic, q0=-1.8)
     es_gold = _read_column(DATA / "golden_ar_es.csv", "es")
     x_gold = _read_column(DATA / "golden_ar_es.csv", "x")
-    es, x = es_path_ar(q, synthetic, [0.05, 0.12, 0.80], x0=0.3)
-    np.testing.assert_allclose(es, es_gold, rtol=1e-10)
-    np.testing.assert_allclose(x, x_gold, rtol=1e-10)
+    link = ESLink(AR, gamma=[0.05, 0.12, 0.80], x0=0.3)
+    rp = risk_path(spec, link, synthetic, q0=-1.8, tau=0.1)
+    assert np.array_equal(rp.quantile, q)
+    np.testing.assert_allclose(rp.es, es_gold, rtol=1e-10)
+    np.testing.assert_allclose(rp.x, x_gold, rtol=1e-10)
 
 
 def test_sav_constant_series_fixed_point():
@@ -119,46 +118,52 @@ def test_path_determinism(synthetic):
 
 
 def test_es_multiplicative_steeper_than_quantile():
-    q = np.array([-1.0, -2.0, -0.5])
-    es = es_path_multiplicative(q, gamma0=-1.1)
+    rng = np.random.default_rng(5)
+    y = rng.normal(size=200)
+    spec = CaviarSpec(SAV, -0.2, 0.85, [-0.1])
+    rp = risk_path(spec, ESLink(MULT, gamma0=-1.1), y, q0=-1.5, tau=0.1)
     factor = 1.0 + np.exp(-1.1)
-    np.testing.assert_allclose(es, factor * q, rtol=1e-14)
-    assert np.all(es < q)
+    assert np.array_equal(rp.es, factor * rp.quantile)
+    assert np.all(rp.es < rp.quantile)
+    assert rp.x is None
+    np.testing.assert_allclose(rp.delta, 0.1 * (0.0 - rp.es), rtol=1e-14)
 
 
 def test_es_ar_zero_gammas_zero_x0_collapses_to_quantile():
     rng = np.random.default_rng(3)
     y = rng.normal(size=100)
-    q = quantile_path(CaviarSpec(SAV, -0.2, 0.85, [-0.1]), y, -1.5)
-    es, x = es_path_ar(q, y, [0.0, 0.0, 0.0], x0=0.0)
-    np.testing.assert_array_equal(es, q)
-    np.testing.assert_array_equal(x, np.zeros_like(q))
+    spec = CaviarSpec(SAV, -0.2, 0.85, [-0.1])
+    rp = risk_path(spec, ESLink(AR, gamma=[0.0, 0.0, 0.0], x0=0.0), y, -1.5, tau=0.1)
+    np.testing.assert_array_equal(rp.es, rp.quantile)
+    np.testing.assert_array_equal(rp.x, np.zeros_like(rp.quantile))
 
 
 def test_es_ar_no_violations_keeps_offset_constant():
     y = np.zeros(50)
-    q = np.full(50, -1.0)  # y never reaches q
-    es, x = es_path_ar(q, y, [0.05, 0.1, 0.9], x0=0.4)
-    np.testing.assert_array_equal(x, np.full(50, 0.4))
-    np.testing.assert_allclose(es, q - 0.4)
+    flat = CaviarSpec(SAV, -1.0, 0.0, [0.0])  # q = -1 throughout: y never reaches it
+    rp = risk_path(flat, ESLink(AR, gamma=[0.05, 0.1, 0.9], x0=0.4), y, -1.0, tau=0.1)
+    np.testing.assert_array_equal(rp.quantile, np.full(50, -1.0))
+    np.testing.assert_array_equal(rp.x, np.full(50, 0.4))
+    np.testing.assert_allclose(rp.es, rp.quantile - 0.4)
 
 
 def test_es_ar_offset_stays_nonnegative():
     rng = np.random.default_rng(4)
     y = rng.normal(size=500) - 0.5
-    q = quantile_path(CaviarSpec(SAV, -0.05, 0.9, [-0.1]), y, -1.0)
-    _, x = es_path_ar(q, y, [0.0, 0.0, 0.0], x0=0.2)
-    assert np.all(x >= 0.0)
+    spec = CaviarSpec(SAV, -0.05, 0.9, [-0.1])
+    rp = risk_path(spec, ESLink(AR, gamma=[0.0, 0.0, 0.0], x0=0.2), y, -1.0, tau=0.1)
+    assert np.any(rp.x == 0.0) and np.all(rp.x >= 0.0)
 
 
-def test_delta_from_es():
-    es = np.array([-2.0, -1.0, -4.0])
-    np.testing.assert_allclose(delta_from_es(es, 0.1), [0.2, 0.1, 0.4])
-    np.testing.assert_allclose(
-        delta_from_es(es, 0.25, mean_y=1.0), 0.25 * (1.0 - es)
-    )
-    with pytest.raises(PathError):
-        delta_from_es(np.array([-1.0, 0.5]), 0.1)
+@pytest.mark.parametrize(
+    "link", [ESLink(MULT, gamma0=-1.1), ESLink(AR, gamma=[0.05, 0.1, 0.9])], ids=[MULT, AR]
+)
+def test_risk_path_non_positive_scale_raises_with_index(link):
+    # omega > 0 with eta = 0 lifts the path above zero from row 1 on
+    spec = CaviarSpec(SAV, 0.5, 0.0, [0.0])
+    with pytest.raises(PathError) as err:
+        risk_path(spec, link, np.zeros(10), q0=-1.0, tau=0.1)
+    assert err.value.index == 1
 
 
 def test_risk_path_bundles_consistently(synthetic):

@@ -198,8 +198,7 @@ def test_dynamic_m_step_never_lowers_objective():
         delta[:, j] = path.delta
     u, z = e_step(y, y - resid, delta, perturbed.psi, cons)
     before = q_function(perturbed, y, tau, q0, u, z)
-    updated = dynamic_m_step(perturbed, y, tau, q0, u, z,
-                             config=EMConfig(n_starts=1, seed=0))
+    updated = dynamic_m_step(perturbed, y, tau, q0, u, z)
     after = q_function(updated, y, tau, q0, u, z)
     assert after >= before - 1e-6
 
@@ -309,6 +308,38 @@ def test_fit_callback_sees_every_iteration():
     assert seen
     lls = [ll for _, _, ll in seen]
     assert np.all(np.diff(lls) >= -1e-6)
+
+
+@pytest.mark.parametrize("kind,link", [(dyn.IG, dyn.MULT), (dyn.SAV, dyn.AR)])
+def test_fit_loglik_is_the_observed_loglik_of_its_params(kind, link):
+    # the EM's panel and observed_loglik evaluate the paths the same way
+    _, y, tau = _sim_panel(kind=kind, link=link, T=300, p=2, seed=47)
+    r = fit(y, tau, kind=kind, link_kind=link, config=EMConfig(n_starts=1, max_iterations=5))
+    assert observed_loglik(r.params, y, r.tau, r.q0) == r.loglik
+
+
+def test_one_level_is_shared_by_every_asset():
+    params, y, tau = _sim_panel(T=300, seed=53)
+    q0 = np.array([dyn.initial_quantile(y[:, j], tau[j]) for j in range(3)])
+    u, z = np.ones(y.shape[0]), np.ones(y.shape[0])
+    assert observed_loglik(params, y, 0.1, q0) == observed_loglik(params, y, tau, q0)
+    assert q_function(params, y, 0.1, q0, u, z) == q_function(params, y, tau, q0, u, z)
+    a = dynamic_m_step(params, y, 0.1, q0, u, z)
+    b = dynamic_m_step(params, y, tau, q0, u, z)
+    assert a.to_dict() == b.to_dict()
+    cfg = EMConfig(n_starts=1, max_iterations=3)
+    shared, full = fit(y, 0.1, config=cfg), fit(y, tau, config=cfg)
+    assert shared.to_dict() == full.to_dict()
+    assert np.array_equal(shared.loglik_trace, full.loglik_trace)
+    for bad in ([0.1, 0.1], [0.1] * 4):
+        with pytest.raises(ValidationError, match="3 assets"):
+            observed_loglik(params, y, bad, q0)
+        with pytest.raises(ValidationError, match="3 assets"):
+            q_function(params, y, bad, q0, u, z)
+        with pytest.raises(ValidationError, match="3 assets"):
+            dynamic_m_step(params, y, bad, q0, u, z)
+        with pytest.raises(ValidationError, match="3 assets"):
+            fit(y, bad, config=cfg)
 
 
 def test_fit_validation():

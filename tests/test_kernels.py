@@ -7,6 +7,7 @@ offset and the einsum Q-function must reproduce them on seeded inputs.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -322,8 +323,6 @@ def test_ar_offset_and_derivatives_match_loop(kind, seed):
             np.testing.assert_array_equal(dx, dx_ref, err_msg=label)
             _, dx_link = dyn.ar_offset(np.array(gamma), qc, y, x0, np.zeros((y.size, 0)))
             np.testing.assert_array_equal(dx_link, dx_ref[:, -3:])
-            es, x3 = dyn.es_path_ar(qc, y, gamma, x0)
-            assert np.array_equal(x3, x) and np.array_equal(es, qc - x)
             if label == "none":
                 assert np.all(x == x0) and np.all(dx == 0.0)
             viol = np.flatnonzero(y[1:] <= qc[1:]) + 1
@@ -358,9 +357,12 @@ def test_block_paths_and_assemble_match_loops(kind, link_kind, seed):
     ddl = np.empty((p, T, nb))
     for j, block in enumerate(blocks):
         ref = _ref_block_sens(kind, link_kind, block, y[:, j], q0[j], x0s[j], tau[j])
-        new = est._block_paths(kind, link_kind, block, y[:, j], q0[j], x0s[j], tau[j])
-        np.testing.assert_allclose(new[0], ref[0], rtol=RTOL, atol=0.0)
-        np.testing.assert_allclose(new[1], ref[1], rtol=RTOL, atol=0.0)
+        # one asset alone is a one-column panel
+        new = est._panel_paths(
+            kind, link_kind, block, y[:, [j]], q0[[j]], x0s[[j]], tau[[j]]
+        )
+        np.testing.assert_allclose(new[0][:, 0], ref[0], rtol=RTOL, atol=0.0)
+        np.testing.assert_allclose(new[1][:, 0], ref[1], rtol=RTOL, atol=0.0)
         q[:, j], dl[:, j] = ref[0], ref[1]
         dq[j, :, : ref[2].shape[1]] = ref[2]
         ddl[j] = ref[3]
@@ -456,3 +458,51 @@ def test_link_step_gradient_matches_central_differences(kind, link_kind):
     sel = np.concatenate([j * nb + nq + np.arange(nb - nq) for j in range(y.shape[1])])
     step = est._LinkStep(y, link_kind, tau, x0s, q, cache, u, z)
     _check_gradient(step, theta[sel] + 0.1)
+
+
+# -- one path evaluator ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("link_kind", LINKS)
+def test_risk_path_equals_the_em_panel(kind, link_kind):
+    # risk_path, the EM's panel of the packed parameters and the link step's
+    # scale all run one quantile filter and one scale function: equal, not close
+    p, T = 3, 2000
+    truth = reference_params(kind, link_kind, p)
+    tau = np.full(p, 0.1)
+    y = generate(SimScenario(params=truth, tau=tau, T=T, seed=3), 0)
+    q0 = np.array([dyn.initial_quantile(y[:, j], tau[j]) for j in range(p)])
+    x0s = np.array([link.x0 for link in truth.links])
+    theta = est._pack(truth.specs, truth.links)
+    specs, links = est._unpack(theta, kind, link_kind, p, x0s)
+    q, dl = est._panel_paths(kind, link_kind, theta, y, q0, x0s, tau)
+    nq = 4 if kind == dyn.AS else 3
+    nb = theta.size // p
+    for j in range(p):
+        path = dyn.risk_path(specs[j], links[j], y[:, j], q0[j], tau[j])
+        assert np.array_equal(path.quantile, q[:, j])
+        assert np.array_equal(path.delta, dl[:, j])
+        b = theta[j * nb + nq : (j + 1) * nb]
+        scale, _ = est._link_scale(link_kind, b, q[:, j], y[:, j], x0s[j], tau[j])
+        assert np.array_equal(scale, dl[:, j])
+
+
+def test_em_panel_rejects_non_finite_coefficients_as_a_path_error():
+    y, tau, q0, x0s, q, dl, u, z, cache, theta = _step_problem(dyn.SAV, dyn.MULT)
+    for bad in (np.nan, np.inf):
+        broken = theta.copy()
+        broken[0] = bad
+        with pytest.raises(PathError):
+            est._panel_paths(dyn.SAV, dyn.MULT, broken, y, q0, x0s, tau)
+
+
+def test_link_step_rejects_an_exploding_offset_without_a_warning():
+    # g3 = exp(60) blows the offset up: the scale is rejected before the
+    # chain rule multiplies the (infinite) derivatives by gamma
+    y, tau, q0, x0s, q, dl, u, z, cache, theta = _step_problem(dyn.SAV, dyn.AR)
+    step = est._LinkStep(y, dyn.AR, tau, x0s, q, cache, u, z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, grad = step.value_and_grad(np.tile([-2.0, 8.0, 60.0], y.shape[1]))
+    assert val == est._PENALTY and np.all(grad == 0.0)
