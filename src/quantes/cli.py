@@ -315,7 +315,6 @@ def _cmd_portfolio(args, stream):
     summary = bundle.manifest["portfolio"]
     print(
         f"sharpe {summary['sharpe']:.4f}  hhi {summary['hhi']:.4f}  "
-        f"compound {summary['compound_final']:.4f}  "
         f"infeasible {summary['infeasible_periods']}",
         file=stream,
     )

@@ -3,15 +3,18 @@
 Three quantile updates driven by lagged returns (symmetric absolute value,
 asymmetric slope, indirect GARCH with the negative root) and two shortfall
 links (a multiplicative factor below the quantile, and an autoregressive
-offset that widens after violations). Paths are plain arrays indexed like
-the input series: entry t is the one-step forecast made with information
-through t-1, with entry 0 pinned to the supplied initial state.
+offset that widens after violations, both after Taylor 2019, JBES 37).
+Paths are plain arrays indexed like the input series: entry t is the
+one-step forecast made with information through t-1, with entry 0 pinned
+to the supplied initial state.
 
 Every quantile recursion is a first-order linear filter (in q for the two
 slope kinds, in q^2 for indirect GARCH), and so is each derivative of the
 path with respect to a coefficient; :func:`filter_path` runs them through
-``scipy.signal.lfilter``. The shortfall offset only changes at violations,
-so its recursion runs over those indices alone.
+``scipy.signal.lfilter``. The shortfall offset only changes after
+violations, so its recursion is a filter over those indices alone.
+:func:`risk_step` takes the same rules one period at a time, for the
+forecast and the simulator.
 
 This module is the one path evaluator: :func:`filter_path` gives a quantile
 path and :func:`scale_path` the MAL scale delta = tau (0 - es) of either
@@ -53,7 +56,9 @@ __all__ = [
     "filter_path",
     "ar_offset",
     "scale_path",
+    "shortfall",
     "risk_path",
+    "risk_step",
     "one_step_forecast",
     "initial_quantile",
     "initial_es_offset",
@@ -95,9 +100,11 @@ class ESLink:
     """Expected-shortfall link attached to a quantile path.
 
     Multiplicative kind: es = (1 + exp(gamma0)) * q, steepening the quantile.
-    Autoregressive kind: es = q - x with offset x >= 0 updated on violations
-    from (gamma[0] + gamma[1] * (q_prev - y_prev) + gamma[2] * x_prev) and
-    carried over otherwise; ``x0`` seeds the offset.
+    Autoregressive kind (Taylor 2019): es = q - x, where the offset becomes
+    gamma[0] + gamma[1] * (q_prev - y_prev) + gamma[2] * x_prev after a
+    violation y_prev <= q_prev and carries over otherwise; ``x0`` seeds it.
+    The gap q_prev - y_prev is then non-negative, so gamma >= 0 and x0 >= 0
+    keep x >= 0.
     """
 
     kind: str
@@ -209,39 +216,31 @@ def filter_path(kind, coef, y, q0, jacobian=False):
 def ar_offset(gamma, q, y, x0, dq=None):
     """Autoregressive shortfall offset and optionally its derivatives.
 
-    On a violation y_t <= q_t the offset becomes
-    max(g1 + g2 (q_{t-1} - y_{t-1}) + g3 x_{t-1}, 0); otherwise it carries
-    over, so the recursion runs over the violation indices only and is
-    forward-filled. With ``dq`` (T, nq), the derivatives of q with respect
-    to its own coefficients, also returns dx of shape (T, nq + 3) with
-    respect to (q-coefficients..., g1, g2, g3); else None. The violation
-    indicator is treated as locally constant in the parameters (it changes
-    on a measure-zero set), and a clamped offset has zero derivative.
+    After a violation y_{t-1} <= q_{t-1} the offset becomes
+    g1 + g2 (q_{t-1} - y_{t-1}) + g3 x_{t-1}; otherwise it carries over
+    (Taylor 2019). So the recursion is one first-order filter over the
+    violations, forward-filled in between. With ``dq`` (T, nq), the
+    derivatives of q with respect to its own coefficients, also returns dx
+    of shape (T, nq + 3) with respect to (q-coefficients..., g1, g2, g3);
+    else None. The violation indicator is treated as locally constant in
+    the parameters (it changes on a measure-zero set).
     """
-    viol = np.flatnonzero(y[1:] <= q[1:]) + 1
-    gap = q[viol - 1] - y[viol - 1]
-    g1, g2, g3 = (float(g) for g in gamma)
-    xv = [float(x0)]
-    for d in gap.tolist():
-        val = g1 + g2 * d + g3 * xv[-1]
-        xv.append(val if val > 0.0 else 0.0)
-    xv = np.array(xv)
-    # slot[t]: how many violations happened up to t, i.e. the row of xv in force
+    hit = np.flatnonzero(y[:-1] <= q[:-1])
+    gap = q[hit] - y[hit]
+    g1, g2, g3 = gamma
+    ar = (1.0, -g3)
+    # the filter's first output is its first input, so x0 seeds row 0
+    xv = lfilter(_UNIT, ar, np.concatenate(([x0], g1 + g2 * gap)))
+    # slot[t]: how many violations happened before t, i.e. the row of xv in force
     slot = np.zeros(y.size, dtype=np.intp)
-    slot[viol] = np.arange(1, viol.size + 1)
+    slot[hit + 1] = np.arange(1, hit.size + 1)
     np.maximum.accumulate(slot, out=slot)
     x = xv[slot]
     if dq is None:
         return x, None
-    drive = np.column_stack((g2 * dq[viol - 1], np.ones(viol.size), gap, xv[:-1]))
-    dxv = np.zeros((viol.size + 1, drive.shape[1]))
-    # a clamped offset restarts the derivative recursion from zero
-    start = 0
-    for stop in [*np.flatnonzero(xv[1:] == 0.0), viol.size]:
-        if stop > start:
-            dxv[1 + start : 1 + stop] = lfilter(_UNIT, (1.0, -g3), drive[start:stop], axis=0)
-        start = stop + 1
-    return x, dxv[slot]
+    drive = np.zeros((hit.size + 1, dq.shape[1] + 3))
+    drive[1:] = np.column_stack((g2 * dq[hit], np.ones(hit.size), gap, xv[:-1]))
+    return x, lfilter(_UNIT, ar, drive, axis=0)[slot]
 
 
 def quantile_step(spec, q_prev, y_prev):
@@ -300,27 +299,40 @@ def scale_path(kind, gamma, q, y, tau, x0=0.0, grad=False):
     return delta, x, tau * dx
 
 
+def shortfall(link, q, x):
+    """Expected shortfall of ``link`` at quantile ``q`` and offset ``x``
+    (ignored by the multiplicative link); elementwise on arrays."""
+    return (1.0 + np.exp(link.gamma0)) * q if link.kind == MULT else q - x
+
+
 def risk_path(spec, link, y, q0, tau):
     """Quantile, shortfall and scale paths bundled for one series."""
     y = np.asarray(y, dtype=float)
     q = quantile_path(spec, y, q0)
     delta, x, _ = scale_path(link.kind, link.coef, q, y, tau, link.x0)
-    es = (1.0 + np.exp(link.gamma0)) * q if link.kind == MULT else q - x
-    return RiskPath(quantile=q, es=es, delta=delta, x=x)
+    return RiskPath(quantile=q, es=shortfall(link, q, x), delta=delta, x=x)
+
+
+def risk_step(spec, link, q, y, x):
+    """One period of the paths: (q, y, x) of period t to (q, es, x) of t+1.
+
+    The same rules as :func:`risk_path`, the offset updating when y <= q.
+    ``x`` is the autoregressive offset and passes through the
+    multiplicative link unchanged.
+    """
+    q_next = quantile_step(spec, q, y)
+    if link.kind == AR and y <= q:
+        g1, g2, g3 = link.gamma
+        x = g1 + g2 * (q - y) + g3 * x
+    return q_next, shortfall(link, q_next, x), x
 
 
 def one_step_forecast(spec, link, q_last, y_last, x_last=0.0):
-    """Out-of-sample one-step quantile and shortfall.
-
-    The autoregressive offset carries its last in-sample value: the next
-    period's violation is unknown at forecast time.
-    """
-    q_next = quantile_step(spec, q_last, y_last)
-    if link.kind == MULT:
-        es_next = (1.0 + np.exp(link.gamma0)) * q_next
-    else:
-        es_next = q_next - x_last
-    return q_next, es_next
+    """Out-of-sample one-step quantile and shortfall from the last
+    in-sample quantile, return and offset: :func:`risk_step` without the
+    offset. The offset moves on the last in-sample violation (Taylor 2019),
+    so the forecast follows the rule of the in-sample path exactly."""
+    return risk_step(spec, link, q_last, y_last, x_last)[:2]
 
 
 def initial_quantile(y, tau, frac=0.1, min_obs=50):

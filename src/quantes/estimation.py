@@ -218,7 +218,8 @@ def _link_bounds(link_kind, p):
 def _link_scale(link_kind, b, q, ycol, x0j, tau_j, want_grad=False):
     """Scale path of one asset's packed link coefficients ``b`` given its
     quantile path ``q``, with its (T, len(b)) derivative under ``want_grad``
-    (else None); None when the scale is not finite and positive."""
+    (else None); None when the scale is not finite and positive, or the
+    requested derivative is not finite."""
     gamma = b[0] if link_kind == dyn.MULT else np.exp(np.clip(b, _LOG_FLOOR, 60.0))
     try:
         delta, _, d = dyn.scale_path(link_kind, gamma, q, ycol, tau_j, x0j, want_grad)
@@ -227,7 +228,12 @@ def _link_scale(link_kind, b, q, ycol, x0j, tau_j, want_grad=False):
     if not np.all(np.isfinite(delta)):
         return None
     if want_grad and link_kind == dyn.AR:
-        d = d * gamma  # chain rule through the log-parameterization
+        # chain rule through the log-parameterization; an offset near the
+        # overflow threshold can carry it past
+        with np.errstate(over="ignore"):
+            d = d * gamma
+        if not np.all(np.isfinite(d)):
+            return None
     return delta, d
 
 

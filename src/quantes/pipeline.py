@@ -566,7 +566,6 @@ def portfolio_run(config):
     records = bundle.records
     returns = np.empty(len(records))
     weight_rows = np.empty((len(records), p))
-    compound = 1.0
     for i, rec in enumerate(records):
         params_t = MALParams(
             mu=rec.var, delta=tau * (0.0 - rec.es), psi=bundle.psis[i], tau=tau
@@ -586,7 +585,6 @@ def portfolio_run(config):
                 f"(residual {exc.residual:.2e}); previous weights carried"
             )
         ret = float(weights @ rec.y)
-        compound *= 1.0 + ret
         returns[i] = ret
         weight_rows[i] = weights
         row = {"date": bundle.dates[i], "t": rec.t}
@@ -597,7 +595,6 @@ def portfolio_run(config):
                 "var": var_t,
                 "es": es_t,
                 "return": ret,
-                "compound": compound,
                 "feasible": feasible,
             }
         )
@@ -611,7 +608,6 @@ def portfolio_run(config):
         "tau_tilde": tau_tilde,
         "sharpe": sharpe,
         "hhi": hhi,
-        "compound_final": compound,
         "infeasible_periods": int(sum(1 for r in port_rows if not r["feasible"])),
     }
     bundle.manifest["wall_seconds"]["portfolio"] = round(

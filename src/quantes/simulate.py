@@ -11,10 +11,10 @@ quantile path of the data and hit rates against it equal tau. The
 with a heavier-tailed multivariate t draw, giving a misspecified stress
 scenario; "none" zeroes the shock and returns the pure recursion path.
 
-For the violation-driven shortfall link the per-period branch must be
-known before the scale is applied; because the scale is positive,
-y_tj <= q_tj is equivalent to e_tj <= 0, so the branch, the scale and the
-return can be resolved in one causally consistent sweep.
+Each period steps every asset through :func:`dynamics.risk_step`, the rule
+the estimator's paths and the forecasts follow, so the autoregressive
+offset moves on the previous period's violation (Taylor 2019, JBES 37)
+and starts from the link's ``x0``.
 """
 
 import os
@@ -164,50 +164,21 @@ def generate(scenario, replication=0):
     total = scenario.burn_in + scenario.T
     y = np.empty((total, p))
     q = _initial_state(params)
-    x = np.zeros(p)
-    q_prev = q.copy()
-    y_prev = np.zeros(p)
-    mult_factor = np.array(
-        [
-            1.0 + np.exp(link.gamma0) if link.kind == dyn.MULT else np.nan
-            for link in params.links
-        ]
-    )
+    x = np.array([link.x0 for link in params.links])
+    es = np.array([dyn.shortfall(link, q[j], x[j]) for j, link in enumerate(params.links)])
 
     for t in range(total):
         if t > 0:
-            q = np.array(
-                [
-                    dyn.quantile_step(params.specs[j], q_prev[j], y_prev[j])
-                    for j in range(p)
-                ]
-            )
+            for j, (spec, link) in enumerate(zip(params.specs, params.links)):
+                q[j], es[j], x[j] = dyn.risk_step(spec, link, q[j], y[t - 1, j], x[j])
         if np.any(np.abs(q) > _BLOWUP) or np.any(q >= 0.0):
             raise PathError("simulated quantile path left the valid region", index=t)
 
         raw = _draw_raw(scenario, cons, chol, rng)
-        violated = raw <= 0.0
-
-        es = np.empty(p)
-        x_new = x.copy()
-        for j, link in enumerate(params.links):
-            if link.kind == dyn.MULT:
-                es[j] = mult_factor[j] * q[j]
-            else:
-                if t > 0 and violated[j]:
-                    val = (
-                        link.gamma[0]
-                        + link.gamma[1] * (q_prev[j] - y_prev[j])
-                        + link.gamma[2] * x[j]
-                    )
-                    x_new[j] = max(val, 0.0)
-                es[j] = q[j] - x_new[j]
         delta = tau * (0.0 - es)
         if np.any(delta <= 0.0):
             raise PathError("simulated scale path became non-positive", index=t)
-
         y[t] = q + delta * raw
-        q_prev, y_prev, x = q, y[t], x_new
 
     return y[scenario.burn_in :]
 

@@ -8,7 +8,6 @@ the library implementation. Run from the repository root:
 """
 
 import csv
-import math
 import pathlib
 
 import numpy as np
@@ -30,42 +29,43 @@ def sav_path(y, omega, eta, beta1, q0):
 
 
 def ar_es(y, q, g1, g2, g3, x0):
+    # Taylor (2019): the offset moves after a violation of the previous period
     x = [x0]
     for t in range(1, len(y)):
-        if y[t] <= q[t]:
-            val = g1 + g2 * (q[t - 1] - y[t - 1]) + g3 * x[t - 1]
-            x.append(val if val > 0.0 else 0.0)
+        if y[t - 1] <= q[t - 1]:
+            x.append(g1 + g2 * (q[t - 1] - y[t - 1]) + g3 * x[t - 1])
         else:
             x.append(x[t - 1])
     es = [qt - xt for qt, xt in zip(q, x)]
     return es, x
 
 
-def main():
+def tables():
+    """File name -> (header, rows) of every golden file."""
     y = synthetic_returns()
-    with open(HERE / "synthetic_returns.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["y"])
-        for v in y:
-            w.writerow([f"{v:.12g}"])
-
     omega, eta, beta1 = -0.2, 0.85, -0.1
     q0 = -1.8
     q = sav_path(y, omega, eta, beta1, q0)
-    with open(HERE / "golden_sav_path.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["q"])
-        for v in q:
-            w.writerow([f"{v:.12g}"])
-
     g1, g2, g3, x0 = 0.05, 0.12, 0.80, 0.3
     es, x = ar_es(y, q, g1, g2, g3, x0)
-    with open(HERE / "golden_ar_es.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["es", "x"])
-        for e, xt in zip(es, x):
-            w.writerow([f"{e:.12g}", f"{xt:.12g}"])
+    return {
+        "synthetic_returns.csv": (["y"], [[v] for v in y]),
+        "golden_sav_path.csv": (["q"], [[v] for v in q]),
+        "golden_ar_es.csv": (["es", "x"], [list(r) for r in zip(es, x)]),
+    }
 
+
+def render(header, rows, fh):
+    w = csv.writer(fh)
+    w.writerow(header)
+    for row in rows:
+        w.writerow([f"{v:.12g}" for v in row])
+
+
+def main():
+    for name, (header, rows) in tables().items():
+        with open(HERE / name, "w", newline="") as fh:
+            render(header, rows, fh)
     print("golden files written to", HERE)
 
 

@@ -1,9 +1,13 @@
 import csv
+import importlib.util
+import io
 import pathlib
 
 import numpy as np
 import pytest
 
+from quantes import dynamics as dyn
+from quantes import simulate
 from quantes.dynamics import (
     AR,
     AS,
@@ -13,14 +17,18 @@ from quantes.dynamics import (
     CaviarSpec,
     ESLink,
     RiskPath,
+    ar_offset,
     initial_es_offset,
     initial_quantile,
     one_step_forecast,
     quantile_path,
     quantile_step,
     risk_path,
+    scale_path,
+    shortfall,
 )
 from quantes.exceptions import PathError, ValidationError
+from quantes.simulate import SimScenario, generate, reference_params
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -53,6 +61,18 @@ def test_ar_es_matches_golden(synthetic):
     assert np.array_equal(rp.quantile, q)
     np.testing.assert_allclose(rp.es, es_gold, rtol=1e-10)
     np.testing.assert_allclose(rp.x, x_gold, rtol=1e-10)
+
+
+def test_goldens_are_the_generator_output():
+    # the oracle and the committed files cannot drift apart
+    loader = importlib.util.spec_from_file_location("make_goldens", DATA / "make_goldens.py")
+    gen = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(gen)
+    for name, (header, rows) in gen.tables().items():
+        text = io.StringIO()
+        gen.render(header, rows, text)
+        with open(DATA / name, newline="") as fh:
+            assert text.getvalue() == fh.read(), name
 
 
 def test_sav_constant_series_fixed_point():
@@ -148,11 +168,19 @@ def test_es_ar_no_violations_keeps_offset_constant():
 
 
 def test_es_ar_offset_stays_nonnegative():
+    # every update adds a non-negative gap, so even a large gamma keeps x >= 0
     rng = np.random.default_rng(4)
     y = rng.normal(size=500) - 0.5
     spec = CaviarSpec(SAV, -0.05, 0.9, [-0.1])
-    rp = risk_path(spec, ESLink(AR, gamma=[0.0, 0.0, 0.0], x0=0.2), y, -1.0, tau=0.1)
-    assert np.any(rp.x == 0.0) and np.all(rp.x >= 0.0)
+    q = quantile_path(spec, y, -1.0)
+    hit = y[:-1] <= q[:-1]
+    assert hit.any() and not hit.all()
+    for gamma, x0 in (([0.0, 0.0, 0.0], 0.2), ([3.0, 50.0, 0.99], 0.0)):
+        x, dx = ar_offset(np.array(gamma), q, y, x0, np.zeros((y.size, 0)))
+        assert np.all(x >= 0.0) and np.all(np.isfinite(dx))
+        assert np.all(x[1:][hit] == gamma[0] + gamma[1] * (q - y)[:-1][hit] + gamma[2] * x[:-1][hit])
+        assert np.array_equal(x[1:][~hit], x[:-1][~hit])
+    assert x.max() > 100.0
 
 
 @pytest.mark.parametrize(
@@ -192,7 +220,59 @@ def test_one_step_forecast_ar_carries_offset():
     spec = CaviarSpec(SAV, -0.2, 0.85, [-0.1])
     link = ESLink(AR, gamma=[0.05, 0.12, 0.8], x0=0.0)
     q_next, es_next = one_step_forecast(spec, link, -1.0, 0.5, x_last=0.7)
-    assert es_next == pytest.approx(q_next - 0.7, rel=1e-14)
+    assert es_next == q_next - 0.7
+    # a violation of the last in-sample quantile moves the offset
+    q_next, es_next = one_step_forecast(spec, link, -1.0, -1.5, x_last=0.7)
+    assert es_next == q_next - (0.05 + 0.12 * 0.5 + 0.8 * 0.7)
+
+
+# The scalar quantile step adds the recursion's terms in another order than
+# the filter, so the quantiles below agree to rounding; the offset and the
+# shortfall given the quantiles are equal, not close.
+
+
+@pytest.mark.parametrize("kind", [SAV, AS, IG])
+def test_one_step_forecast_continues_the_ar_path(kind):
+    truth = reference_params(kind, AR, 1)
+    y = generate(SimScenario(params=truth, tau=[0.1], T=400, seed=5), 0)[:, 0]
+    spec, link = truth.specs[0], truth.links[0]
+    rp = risk_path(spec, link, y, initial_quantile(y, 0.1), 0.1)
+    hits = 0
+    for t in range(1, y.size):
+        q_next, es_next = one_step_forecast(spec, link, rp.quantile[t - 1], y[t - 1], rp.x[t - 1])
+        assert q_next == pytest.approx(rp.quantile[t], rel=1e-13, abs=0.0)
+        assert es_next == q_next - rp.x[t]
+        hits += y[t - 1] <= rp.quantile[t - 1]
+    assert hits > 10
+
+
+@pytest.mark.parametrize("kind", [SAV, AS, IG])
+def test_risk_path_reproduces_the_simulated_ar_paths(kind, monkeypatch):
+    truth = reference_params(kind, AR, 2)
+    tau = np.array([0.1, 0.05])
+    step = dyn.risk_step
+    steps = []
+
+    def recorded(*args):
+        steps.append(step(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(dyn, "risk_step", recorded)
+    y = generate(SimScenario(params=truth, tau=tau, T=400, burn_in=0, seed=8), 0)
+    q0 = simulate._initial_state(truth)
+    for j, (spec, link) in enumerate(zip(truth.specs, truth.links)):
+        # the simulator steps the assets in turn from row 1 on
+        first = (q0[j], shortfall(link, q0[j], link.x0), link.x0)
+        q, es, x = np.array([first, *steps[j::2]]).T
+        rp = risk_path(spec, link, y[:, j], q0[j], tau[j])
+        np.testing.assert_allclose(rp.quantile, q, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(rp.es, es, rtol=1e-12, atol=0.0)
+        # the path evaluator along the simulator's quantiles
+        delta, x_path, _ = scale_path(AR, link.gamma, q, y[:, j], tau[j], link.x0)
+        assert np.array_equal(x_path, x)
+        assert np.array_equal(q - x_path, es)
+        assert np.array_equal(delta, tau[j] * (0.0 - es))
+        assert np.sum(y[:-1, j] <= q[:-1]) > 10
 
 
 def test_initial_state_helpers():

@@ -1,9 +1,9 @@
 """Filter kernels against the explicit time loops they replaced, and the
 analytic block gradients against central differences.
 
-The ``_ref_*`` functions below are the original per-period recursions,
-kept verbatim as the reference: the lfilter paths, the violation-indexed
-offset and the einsum Q-function must reproduce them on seeded inputs.
+The ``_ref_*`` functions below are the per-period recursions, kept as the
+reference: the lfilter paths, the violation-indexed offset and the einsum
+Q-function must reproduce them on seeded inputs.
 """
 
 import math
@@ -62,9 +62,8 @@ def _ref_ar_offset_loop(g1, g2, g3, q, y, x0):
     x = np.empty(y.size)
     x[0] = x0
     for t in range(1, y.size):
-        if y[t] <= q[t]:
-            val = g1 + g2 * (q[t - 1] - y[t - 1]) + g3 * x[t - 1]
-            x[t] = val if val > 0.0 else 0.0
+        if y[t - 1] <= q[t - 1]:
+            x[t] = g1 + g2 * (q[t - 1] - y[t - 1]) + g3 * x[t - 1]
         else:
             x[t] = x[t - 1]
     return x
@@ -128,17 +127,13 @@ def _ref_ar_offset_sens(g1, g2, g3, q, dq, y, x0):
     dx = np.zeros((T, nq + 3))
     x[0] = x0
     for t in range(1, T):
-        if y[t] <= q[t]:
-            val = g1 + g2 * (q[t - 1] - y[t - 1]) + g3 * x[t - 1]
-            if val > 0.0:
-                x[t] = val
-                for i in range(nq):
-                    dx[t, i] = g2 * dq[t - 1, i] + g3 * dx[t - 1, i]
-                dx[t, nq] = 1.0 + g3 * dx[t - 1, nq]
-                dx[t, nq + 1] = (q[t - 1] - y[t - 1]) + g3 * dx[t - 1, nq + 1]
-                dx[t, nq + 2] = x[t - 1] + g3 * dx[t - 1, nq + 2]
-            else:
-                x[t] = 0.0
+        if y[t - 1] <= q[t - 1]:
+            x[t] = g1 + g2 * (q[t - 1] - y[t - 1]) + g3 * x[t - 1]
+            for i in range(nq):
+                dx[t, i] = g2 * dq[t - 1, i] + g3 * dx[t - 1, i]
+            dx[t, nq] = 1.0 + g3 * dx[t - 1, nq]
+            dx[t, nq + 1] = (q[t - 1] - y[t - 1]) + g3 * dx[t - 1, nq + 1]
+            dx[t, nq + 2] = x[t - 1] + g3 * dx[t - 1, nq + 2]
         else:
             x[t] = x[t - 1]
             for i in range(nq + 3):
@@ -288,7 +283,8 @@ def test_ig_first_bad_radicand_index(seed):
 
 def _offset_cases(rng, q, y):
     """(label, q) pairs: the model path, no violation, every violation, and
-    violations on even rows only, each after a row 3 above its quantile."""
+    violations on even rows only, each followed by a row 3 above its
+    quantile."""
     alternate = y + np.where(np.arange(y.size) % 2 == 0, 0.5, -3.0)
     return [
         ("model", q),
@@ -305,9 +301,7 @@ def test_ar_offset_and_derivatives_match_loop(kind, seed):
     y = _series(rng)
     coef = _coefs(kind, rng)
     q, dq = _ref_path(kind, coef, y, -1.5)
-    clamped = 0
     for label, qc in _offset_cases(rng, q, y):
-        # a large g2 makes clamped offsets (val <= 0) common after calm rows
         for gamma in ([0.05, 0.12, 0.8], rng.uniform([0.01, 0.5, 0.1], [0.2, 2.0, 0.9])):
             x0 = rng.uniform(0.0, 1.0)
             g1, g2, g3 = gamma
@@ -325,9 +319,6 @@ def test_ar_offset_and_derivatives_match_loop(kind, seed):
             np.testing.assert_array_equal(dx_link, dx_ref[:, -3:])
             if label == "none":
                 assert np.all(x == x0) and np.all(dx == 0.0)
-            viol = np.flatnonzero(y[1:] <= qc[1:]) + 1
-            clamped += int(np.sum(x[viol] == 0.0))
-    assert clamped > 0, "no clamped offset exercised"
 
 
 def _block(kind, link_kind, rng):
@@ -505,4 +496,21 @@ def test_link_step_rejects_an_exploding_offset_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         val, grad = step.value_and_grad(np.tile([-2.0, 8.0, 60.0], y.shape[1]))
+    assert val == est._PENALTY and np.all(grad == 0.0)
+
+
+def test_link_step_rejects_an_overflowing_gradient_without_a_warning():
+    # every row a violation with g3 = exp(6): the offset ends near 4.5e307,
+    # finite, but the chain rule carries its derivative past the overflow
+    T = 120
+    y, q = np.full((T, 1), -1.0), np.full((T, 1), -0.5)
+    tau = np.array([0.1])
+    cache = est._SigmaCache(np.eye(1), MALConstraints.from_levels(tau))
+    step = est._LinkStep(y, dyn.AR, tau, np.zeros(1), q, cache, np.ones(T), np.ones(T))
+    theta = np.array([0.0, 0.0, 6.0])
+    x, _ = dyn.ar_offset(np.exp(theta), q[:, 0], y[:, 0], 0.0)
+    assert np.isfinite(x[-1]) and x[-1] > 1e307
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val, grad = step.value_and_grad(theta)
     assert val == est._PENALTY and np.all(grad == 0.0)

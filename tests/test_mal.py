@@ -253,6 +253,25 @@ def test_log_density_row_batch_matches_single():
     np.testing.assert_allclose(batch, singles, rtol=1e-14)
 
 
+def test_log_density_finite_over_usable_range():
+    # quadratic forms from 1e-16 to 1e16 at Bessel orders 1/2, 0, -1/2 and
+    # -5/2: the Bessel factor neither overflows near the location nor
+    # underflows far in the tails
+    scales = np.logspace(-8, 8, 60)
+    for p in (1, 2, 3, 7):
+        params = MALParams(
+            mu=np.zeros(p), delta=np.ones(p), psi=np.eye(p), tau=np.full(p, 0.1)
+        )
+        inv = np.linalg.inv(params.sigma())
+        direction = np.random.default_rng(p).standard_normal(p)
+        direction /= np.sqrt(direction @ inv @ direction)
+        for sign in (1.0, -1.0):
+            rows = sign * scales[:, None] * direction
+            m = np.einsum("ti,ij,tj->t", rows, inv, rows)
+            np.testing.assert_allclose(m, scales**2, rtol=1e-9)
+            assert np.all(np.isfinite(mal_log_density(rows, params)))
+
+
 def test_sample_marginal_quantiles():
     params = MALParams(
         mu=[0.3, -0.5, 0.0],

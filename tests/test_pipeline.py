@@ -582,7 +582,7 @@ def test_portfolio_run_is_deterministic_and_meets_its_constraints(tmp_path):
     manifest = json.loads((tmp_path / "first" / "manifest.json").read_text())
     assert manifest["command"] == "portfolio"
     assert set(manifest["portfolio"]) == {
-        "tau_tilde", "sharpe", "hhi", "compound_final", "infeasible_periods"
+        "tau_tilde", "sharpe", "hhi", "infeasible_periods"
     }
     tau = first.tau
     # refits every 4 periods: each block shares one Sigma, assembled from its psi
