@@ -262,7 +262,7 @@ def _cmd_fit(args, stream):
     result = fit(table.values, tau, config=_em_config(args), **model)
     print(
         f"loglik {result.loglik:.6f}  iterations {result.iterations}  "
-        f"converged {result.converged}  start {result.start_index}",
+        f"converged {result.converged}  stop {result.stop_reason}  start {result.start_index}",
         file=stream,
     )
     for name, spec, link_par in zip(table.columns, result.params.specs,

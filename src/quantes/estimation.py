@@ -136,7 +136,13 @@ class ParameterSet:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one full multi-start fit."""
+    """Outcome of one full multi-start fit.
+
+    ``stop_reason`` says why the chosen start stopped: ``"tol"`` when the
+    log-likelihood changed by less than ``EMConfig.tol``, ``"stall"`` when
+    neither sweep of an iteration could avoid lowering it, ``"max_iter"`` at
+    the iteration cap. Only ``"tol"`` counts as converged.
+    """
 
     params: ParameterSet
     tau: np.ndarray
@@ -144,9 +150,13 @@ class FitResult:
     loglik: float
     loglik_trace: np.ndarray
     iterations: int
-    converged: bool
+    stop_reason: str
     start_index: int
     paths: tuple
+
+    @property
+    def converged(self):
+        return self.stop_reason == "tol"
 
     def to_dict(self):
         return {
@@ -156,6 +166,7 @@ class FitResult:
             "loglik": self.loglik,
             "iterations": self.iterations,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "start_index": self.start_index,
         }
 
@@ -672,7 +683,7 @@ def _em_chain(y, tau, q0, x0s, theta0, psi0, kind, link_kind, config, callback, 
     cache = _SigmaCache(psi, cons)
     ll = float(_loglik_rows(y, q, dl, cache).sum())
     trace = [ll]
-    converged = False
+    stop_reason = "max_iter"
     iterations = 0
     for it in range(1, config.max_iterations + 1):
         iterations = it
@@ -705,7 +716,7 @@ def _em_chain(y, tau, q0, x0s, theta0, psi0, kind, link_kind, config, callback, 
             # descend
             out = attempt(False)
             if out[5] < ll - 1e-9:
-                converged = True
+                stop_reason = "stall"
                 break
         theta, q, dl, psi, cache, ll_new = out
         trace.append(ll_new)
@@ -713,7 +724,7 @@ def _em_chain(y, tau, q0, x0s, theta0, psi0, kind, link_kind, config, callback, 
             callback(start_index, it, ll_new)
         if abs(ll_new - ll) < config.tol:
             ll = ll_new
-            converged = True
+            stop_reason = "tol"
             break
         ll = ll_new
 
@@ -723,7 +734,7 @@ def _em_chain(y, tau, q0, x0s, theta0, psi0, kind, link_kind, config, callback, 
         "loglik": ll,
         "trace": np.array(trace),
         "iterations": iterations,
-        "converged": converged,
+        "stop_reason": stop_reason,
     }
 
 
@@ -842,7 +853,7 @@ def fit(y, tau, kind=dyn.SAV, link_kind=dyn.MULT, config=None, init=None, callba
         loglik=state["loglik"],
         loglik_trace=np.array(state["trace"]),
         iterations=state["iterations"],
-        converged=state["converged"],
+        stop_reason=state["stop_reason"],
         start_index=k,
         paths=paths,
     )

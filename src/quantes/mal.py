@@ -14,13 +14,24 @@ quadratic form into row log densities. :func:`mal_log_density`, the joint
 score ``scoring.s_mal`` and the EM likelihood in ``estimation`` all call the
 two; each applies its own policy at the pole m = 0.
 
+The terms that depend only on (tau, psi) or on (Sigma, xi, nu) are memoised
+per process, keyed on the bytes of those arrays: :func:`_psi_terms` holds the
+validated psi, its :class:`MALConstraints` and Sigma, and :func:`_sigma_terms`
+the :class:`_SigmaCache` of a Sigma. A forecast or portfolio run changes psi
+only at a refit but builds a :class:`MALParams` and scores every period, so
+each distinct matrix is validated, inverted and factored once. The shared
+arrays are read-only views of immutable bytes. The EM builds its
+:class:`_SigmaCache` directly, because its psi moves every iteration and a
+memo would only fill with matrices that are never seen again.
+
 All operations treat parameter containers as immutable values; sampling
 takes an explicit seeded generator, so everything here is safe to call from
 worker processes.
 """
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import special
@@ -116,13 +127,47 @@ def assemble_sigma(psi, constraints):
     return psi * np.outer(s, s)
 
 
+# distinct keys each memo holds: a run has one psi, so one Sigma, per refit
+_MEMO_SIZE = 128
+
+
+def _frozen(a):
+    """A copy of ``a`` over immutable bytes, so no holder can make it writable."""
+    return np.frombuffer(a.tobytes(), dtype=float).reshape(a.shape)
+
+
+def _thawed(key):
+    """The read-only float array of a ``(bytes, shape)`` memo key."""
+    return np.frombuffer(key[0], dtype=float).reshape(key[1])
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _psi_terms(tau_key, psi_key):
+    """Validated psi, its constraints and Sigma for one (tau, psi), derived once.
+
+    The keys are the ``(bytes, shape)`` of the float arrays. A rejected input
+    raises and is not cached, so it raises again on every call. Every array
+    returned is shared by all callers and read-only for good.
+    """
+    cons = MALConstraints.from_levels(_thawed(tau_key))
+    psi = check_correlation(_thawed(psi_key))
+    if psi.shape != (cons.p, cons.p):
+        raise ValidationError("mu, delta, psi and tau dimensions disagree")
+    cons = replace(cons, xi_tilde=_frozen(cons.xi_tilde), sigma_tilde=_frozen(cons.sigma_tilde))
+    # the expression of assemble_sigma, so both give the same floats
+    return psi, cons, _frozen(psi * np.outer(cons.sigma_tilde, cons.sigma_tilde))
+
+
 @dataclass(frozen=True)
 class MALParams:
     """Full parameter set: location mu, positive scales delta, correlation psi.
 
-    Validated once, on construction, into read-only copies of the inputs.
-    ``constraints`` and the read-only Sigma that :meth:`sigma` returns are
-    derived then, so nothing validates psi or assembles Sigma again.
+    Validated on construction. ``mu`` and ``delta`` are read-only copies of
+    the inputs. ``psi``, ``tau``, ``constraints`` and the Sigma that
+    :meth:`sigma` returns come from :func:`_psi_terms`, which validates and
+    derives each distinct (tau, psi) once per process, so a run that builds
+    one parameter set per period checks its psi and assembles Sigma once per
+    refit.
     """
 
     mu: np.ndarray
@@ -136,17 +181,15 @@ class MALParams:
         # copies, so that freezing them leaves the caller's arrays writable
         mu, delta, tau = (np.array(a, dtype=float, ndmin=1)
                           for a in (self.mu, self.delta, self.tau))
-        cons = MALConstraints.from_levels(tau)
-        psi = check_correlation(np.array(self.psi, dtype=float, ndmin=2))
+        psi = np.array(self.psi, dtype=float, ndmin=2)
+        psi, cons, sigma = _psi_terms((tau.tobytes(), tau.shape), (psi.tobytes(), psi.shape))
         p = cons.p
-        if mu.shape != (p,) or delta.shape != (p,) or psi.shape != (p, p):
+        if mu.shape != (p,) or delta.shape != (p,):
             raise ValidationError("mu, delta, psi and tau dimensions disagree")
         if not ((delta > 0.0) & np.isfinite(delta)).all():
             raise ValidationError("delta entries must be strictly positive and finite")
-        # the expression of assemble_sigma, so both give the same floats
-        sigma = psi * np.outer(cons.sigma_tilde, cons.sigma_tilde)
-        for a in (mu, delta, psi, cons.tau, sigma):
-            a.flags.writeable = False
+        mu.flags.writeable = False
+        delta.flags.writeable = False
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "psi", psi)
@@ -206,6 +249,24 @@ class _SigmaCache:
         self.nu = nu
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _sigma_terms(sigma_key, xi_key, nu):
+    """:meth:`_SigmaCache.from_sigma` of one (Sigma, xi, nu), derived once.
+
+    The array keys are ``(bytes, shape)`` pairs, as for :func:`_psi_terms`;
+    the cache's arrays are read-only for good. Call it through
+    :func:`_sigma_cache`.
+    """
+    cache = _SigmaCache.from_sigma(_thawed(sigma_key), _thawed(xi_key), nu)
+    cache.inv, cache.lin = _frozen(cache.inv), _frozen(cache.lin)
+    return cache
+
+
+def _sigma_cache(sigma, xi, nu):
+    """The shared :class:`_SigmaCache` of a ready Sigma, skew vector and order."""
+    return _sigma_terms((sigma.tobytes(), sigma.shape), (xi.tobytes(), xi.shape), nu)
+
+
 def _quad_form(v, cache):
     """Row-wise v' Sigma^-1 v of the (n, p) scaled residuals ``v``."""
     return np.einsum("ti,ij,tj->t", v, cache.inv, v)
@@ -256,7 +317,7 @@ def mal_log_density(y, params):
     if not np.isfinite(rows).all():
         raise ValidationError("points must be finite")
     cons = params.constraints
-    cache = _SigmaCache.from_sigma(params.sigma(), cons.xi_tilde, cons.nu)
+    cache = _sigma_cache(params.sigma(), cons.xi_tilde, cons.nu)
     v = (rows - params.mu) / params.delta
     m = _quad_form(v, cache)
     bad = np.flatnonzero(m <= 0.0)
@@ -298,16 +359,15 @@ def linear_combine(b, params):
         raise ValidationError("weight vector must be non-zero")
     d_xi = params.delta * params.constraints.xi_tilde
     a = params.sigma() * np.outer(params.delta, params.delta)
-    g = float(b @ d_xi)
-    v = float(b @ a @ b)
+    return _combined(float(b @ params.mu), float(b @ d_xi), float(b @ a @ b))
+
+
+def _combined(mu_star, g, v):
+    """The law of b'Y from mu_star = b'mu, g = b'D xi and v = b'D Sigma D b."""
     if v <= 0.0:
         raise ValidationError("weight vector has zero variance under the parameters")
     root = np.sqrt(2.0 * v + g * g)
-    return ALParams(
-        mu_star=float(b @ params.mu),
-        tau_star=0.5 * (1.0 - g / root),
-        delta_star=v / (2.0 * root),
-    )
+    return ALParams(mu_star=mu_star, tau_star=0.5 * (1.0 - g / root), delta_star=v / (2.0 * root))
 
 
 def implied_covariance(params):

@@ -563,13 +563,12 @@ def portfolio_run(config):
     weights = np.full(p, 1.0 / p)
     port_rows = []
     warnings = list(bundle.warnings)
-    records = bundle.records
-    returns = np.empty(len(records))
-    weight_rows = np.empty((len(records), p))
-    for i, rec in enumerate(records):
-        params_t = MALParams(
-            mu=rec.var, delta=tau * (0.0 - rec.es), psi=bundle.psis[i], tau=tau
-        )
+    # the panel was validated by evaluate_forecasts; read its rows directly
+    n = len(bundle.dates)
+    returns = np.empty(n)
+    weight_rows = np.empty((n, p))
+    for i, (t, y, var, es) in enumerate(zip(bundle.t.tolist(), bundle.y, bundle.var, bundle.es)):
+        params_t = MALParams(mu=var, delta=tau * (0.0 - es), psi=bundle.psis[i], tau=tau)
         try:
             alloc = smv_weights(params_t, tau_tilde, b_init=weights)
             weights = alloc.weights
@@ -581,13 +580,13 @@ def portfolio_run(config):
             es_t = al_es(tau_tilde, al.mu_star, al.tau_star, al.delta_star)
             feasible = 0
             warnings.append(
-                f"t={rec.t} ({bundle.dates[i]}): allocation infeasible "
+                f"t={t} ({bundle.dates[i]}): allocation infeasible "
                 f"(residual {exc.residual:.2e}); previous weights carried"
             )
-        ret = float(weights @ rec.y)
+        ret = float(weights @ y)
         returns[i] = ret
         weight_rows[i] = weights
-        row = {"date": bundle.dates[i], "t": rec.t}
+        row = {"date": bundle.dates[i], "t": t}
         for j, name in enumerate(bundle.columns):
             row[f"w_{name}"] = weights[j]
         row.update(

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import InfeasibleAllocationError, NumericError, ValidationError
-from .mal import ALParams, al_mean, linear_combine
+from .mal import ALParams, _combined, al_mean, linear_combine
 
 __all__ = [
     "AllocationResult",
@@ -67,9 +67,8 @@ class AllocationResult:
     es: float
 
 
-def _level(b, a_matrix, skew_vec):
-    g = float(skew_vec @ b)
-    v = float(b @ a_matrix @ b)
+def _level(g, v):
+    """Level of a portfolio with skew g = s'b and scale v = b'Ab."""
     return 0.5 * (1.0 - g / np.sqrt(2.0 * v + g * g + 1e-300))
 
 
@@ -84,7 +83,7 @@ def _parallel_skew_weights(a_matrix, skew_vec, tau_tilde, b_mv, alpha, b0):
     else:
         target = -np.inf
     if target < 1.0 / alpha:
-        lowest = min(_level(b_mv, a_matrix, skew_vec), 0.5)
+        lowest = min(_level(t, float(b_mv @ a_matrix @ b_mv)), 0.5)
         raise InfeasibleAllocationError(
             "equal asset skews fix the level on the budget line away from the target",
             residual=max(lowest - tau_tilde, 0.0),
@@ -97,6 +96,7 @@ def _parallel_skew_weights(a_matrix, skew_vec, tau_tilde, b_mv, alpha, b0):
 
 
 def _allocate(a_matrix, skew_vec, tau_tilde, b_init):
+    """Weights b with their skew s'b and scale b'Ab, or raise if infeasible."""
     p = a_matrix.shape[0]
     ones = np.ones(p)
     b0 = np.full(p, 1.0 / p) if b_init is None else np.asarray(b_init, dtype=float)
@@ -128,14 +128,15 @@ def _allocate(a_matrix, skew_vec, tau_tilde, b_init):
         t = 4.0 * k * gamma / den
         b = b_mv + ((alpha * t - beta) / d) * w_perp
 
-    level_err = abs(_level(b, a_matrix, skew_vec) - tau_tilde)
+    g, v = float(skew_vec @ b), float(b @ a_matrix @ b)
+    level_err = abs(_level(g, v) - tau_tilde)
     budget_err = abs(float(ones @ b) - 1.0)
     if not (level_err <= _LEVEL_TOL and budget_err <= _BUDGET_TOL):
         raise InfeasibleAllocationError(
             "no weight vector meets the risk-level and budget constraints",
             residual=max(level_err, budget_err),
         )
-    return b, float(b @ a_matrix @ b)
+    return b, g, v
 
 
 def smv_weights(params, tau_tilde, b_init=None, seed=0):
@@ -164,11 +165,13 @@ def smv_weights(params, tau_tilde, b_init=None, seed=0):
                 residual=abs(tau_tilde - float(params.tau[0])),
             )
         b, obj = np.ones(1), float(params.delta[0] ** 2 * params.sigma()[0, 0])
+        al = linear_combine(b, params)
     else:
+        # A and s exactly as linear_combine forms them, so al is its result
         a_matrix = params.sigma() * np.outer(params.delta, params.delta)
         skew_vec = params.delta * params.constraints.xi_tilde
-        b, obj = _allocate(a_matrix, skew_vec, tau_tilde, b_init)
-    al = linear_combine(b, params)
+        b, g, obj = _allocate(a_matrix, skew_vec, tau_tilde, b_init)
+        al = _combined(float(b @ params.mu), g, obj)
     var, es = portfolio_risk(al, tau_tilde)
     return AllocationResult(
         weights=b,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegeneratePointError, ValidationError
-from .mal import _log_density_rows, _quad_form, _SigmaCache, as_levels, fixed_skew
+from .mal import _log_density_rows, _quad_form, _sigma_cache, as_levels, fixed_skew
 
 __all__ = [
     "ForecastRecord",
@@ -99,13 +99,15 @@ def s_mal(record, sigma):
     evaluated with the positive scale directly.
 
     At p = 1 score differences between forecast sets coincide with the
-    differences of :func:`s_al`.
+    differences of :func:`s_al`. The terms of ``sigma`` are derived once per
+    process (``mal._sigma_cache``), so scoring many periods under one sigma
+    inverts it once.
     """
     sigma = np.asarray(sigma, dtype=float)
     p = record.p
     if sigma.shape != (p, p):
         raise ValidationError("sigma dimension does not match the record")
-    cache = _SigmaCache.from_sigma(sigma, fixed_skew(record.tau), (2.0 - p) / 2.0)
+    cache = _sigma_cache(sigma, fixed_skew(record.tau), (2.0 - p) / 2.0)
     if cache.sign <= 0.0:
         raise ValidationError("sigma must be positive definite")
     delta = record.tau * (0.0 - record.es)

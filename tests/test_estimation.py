@@ -283,7 +283,8 @@ def test_fit_warm_start_stays_near_truth():
     params, y, tau = _sim_panel(T=900, seed=37)
     result = fit(y, tau, config=EMConfig(n_starts=1, seed=0), init=params)
     assert isinstance(result, FitResult)
-    assert result.converged
+    assert result.converged and result.stop_reason == "tol"
+    assert result.iterations == 30
     q0 = result.q0
     assert result.loglik >= observed_loglik(params, y, tau, q0) - 1e-6
     for got, true in zip(result.params.specs, params.specs):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quantes import mal, scoring
 from quantes.exceptions import DegeneratePointError, ValidationError
 from quantes.mal import (
     ALParams,
@@ -187,6 +188,109 @@ def test_params_hold_read_only_copies():
     assert params.psi[0, 1] == 0.4 and params.mu[0] == 0.1
     assert np.array_equal(params.sigma(), assemble_sigma([[1.0, 0.4], [0.4, 1.0]],
                                                          params.constraints))
+
+
+# -- the per-process memo of the (tau, psi) and Sigma terms ---------------------
+
+
+def _clear_memos():
+    mal._psi_terms.cache_clear()
+    mal._sigma_terms.cache_clear()
+
+
+def _random_correlation(rng, p):
+    m = rng.normal(size=(p, p + 2))
+    cov = m @ m.T
+    sd = np.sqrt(np.diag(cov))
+    psi = cov / np.outer(sd, sd)
+    np.fill_diagonal(psi, 1.0)
+    return 0.5 * (psi + psi.T)
+
+
+def _scores(rng, p, psi, tau):
+    """MALParams fields, Sigma, s_mal and the log density of seeded inputs."""
+    mu, delta = rng.normal(size=p), rng.uniform(0.5, 2.0, p)
+    params = MALParams(mu=mu, delta=delta, psi=psi, tau=tau)
+    y = rng.normal(size=(4, p))
+    es = -rng.uniform(0.5, 2.0, p)
+    rec = scoring.ForecastRecord(t=0, y=y[0], var=es + rng.uniform(0.0, 1.0, p), es=es,
+                                 tau=tau)
+    return (params.mu, params.delta, params.psi, params.tau, params.constraints.xi_tilde,
+            params.constraints.sigma_tilde, params.constraints.nu, params.sigma(),
+            scoring.s_mal(rec, params.sigma()), mal_log_density(y, params))
+
+
+def _bit_equal(a, b):
+    return all(np.array_equal(x, y) and np.asarray(x).dtype == np.asarray(y).dtype
+               for x, y in zip(a, b, strict=True))
+
+
+def test_memo_gives_the_uncached_terms_bit_for_bit(monkeypatch):
+    _clear_memos()
+    rng = np.random.default_rng(41)
+    cases = [(p, _random_correlation(rng, p), rng.uniform(0.02, 0.4, p))
+             for p in (1, 2, 3, 4, 5) for _ in range(4)]
+    cached = [_scores(np.random.default_rng(k), *case) for k, case in enumerate(cases)]
+    hits = [_scores(np.random.default_rng(k), *case) for k, case in enumerate(cases)]
+    assert mal._psi_terms.cache_info().hits >= len(cases)
+    assert mal._sigma_terms.cache_info().hits >= len(cases)
+    monkeypatch.setattr(mal, "_psi_terms", mal._psi_terms.__wrapped__)
+    monkeypatch.setattr(mal, "_sigma_terms", mal._sigma_terms.__wrapped__)
+    for k, case in enumerate(cases):
+        uncached = _scores(np.random.default_rng(k), *case)
+        assert _bit_equal(cached[k], uncached) and _bit_equal(hits[k], uncached)
+        p, psi, tau = case
+        assert np.array_equal(uncached[7], assemble_sigma(psi, MALConstraints.from_levels(tau)))
+
+
+def test_memo_validates_each_psi_once(monkeypatch):
+    _clear_memos()
+    calls = []
+    real = mal.check_correlation
+
+    def counting(psi, *args):
+        calls.append(1)
+        return real(psi, *args)
+
+    monkeypatch.setattr(mal, "check_correlation", counting)
+    psi = np.array([[1.0, 0.3, -0.1], [0.3, 1.0, 0.2], [-0.1, 0.2, 1.0]])
+    for k in range(100):
+        # a fresh copy each time: the memo keys on the values, not the object
+        MALParams(mu=np.full(3, 0.01 * k), delta=np.ones(3), psi=psi.copy(), tau=[0.1] * 3)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([[1.0, 1.2], [1.2, 1.0]], "positive definite"),
+    ([[1.0, np.nan], [np.nan, 1.0]], "finite"),
+])
+def test_memo_never_caches_a_rejected_psi(bad, message):
+    _clear_memos()
+    good = [[1.0, 0.2], [0.2, 1.0]]
+    kw = dict(mu=[0.0, 0.0], delta=[1.0, 1.0], tau=[0.1, 0.1])
+    for _ in range(3):
+        MALParams(psi=good, **kw)
+        with pytest.raises(ValidationError, match=f"correlation matrix must be {message}"):
+            MALParams(psi=bad, **kw)
+    assert mal._psi_terms.cache_info().currsize == 1
+
+
+def test_memo_arrays_can_never_be_made_writable():
+    _clear_memos()
+    params = MALParams(mu=[0.1, -0.2], delta=[1.0, 2.0], psi=[[1.0, 0.4], [0.4, 1.0]],
+                       tau=[0.1, 0.2])
+    cons = params.constraints
+    cache = mal._sigma_cache(params.sigma(), cons.xi_tilde, cons.nu)
+    shared = (params.psi, params.tau, params.sigma(), cons.xi_tilde, cons.sigma_tilde,
+              cache.inv, cache.lin)
+    for array in shared:
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+        with pytest.raises(ValueError):
+            array[0] = 5.0
+    again = MALParams(mu=[0.0, 0.0], delta=[1.0, 1.0], psi=[[1.0, 0.4], [0.4, 1.0]],
+                      tau=[0.1, 0.2])
+    assert again.sigma() is params.sigma() and again.constraints is cons
 
 
 @pytest.mark.parametrize("kw,y,expected", DENSITY_ORACLE)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from quantes import __version__, cli, dynamics, pipeline
+from quantes import __version__, cli, dynamics, mal, pipeline
 from quantes.dynamics import initial_quantile, risk_path
 from quantes.estimation import EMConfig, ParameterSet
 from quantes.exceptions import NumericError, ValidationError
@@ -185,7 +185,9 @@ def test_fit_out_writes_a_parameter_set_that_round_trips(tmp_path, capsys):
     assert f"wrote {out / 'fit.json'}" in capsys.readouterr().out
     payload = json.loads((out / "fit.json").read_text())
     assert set(payload) == {"params", "tau", "q0", "loglik", "iterations", "converged",
-                            "start_index", "columns", "versions"}
+                            "stop_reason", "start_index", "columns", "versions"}
+    assert payload["stop_reason"] in ("tol", "stall", "max_iter")
+    assert payload["converged"] == (payload["stop_reason"] == "tol")
     assert payload["columns"] == ["asset1", "asset2"]
     assert payload["tau"] == [TAU, TAU]
     assert 1 <= payload["iterations"] <= 2
@@ -598,6 +600,28 @@ def test_portfolio_run_is_deterministic_and_meets_its_constraints(tmp_path):
                              psi=first.psis[i], tau=tau)
         assert abs(weights.sum() - 1.0) <= 1e-10
         assert abs(linear_combine(weights, params_t).tau_star - 0.15) <= 1e-6
+
+
+def test_portfolio_run_validates_each_psi_once(tmp_path, monkeypatch):
+    calls = []
+    real_check, real_forecast = mal.check_correlation, pipeline.rolling_forecast
+
+    def counting(psi, *args):
+        calls.append(1)
+        return real_check(psi, *args)
+
+    def forecast_then_count(config):
+        bundle = real_forecast(config)
+        # count only the allocation loop: the fits validate their own psi
+        mal._psi_terms.cache_clear()
+        monkeypatch.setattr(mal, "check_correlation", counting)
+        return bundle
+
+    monkeypatch.setattr(pipeline, "rolling_forecast", forecast_then_count)
+    bundle = pipeline.portfolio_run(_portfolio_config(tmp_path, tmp_path / "reports"))
+    distinct = len({psi.tobytes() for psi in bundle.psis})
+    assert 1 < distinct < len(bundle.portfolio)
+    assert len(calls) == distinct
 
 
 def test_portfolio_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):

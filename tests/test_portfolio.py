@@ -173,6 +173,24 @@ def test_matches_multistart_reference(case):
     assert abs(result.objective - ref[1]) <= 1e-8 * ref[1]
 
 
+def test_result_law_is_linear_combine_bit_for_bit():
+    rng = np.random.default_rng(77)
+    n_feasible = 0
+    for case in range(200):
+        p = 2 + case % 4
+        params = _equal_params(p, tau=0.1) if case % 10 == 0 else _random_params(rng, p)
+        try:
+            result = smv_weights(params, float(rng.uniform(0.01, 0.5)))
+        except InfeasibleAllocationError:
+            continue
+        n_feasible += 1
+        want = linear_combine(result.weights, params)
+        assert (result.al.mu_star, result.al.tau_star, result.al.delta_star) == \
+            (want.mu_star, want.tau_star, want.delta_star)
+        assert result.tau_star_achieved == want.tau_star
+    assert n_feasible >= 100
+
+
 def test_reported_risk_is_the_shortfall_of_the_combined_distribution():
     params = MALParams(mu=[0.2, -0.1, 0.4], delta=[1.0, 0.6, 1.4],
                        psi=[[1, 0.3, 0.5], [0.3, 1, 0.2], [0.5, 0.2, 1]], tau=[0.05, 0.1, 0.2])
