@@ -4,24 +4,24 @@ The latent exponential mixing variable of the distribution gives a clean
 EM scheme. The E-step has closed-form conditional moments u_t = E[W_t | y_t]
 and z_t = E[1/W_t | y_t] built from ratios of modified Bessel functions.
 The M-step cycles through three conditional blocks: the quantile recursion
-coefficients are maximized with the scale paths held at their current
-values, the shortfall-link coefficients are then maximized exactly given
-the new quantile paths, and the correlation matrix has a closed-form update
-rescaled back onto the correlation manifold. Numerical maximization uses a
-simplex search on the first sweep to move off the start, then quasi-Newton
-refinement with exact gradients from forward sensitivity recursions.
+coefficients, the shortfall-link coefficients given the new quantile paths,
+and the correlation matrix, whose closed-form update is rescaled back onto
+the correlation manifold. Numerical maximization uses a simplex search on
+the first sweep to move off the start, then quasi-Newton refinement with
+exact gradients from forward sensitivity recursions.
 
 The likelihood rows come from the density core in ``mal``, with the
 quadratic form floored at ``_M_FLOOR``; the expected complete-data
 objective (the Q-value) is computed only in :func:`_assemble`.
 
-Freezing the scale paths while the quantile coefficients move keeps that
-block's first-order condition centered on the conditional-quantile fit
-itself, so the quantile dynamics are recovered without bias even when the
-innovation distribution is not the one being maximized. Every block update
-is ascent-guarded against the expected complete-data objective at the
-current weights, so the observed log-likelihood trace is monotone up to
-numerical slack, whatever the inner optimizer budgets are.
+The scheme is a generalized EM (Dempster, Laird & Rubin 1977, JRSS-B 39):
+each block's move is only a proposal, kept when the Q-value at the current
+weights does not fall, so the observed log-likelihood never decreases,
+whatever the inner optimizer budgets are. The quantile block is proposed
+with the scale paths frozen, which keeps its first-order condition
+centered on the conditional-quantile fit itself, so the quantile dynamics
+are recovered without bias even when the innovation distribution is not
+the one being maximized.
 
 Everything here is pure-functional over immutable inputs: fits can run in
 parallel worker processes with no shared state beyond the arguments.
@@ -139,8 +139,7 @@ class FitResult:
     """Outcome of one full multi-start fit.
 
     ``stop_reason`` says why the chosen start stopped: ``"tol"`` when the
-    log-likelihood changed by less than ``EMConfig.tol``, ``"stall"`` when
-    neither sweep of an iteration could avoid lowering it, ``"max_iter"`` at
+    log-likelihood changed by less than ``EMConfig.tol``, ``"max_iter"`` at
     the iteration cap. Only ``"tol"`` counts as converged.
     """
 
@@ -540,61 +539,49 @@ def _maximize(objective, theta0, bounds, use_simplex):
     return candidates[int(np.argmin(values))]
 
 
-def _update_dynamics(y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, dl_prev,
-                     use_simplex, quantile_move=True, couple_guard=False):
-    """One cyclic pass over the dynamic-parameter blocks.
+def _update_dynamics(y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, q, dl,
+                     use_simplex):
+    """One guarded pass over the dynamic-parameter blocks.
 
-    Quantile coefficients move first against frozen scale paths (skipped
-    when ``quantile_move`` is false); link coefficients then move exactly
-    given the resulting quantile paths. With ``couple_guard`` the quantile
-    move is additionally kept only if it does not lower the full objective
-    once the scales are re-derived. Returns the new packed vector with its
-    paths.
+    ``(q, dl)`` are the paths of ``theta``. The quantile block is proposed
+    against the frozen scales ``dl``, then the link block against the
+    current quantile paths. A block's move is kept only if the Q-value at
+    its re-derived paths is not below the current one, so the Q-value never
+    falls. Returns the new packed vector with its paths.
     """
     p = y.shape[1]
     nq = 4 if kind == dyn.AS else 3
     nl = 3 if link_kind == dyn.AR else 1
     nb = nq + nl
-    qsel = np.concatenate([j * nb + np.arange(nq) for j in range(p)])
-    lsel = np.concatenate([j * nb + nq + np.arange(nl) for j in range(p)])
-
-    def coupled(theta_full):
-        try:
-            q, dl = _panel_paths(kind, link_kind, theta_full, y, q0, x0s, tau)
-        except PathError:
-            return None
-        return _assemble(y, q, dl, cache, u, z)[0], q, dl
-
-    base = coupled(theta)
-    if base is None:
-        raise PathError("current iterate became invalid")
-
-    if quantile_move:
-        qobj = _QuantileStep(y, kind, q0, cache, u, z, dl_prev)
-        theta_q = _maximize(qobj, theta[qsel], _quantile_bounds(kind, p), use_simplex)
+    blocks = (
+        (np.arange(nq), _quantile_bounds(kind, p),
+         lambda q, dl: _QuantileStep(y, kind, q0, cache, u, z, dl)),
+        (nq + np.arange(nl), _link_bounds(link_kind, p),
+         lambda q, dl: _LinkStep(y, link_kind, tau, x0s, q, cache, u, z)),
+    )
+    val = _assemble(y, q, dl, cache, u, z)[0]
+    for offsets, bounds, objective in blocks:
+        sel = np.concatenate([j * nb + offsets for j in range(p)])
         cand = theta.copy()
-        cand[qsel] = theta_q
-        moved = coupled(cand)
-        if moved is not None and (not couple_guard or moved[0] >= base[0]):
-            theta, base = cand, moved
-
-    lobj = _LinkStep(y, link_kind, tau, x0s, base[1], cache, u, z)
-    theta_l = _maximize(lobj, theta[lsel], _link_bounds(link_kind, p), use_simplex)
-    cand = theta.copy()
-    cand[lsel] = theta_l
-    moved = coupled(cand)
-    if moved is not None and moved[0] >= base[0]:
-        theta, base = cand, moved
-    return theta, base[1], base[2]
+        cand[sel] = _maximize(objective(q, dl), theta[sel], bounds, use_simplex)
+        try:
+            q_c, dl_c = _panel_paths(kind, link_kind, cand, y, q0, x0s, tau)
+        except PathError:
+            continue
+        val_c = _assemble(y, q_c, dl_c, cache, u, z)[0]
+        if val_c >= val:
+            theta, q, dl, val = cand, q_c, dl_c, val_c
+    return theta, q, dl
 
 
 def dynamic_m_step(params, y, tau, q0, u, z):
     """Conditional maximization over the recursion coefficients, psi fixed.
 
-    One cyclic pass: quantile blocks against frozen scale paths (kept only
-    when the full objective does not fall), then the link blocks exactly.
-    Returns a parameter set with updated specs and links; the value of
-    :func:`q_function` never decreases beyond numerical slack.
+    The EM's guarded pass: a quantile move proposed against frozen scale
+    paths, then a link move against the new quantile paths, each kept only
+    when the full objective does not fall. Returns a parameter set with
+    updated specs and links; the value of :func:`q_function` at the packed
+    coefficients never decreases.
     """
     y = np.asarray(y, dtype=float)
     tau = as_levels(tau, params.p)
@@ -607,11 +594,10 @@ def dynamic_m_step(params, y, tau, q0, u, z):
     cons = MALConstraints.from_levels(tau)
     cache = _SigmaCache(params.psi, cons)
     theta = _pack(params.specs, params.links)
-    _, dl_prev = _paths(params.specs, params.links, y, q0, tau)
+    q, dl = _panel_paths(kind, link_kind, theta, y, q0, x0s, tau)
     theta, _, _ = _update_dynamics(
         y, tau, q0, x0s, kind, link_kind, cache,
-        np.asarray(u, float), np.asarray(z, float), theta, dl_prev,
-        use_simplex=True, couple_guard=True,
+        np.asarray(u, float), np.asarray(z, float), theta, q, dl, use_simplex=True,
     )
     specs, links = _unpack(theta, kind, link_kind, tau.size, x0s)
     return ParameterSet(specs=specs, links=links, psi=params.psi)
@@ -620,7 +606,7 @@ def dynamic_m_step(params, y, tau, q0, u, z):
 # -- initialization ----------------------------------------------------------
 
 
-def _candidate_block(rng, tau_j, kind, link_kind, q0):
+def _candidate_block(rng, kind, link_kind, q0):
     scale = max(abs(q0), 0.1)
     eta = rng.uniform(0.5, 0.95)
     omega = q0 * (1.0 - eta) * rng.uniform(0.3, 1.5)
@@ -654,7 +640,7 @@ def _univariate_theta(y_j, tau_j, kind, link_kind, q0, x0, config, rng):
 
     best_theta, best_val = None, np.inf
     for _ in range(_INIT_CANDIDATES):
-        theta = np.array(_candidate_block(rng, tau_j, kind, link_kind, q0))
+        theta = np.array(_candidate_block(rng, kind, link_kind, q0))
         try:
             q, dl = _panel_paths(kind, link_kind, theta, col, q0v, x0v, tau_v)
         except PathError:
@@ -681,44 +667,29 @@ def _em_chain(y, tau, q0, x0s, theta0, psi0, kind, link_kind, config, callback, 
 
     q, dl = _panel_paths(kind, link_kind, theta, y, q0, x0s, tau)
     cache = _SigmaCache(psi, cons)
-    ll = float(_loglik_rows(y, q, dl, cache).sum())
+    rows = _loglik_rows(y, q, dl, cache)
+    ll = float(rows.sum())
     trace = [ll]
     stop_reason = "max_iter"
     iterations = 0
     for it in range(1, config.max_iterations + 1):
         iterations = it
         u, z = _weights((y - q) / dl, cache)
-
-        def attempt(quantile_move):
-            th, qn, dn = _update_dynamics(
-                y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, dl,
-                use_simplex=(it == 1), quantile_move=quantile_move,
-            )
-            ps, ca = psi, cache
-            if p > 1:
-                try:
-                    psi_cand = sigma_m_step((y - qn) / dn, u, z, cons)
-                except NumericError:
-                    psi_cand = None
-                if psi_cand is not None:
-                    cache_cand = _SigmaCache(psi_cand, cons)
-                    v_new = _assemble(y, qn, dn, cache_cand, u, z)[0]
-                    if v_new >= _assemble(y, qn, dn, cache, u, z)[0]:
-                        ps, ca = psi_cand, cache_cand
-            lln = float(_loglik_rows(y, qn, dn, ca).sum())
-            return th, qn, dn, ps, ca, lln
-
-        out = attempt(True)
-        if out[5] < ll - 1e-9:
-            # the quantile block is allowed to trade incomplete-data
-            # likelihood for its conditional fit; when the trade goes the
-            # wrong way, redo the sweep with that block held, which cannot
-            # descend
-            out = attempt(False)
-            if out[5] < ll - 1e-9:
-                stop_reason = "stall"
-                break
-        theta, q, dl, psi, cache, ll_new = out
+        theta, q, dl = _update_dynamics(
+            y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, q, dl,
+            use_simplex=(it == 1),
+        )
+        if p > 1:
+            try:
+                psi_cand = sigma_m_step((y - q) / dl, u, z, cons)
+            except NumericError:
+                psi_cand = None
+            if psi_cand is not None:
+                cache_cand = _SigmaCache(psi_cand, cons)
+                if _assemble(y, q, dl, cache_cand, u, z)[0] >= _assemble(y, q, dl, cache, u, z)[0]:
+                    psi, cache = psi_cand, cache_cand
+        rows = _loglik_rows(y, q, dl, cache)
+        ll_new = float(rows.sum())
         trace.append(ll_new)
         if callback is not None:
             callback(start_index, it, ll_new)
@@ -732,6 +703,7 @@ def _em_chain(y, tau, q0, x0s, theta0, psi0, kind, link_kind, config, callback, 
         "theta": theta,
         "psi": psi,
         "loglik": ll,
+        "rows": rows,
         "trace": np.array(trace),
         "iterations": iterations,
         "stop_reason": stop_reason,
@@ -805,7 +777,6 @@ def fit(y, tau, kind=dyn.SAV, link_kind=dyn.MULT, config=None, init=None, callba
         theta0 = np.concatenate(blocks)
         psi0 = nearest_pd_correlation(np.corrcoef(y.T)) if p > 1 else np.array([[1.0]])
 
-    cons = MALConstraints.from_levels(tau)
     nb = _n_dynamic(kind, link_kind)
 
     def _selection_score(state):
@@ -814,8 +785,7 @@ def fit(y, tau, kind=dyn.SAV, link_kind=dyn.MULT, config=None, init=None, callba
         # arbitrarily large loglik with a handful of rows by steering a
         # quantile path through data points; clipping the top rows at the
         # next-largest value ranks interior solutions ahead of those
-        q, dlm = _panel_paths(kind, link_kind, state["theta"], y, q0, x0s, tau)
-        rows = _loglik_rows(y, q, dlm, _SigmaCache(state["psi"], cons))
+        rows = state["rows"]
         w = max(3, T // 300)
         clip = np.sort(rows)[-(w + 1)]
         return float(np.minimum(rows, clip).sum())

@@ -19,6 +19,7 @@ and starts from the link's ``x0``.
 
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -80,6 +81,7 @@ class StudyResult:
     aggregate_rmse: float
     iterations: np.ndarray
     fit_seconds: np.ndarray
+    stop_reasons: dict  # FitResult.stop_reason -> count of successful replications
     n_failed: int
 
 
@@ -209,15 +211,16 @@ def _study_worker(args):
     try:
         data = generate(scenario, rep)
     except (PathError, NumericError):
-        return rep, None, 0, 0.0
+        return rep, None, 0, 0.0, None
     # every replication fits with its own deterministic random-start stream
     cfg = replace(em_config, seed=em_config.seed * 100003 + 1000 + rep)
     start = time.perf_counter()
     try:
         res = fit(data, scenario.tau, kind=kind, link_kind=link_kind, config=cfg)
     except (PathError, NumericError):
-        return rep, None, 0, time.perf_counter() - start
-    return rep, _truth_map(res.params), res.iterations, time.perf_counter() - start
+        return rep, None, 0, time.perf_counter() - start, None
+    secs = time.perf_counter() - start
+    return rep, _truth_map(res.params), res.iterations, secs, res.stop_reason
 
 
 def run_study(scenario, em_config=None, n_jobs=None, progress=None):
@@ -237,16 +240,16 @@ def run_study(scenario, em_config=None, n_jobs=None, progress=None):
         n_jobs = os.cpu_count() or 1
     if n_jobs > 1 and scenario.B > 1:
         with ProcessPoolExecutor(max_workers=min(n_jobs, scenario.B)) as pool:
-            for rep, est, iters, secs in pool.map(_study_worker, jobs):
-                results[rep] = (est, iters, secs)
+            for rep, *out in pool.map(_study_worker, jobs):
+                results[rep] = out
                 if progress is not None:
-                    progress(rep, est is not None)
+                    progress(rep, out[0] is not None)
     else:
         for job in jobs:
-            rep, est, iters, secs = _study_worker(job)
-            results[rep] = (est, iters, secs)
+            rep, *out = _study_worker(job)
+            results[rep] = out
             if progress is not None:
-                progress(rep, est is not None)
+                progress(rep, out[0] is not None)
 
     truths = _truth_map(scenario.params)
     ok = [r for r in results if r[0] is not None]
@@ -279,5 +282,6 @@ def run_study(scenario, em_config=None, n_jobs=None, progress=None):
         aggregate_rmse=float(np.sqrt(np.mean(agg_err**2))),
         iterations=np.array([r[1] for r in ok]),
         fit_seconds=np.array([r[2] for r in ok]),
+        stop_reasons=dict(Counter(r[3] for r in ok)),
         n_failed=scenario.B - len(ok),
     )

@@ -186,7 +186,7 @@ def test_fit_out_writes_a_parameter_set_that_round_trips(tmp_path, capsys):
     payload = json.loads((out / "fit.json").read_text())
     assert set(payload) == {"params", "tau", "q0", "loglik", "iterations", "converged",
                             "stop_reason", "start_index", "columns", "versions"}
-    assert payload["stop_reason"] in ("tol", "stall", "max_iter")
+    assert payload["stop_reason"] in ("tol", "max_iter")
     assert payload["converged"] == (payload["stop_reason"] == "tol")
     assert payload["columns"] == ["asset1", "asset2"]
     assert payload["tau"] == [TAU, TAU]
@@ -527,6 +527,8 @@ def test_run_study_gives_the_same_result_in_one_or_two_processes():
     assert serial.aggregate_bias_pct == pooled.aggregate_bias_pct
     assert serial.aggregate_rmse == pooled.aggregate_rmse
     assert np.array_equal(serial.iterations, pooled.iterations)
+    assert serial.stop_reasons == pooled.stop_reasons
+    assert sum(serial.stop_reasons.values()) == 2
     assert serial.fit_seconds.shape == pooled.fit_seconds.shape == (2,)
 
 
