@@ -104,7 +104,8 @@ class ESLink:
     gamma[0] + gamma[1] * (q_prev - y_prev) + gamma[2] * x_prev after a
     violation y_prev <= q_prev and carries over otherwise; ``x0`` seeds it.
     The gap q_prev - y_prev is then non-negative, so gamma >= 0 and x0 >= 0
-    keep x >= 0.
+    keep x >= 0. ``factor`` is the multiplicative link's 1 + exp(gamma0),
+    derived once when the link is built (None for the autoregressive link).
     """
 
     kind: str
@@ -120,6 +121,7 @@ class ESLink:
                 raise ValidationError("gamma0 must be finite")
             object.__setattr__(self, "gamma0", float(self.gamma0))
             object.__setattr__(self, "gamma", None)
+            object.__setattr__(self, "factor", float(1.0 + np.exp(self.gamma0)))
         else:
             gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
             if gamma.shape != (3,):
@@ -130,6 +132,7 @@ class ESLink:
                 raise ValidationError("x0 must be finite and >= 0")
             object.__setattr__(self, "gamma", gamma)
             object.__setattr__(self, "x0", float(self.x0))
+            object.__setattr__(self, "factor", None)
 
     @property
     def coef(self):
@@ -302,7 +305,7 @@ def scale_path(kind, gamma, q, y, tau, x0=0.0, grad=False):
 def shortfall(link, q, x):
     """Expected shortfall of ``link`` at quantile ``q`` and offset ``x``
     (ignored by the multiplicative link); elementwise on arrays."""
-    return (1.0 + np.exp(link.gamma0)) * q if link.kind == MULT else q - x
+    return link.factor * q if link.kind == MULT else q - x
 
 
 def risk_path(spec, link, y, q0, tau):

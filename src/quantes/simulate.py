@@ -15,8 +15,18 @@ Each period steps every asset through :func:`dynamics.risk_step`, the rule
 the estimator's paths and the forecasts follow, so the autoregressive
 offset moves on the previous period's violation (Taylor 2019, JBES 37)
 and starts from the link's ``x0``.
+
+Panels are reproducible across versions because the draw order is fixed:
+the generator is seeded with ``[seed, replication]``, and each period, burn-in
+included, draws ``standard_normal(p)`` and then ``exponential(1.0)``
+("normal") or ``chisquare(df)`` ("student_t"); "none" draws nothing. Every
+shock is drawn before the recursion runs, and each row's z is correlated by
+its own ``chol @ z`` product. ``tests/test_simulate.py`` pins this order
+against the per-period loop it replaced.
 """
 
+import math
+import numbers
 import os
 import time
 from collections import Counter
@@ -59,8 +69,15 @@ class SimScenario:
     def __post_init__(self):
         if self.error_family not in FAMILIES:
             raise ValidationError(f"unknown error family {self.error_family!r}")
+        if not math.isfinite(self.df):
+            raise ValidationError("df must be finite")
         if self.error_family == "student_t" and self.df <= 2.0:
             raise ValidationError("student_t requires df > 2")
+        for name in ("T", "burn_in", "B"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.T <= 0 or self.burn_in < 0 or self.B <= 0:
             raise ValidationError("T and B must be positive, burn_in non-negative")
         object.__setattr__(self, "tau", as_levels(self.tau))
@@ -142,47 +159,91 @@ def _initial_state(params):
     return q0
 
 
-def _draw_raw(scenario, cons, chol, rng):
+def _draw_shocks(scenario, cons, chol, rng, total):
+    """Every period's shock e_t as a (total, p) array, drawn in stream order.
+
+    Period by period the stream gives ``standard_normal(p)``, correlated by
+    one ``chol @ z`` product per row, then the mixing draw. The rows are
+    multiplied one at a time because a batched product can round the last
+    bit differently, and the draws interleave per period, so neither can be
+    taken as one block without changing the panel.
+    """
     p = cons.p
     if scenario.error_family == "none":
-        return np.zeros(p)
-    z = chol @ rng.standard_normal(p)
-    if scenario.error_family == "student_t":
-        g = rng.chisquare(scenario.df)
-        return cons.xi_tilde + np.sqrt(scenario.df / g) * z
-    w = rng.exponential(1.0)
-    return cons.xi_tilde * w + np.sqrt(w) * z
+        return np.zeros((total, p))
+    student = scenario.error_family == "student_t"
+    draw, arg = (rng.chisquare, scenario.df) if student else (rng.exponential, 1.0)
+    e = np.empty((total, p))
+    mix = np.empty((total, 1))
+    for t in range(total):
+        e[t] = chol @ rng.standard_normal(p)
+        mix[t] = draw(arg)
+    # in place; each sum takes its terms in swapped order, which changes no bit
+    if student:
+        e *= np.sqrt(scenario.df / mix)
+        e += cons.xi_tilde
+    else:
+        e *= np.sqrt(mix)
+        e += cons.xi_tilde * mix
+    return e
+
+
+def _path_error(what, column, t, burn_in):
+    where = (
+        f"in the {burn_in}-row burn-in" if t < burn_in else f"at returned row {t - burn_in}"
+    )
+    return PathError(
+        f"simulated {what} in column {column} {where} (row {t} of the full run)", index=t
+    )
 
 
 def generate(scenario, replication=0):
-    """Simulate one replication; returns a (T, p) matrix after burn-in."""
+    """Simulate one replication; returns a (T, p) matrix after burn-in.
+
+    The draws follow the fixed order of the module docstring, so a
+    (scenario, replication) pair gives the same panel in every version: the
+    generator is seeded with ``[seed, replication]``, and each of the
+    burn_in + T periods draws ``standard_normal(p)``, then
+    ``exponential(1.0)`` ("normal") or ``chisquare(df)`` ("student_t");
+    "none" draws nothing. All shocks are drawn before the recursion runs.
+    Each asset then steps through :func:`dynamics.risk_step` on plain floats.
+
+    Raises :class:`PathError` when a quantile leaves [-1e6, 0) or is NaN, or
+    a scale is not positive; its ``index`` counts rows from the first
+    burn-in row, and the message names the column and whether that row lies
+    in the burn-in.
+    """
     params = scenario.params
-    p = params.p
-    tau = scenario.tau
-    cons = MALConstraints.from_levels(tau)
+    burn_in = scenario.burn_in
+    cons = MALConstraints.from_levels(scenario.tau)
     chol = cholesky_with_jitter(assemble_sigma(params.psi, cons))
     rng = np.random.default_rng([int(scenario.seed), int(replication)])
 
-    total = scenario.burn_in + scenario.T
-    y = np.empty((total, p))
-    q = _initial_state(params)
-    x = np.array([link.x0 for link in params.links])
-    es = np.array([dyn.shortfall(link, q[j], x[j]) for j, link in enumerate(params.links)])
+    # each row of shocks is overwritten by that period's returns
+    y = _draw_shocks(scenario, cons, chol, rng, burn_in + scenario.T)
+    assets = tuple(zip(params.specs, params.links, scenario.tau.tolist()))
+    q = _initial_state(params).tolist()
+    x = [link.x0 for link in params.links]
+    es = [dyn.shortfall(link, qj, xj) for link, qj, xj in zip(params.links, q, x)]
 
-    for t in range(total):
-        if t > 0:
-            for j, (spec, link) in enumerate(zip(params.specs, params.links)):
-                q[j], es[j], x[j] = dyn.risk_step(spec, link, q[j], y[t - 1, j], x[j])
-        if np.any(np.abs(q) > _BLOWUP) or np.any(q >= 0.0):
-            raise PathError("simulated quantile path left the valid region", index=t)
+    row = None
+    for t in range(y.shape[0]):
+        if t:
+            for j, (spec, link, _) in enumerate(assets):
+                q[j], es[j], x[j] = dyn.risk_step(spec, link, q[j], row[j], x[j])
+        for j, qj in enumerate(q):
+            # written so that a NaN quantile fails too
+            if not (abs(qj) <= _BLOWUP and qj < 0.0):
+                raise _path_error("quantile path left the valid region", j, t, burn_in)
+        row = y[t].tolist()
+        for j, (_, _, tau) in enumerate(assets):
+            delta = tau * (0.0 - es[j])
+            if not delta > 0.0:
+                raise _path_error("scale path became non-positive", j, t, burn_in)
+            row[j] = q[j] + delta * row[j]
+        y[t] = row
 
-        raw = _draw_raw(scenario, cons, chol, rng)
-        delta = tau * (0.0 - es)
-        if np.any(delta <= 0.0):
-            raise PathError("simulated scale path became non-positive", index=t)
-        y[t] = q + delta * raw
-
-    return y[scenario.burn_in :]
+    return y[burn_in:]
 
 
 def _truth_map(params):

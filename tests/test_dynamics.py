@@ -149,6 +149,16 @@ def test_es_multiplicative_steeper_than_quantile():
     np.testing.assert_allclose(rp.delta, 0.1 * (0.0 - rp.es), rtol=1e-14)
 
 
+@pytest.mark.parametrize("gamma0", [-1.1, -1.5, -1.3, 0.0, 0.7, -30.0])
+def test_shortfall_factor_is_derived_once_with_np_exp(gamma0):
+    link = ESLink(MULT, gamma0=gamma0)
+    assert link.factor == 1.0 + np.exp(gamma0)
+    q = np.random.default_rng(2).normal(-1.0, 0.3, size=50)
+    assert np.array_equal(dyn.shortfall(link, q, None), (1.0 + np.exp(gamma0)) * q)
+    assert all(dyn.shortfall(link, v, None) == (1.0 + np.exp(gamma0)) * v for v in q.tolist())
+    assert ESLink(AR, gamma=[0.1, 0.2, 0.3]).factor is None
+
+
 def test_es_ar_zero_gammas_zero_x0_collapses_to_quantile():
     rng = np.random.default_rng(3)
     y = rng.normal(size=100)

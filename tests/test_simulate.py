@@ -1,0 +1,200 @@
+"""The simulator against its per-period reference, its errors and its inputs.
+
+``reference_generate`` below is the per-period loop that ``generate``
+replaced, kept verbatim as the oracle: every panel must match it byte for
+byte, and every failing scenario must fail at the same row. It also pins the
+draw order, so a panel stays the same across versions.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from quantes import dynamics as dyn
+from quantes import simulate
+from quantes.estimation import ParameterSet
+from quantes.exceptions import PathError, ValidationError
+from quantes.linalg import cholesky_with_jitter
+from quantes.mal import MALConstraints, assemble_sigma
+from quantes.simulate import FAMILIES, SimScenario, generate, reference_params
+
+_BLOWUP = 1e6
+
+
+# -- the per-period reference -------------------------------------------------
+
+
+def _draw_raw(scenario, cons, chol, rng):
+    p = cons.p
+    if scenario.error_family == "none":
+        return np.zeros(p)
+    z = chol @ rng.standard_normal(p)
+    if scenario.error_family == "student_t":
+        g = rng.chisquare(scenario.df)
+        return cons.xi_tilde + np.sqrt(scenario.df / g) * z
+    w = rng.exponential(1.0)
+    return cons.xi_tilde * w + np.sqrt(w) * z
+
+
+def reference_generate(scenario, replication=0):
+    """Simulate one replication; returns a (T, p) matrix after burn-in."""
+    params = scenario.params
+    p = params.p
+    tau = scenario.tau
+    cons = MALConstraints.from_levels(tau)
+    chol = cholesky_with_jitter(assemble_sigma(params.psi, cons))
+    rng = np.random.default_rng([int(scenario.seed), int(replication)])
+
+    total = scenario.burn_in + scenario.T
+    y = np.empty((total, p))
+    q = simulate._initial_state(params)
+    x = np.array([link.x0 for link in params.links])
+    es = np.array([dyn.shortfall(link, q[j], x[j]) for j, link in enumerate(params.links)])
+
+    for t in range(total):
+        if t > 0:
+            for j, (spec, link) in enumerate(zip(params.specs, params.links)):
+                q[j], es[j], x[j] = dyn.risk_step(spec, link, q[j], y[t - 1, j], x[j])
+        if np.any(np.abs(q) > _BLOWUP) or np.any(q >= 0.0):
+            raise PathError("simulated quantile path left the valid region", index=t)
+
+        raw = _draw_raw(scenario, cons, chol, rng)
+        delta = tau * (0.0 - es)
+        if np.any(delta <= 0.0):
+            raise PathError("simulated scale path became non-positive", index=t)
+        y[t] = q + delta * raw
+
+    return y[scenario.burn_in :]
+
+
+# -----------------------------------------------------------------------------
+
+
+def _outcome(gen, scenario, replication):
+    """The panel's bytes, or the row at which the run fails."""
+    try:
+        return gen(scenario, replication).tobytes()
+    except PathError as exc:
+        return ("PathError", exc.index)
+
+
+def _blowup_params(p=2, column=1):
+    """SAV/MULT truth whose ``column`` has eta = 1.05, so its quantile grows
+    geometrically until it leaves the valid region."""
+    truth = reference_params(dyn.SAV, dyn.MULT, p)
+    specs = list(truth.specs)
+    specs[column] = dyn.CaviarSpec(dyn.SAV, -0.2, 1.05, [-0.1])
+    return ParameterSet(specs=tuple(specs), links=truth.links, psi=truth.psi)
+
+
+@pytest.mark.parametrize(
+    "kind,link,family", list(itertools.product(dyn.KINDS, dyn.LINKS, FAMILIES))
+)
+def test_generate_is_the_per_period_loop_byte_for_byte(kind, link, family):
+    failed = 0
+    for p, burn_in in itertools.product((1, 2, 3, 5), (0, 200)):
+        scenario = SimScenario(
+            params=reference_params(kind, link, p),
+            tau=np.linspace(0.05, 0.15, p),
+            T=250,
+            error_family=family,
+            df=4.0,
+            burn_in=burn_in,
+            seed=p,
+        )
+        got = _outcome(generate, scenario, burn_in)
+        assert got == _outcome(reference_generate, scenario, burn_in), (p, burn_in)
+        failed += isinstance(got, tuple)
+    # the comparison is of panels, not only of matching failures
+    assert failed < 8
+
+
+@pytest.mark.parametrize("burn_in", [0, 50])
+def test_blowup_raises_at_the_reference_row(burn_in):
+    scenario = SimScenario(params=_blowup_params(), tau=np.full(2, 0.1), T=500,
+                           burn_in=burn_in, seed=3)
+    with pytest.raises(PathError) as ref:
+        reference_generate(scenario)
+    with pytest.raises(PathError) as got:
+        generate(scenario)
+    assert got.value.index == ref.value.index
+    assert 0 < got.value.index < 500
+
+
+def test_path_errors_name_the_column_and_the_burn_in():
+    tau = np.full(3, 0.1)
+    params = _blowup_params(p=3, column=2)
+    with pytest.raises(PathError) as short:
+        generate(SimScenario(params=params, tau=tau, T=500, burn_in=0, seed=3))
+    index = short.value.index
+    assert "column 2 " in str(short.value)
+    assert f"at returned row {index} " in str(short.value)
+
+    with pytest.raises(PathError) as long:
+        generate(SimScenario(params=params, tau=tau, T=500, burn_in=index + 10, seed=3))
+    assert long.value.index == index
+    assert "column 2 " in str(long.value)
+    assert f"in the {index + 10}-row burn-in" in str(long.value)
+    assert f"row {index} of the full run" in str(long.value)
+
+
+@pytest.mark.parametrize(
+    "q_next,es_next,what",
+    [(math.nan, -1.0, "quantile path"), (-1.0, math.nan, "scale path")],
+    ids=["nan-quantile", "nan-scale"],
+)
+def test_nan_paths_are_rejected(monkeypatch, q_next, es_next, what):
+    step = dyn.risk_step
+    calls = []
+
+    def poisoned(spec, link, q, y, x):
+        calls.append(None)
+        if len(calls) == 7:  # asset 0 of period 4 at p=2
+            return q_next, es_next, x
+        return step(spec, link, q, y, x)
+
+    monkeypatch.setattr(dyn, "risk_step", poisoned)
+    scenario = SimScenario(params=reference_params(p=2), tau=np.full(2, 0.1), T=20,
+                           burn_in=0, seed=1)
+    with pytest.raises(PathError, match=f"{what} .* column 0 ") as err:
+        generate(scenario)
+    assert err.value.index == 4
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("T", 4.5),
+        ("T", 100.0),
+        ("T", True),
+        ("T", "100"),
+        ("burn_in", 2.5),
+        ("burn_in", False),
+        ("B", 3.0),
+        ("B", True),
+    ],
+)
+def test_scenario_rejects_non_integer_counts(field, value):
+    kwargs = {"params": reference_params(p=2), "tau": np.full(2, 0.1), "T": 50}
+    kwargs[field] = value
+    with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+        SimScenario(**kwargs)
+
+
+@pytest.mark.parametrize("family", ["student_t", "normal"])
+@pytest.mark.parametrize("df", [math.inf, math.nan])
+def test_scenario_rejects_non_finite_df(family, df):
+    with pytest.raises(ValidationError, match="df must be finite"):
+        SimScenario(params=reference_params(p=2), tau=np.full(2, 0.1), T=50,
+                    error_family=family, df=df)
+
+
+def test_numpy_integer_counts_give_the_same_panel():
+    params = reference_params(p=2)
+    plain = SimScenario(params=params, tau=np.full(2, 0.1), T=60, burn_in=20, B=3)
+    numpy = SimScenario(params=params, tau=np.full(2, 0.1), T=np.int64(60),
+                        burn_in=np.int32(20), B=np.int64(3))
+    assert type(numpy.T) is int and type(numpy.burn_in) is int and type(numpy.B) is int
+    assert generate(numpy).tobytes() == generate(plain).tobytes()
