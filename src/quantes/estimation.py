@@ -6,9 +6,10 @@ and z_t = E[1/W_t | y_t] built from ratios of modified Bessel functions.
 The M-step cycles through three conditional blocks: the quantile recursion
 coefficients, the shortfall-link coefficients given the new quantile paths,
 and the correlation matrix, whose closed-form update is rescaled back onto
-the correlation manifold. Numerical maximization uses a simplex search on
-the first sweep to move off the start, then quasi-Newton refinement with
-exact gradients from forward sensitivity recursions.
+the correlation manifold. With the weights fixed, the Q-value's main term
+is a weighted quadratic in the scaled residuals, so each dynamic block
+moves by a few guarded Levenberg-Marquardt steps on its Gauss-Newton
+metric, with exact gradients from forward sensitivity recursions.
 
 The likelihood rows come from the density core in ``mal``, with the
 quadratic form floored at ``_M_FLOOR``; the expected complete-data
@@ -17,7 +18,7 @@ objective (the Q-value) is computed only in :func:`_assemble`.
 The scheme is a generalized EM (Dempster, Laird & Rubin 1977, JRSS-B 39):
 each block's move is only a proposal, kept when the Q-value at the current
 weights does not fall, so the observed log-likelihood never decreases,
-whatever the inner optimizer budgets are. The quantile block is proposed
+however few steps a block takes. The quantile block is proposed
 with the scale paths frozen, which keeps its first-order condition
 centered on the conditional-quantile fit itself, so the quantile dynamics
 are recovered without bias even when the innovation distribution is not
@@ -29,9 +30,10 @@ parallel worker processes with no shared state beyond the arguments.
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from . import dynamics as dyn
 from .exceptions import NumericError, PathError, ValidationError
@@ -50,11 +52,10 @@ __all__ = [
     "fit",
 ]
 
-_PENALTY = 1e10
 _LOG_FLOOR = math.log(1e-10)
 _M_FLOOR = 1e-300
-_SIMPLEX_MAXITER = 400  # Nelder-Mead budget of a block, first EM iteration only
-_GRADIENT_MAXITER = 60  # L-BFGS-B budget of a block
+_LM_STEPS = 3  # kept Levenberg-Marquardt steps of a block per pass
+_LM_TRIES = 8  # Levenberg-Marquardt tries of a block per pass
 _INIT_CANDIDATES = 24  # random univariate candidates per asset
 _PERTURB_SD = 0.1  # sd of the multiplicative noise of starts after the first
 _ETA_BOUND = 0.999  # |eta| bound of the quantile recursions
@@ -69,7 +70,7 @@ class EMConfig:
     is unperturbed). ``tol`` is the absolute change in observed
     log-likelihood between consecutive iterations that counts as converged,
     ``max_iterations`` caps the iterations of a start, and ``seed`` drives
-    every random draw. The optimizer budgets are module constants.
+    every random draw. The step budget of a block is a module constant.
     """
 
     tol: float = 1e-5
@@ -204,47 +205,23 @@ def _unpack(theta, kind, link_kind, p, x0s):
     return tuple(specs), tuple(links)
 
 
-def _quantile_bounds(kind, p):
+def _bounds(kind, link_kind, p):
+    """Box ``(lo, hi)`` of the packed vector: |eta| <= _ETA_BOUND, and the
+    link coefficients in a fixed interval."""
     nq = 4 if kind == dyn.AS else 3
-    bounds = []
-    for _ in range(p):
-        for i in range(nq):
-            bounds.append((-_ETA_BOUND, _ETA_BOUND) if i == 1 else (None, None))
-    return bounds
-
-
-def _link_bounds(link_kind, p):
+    lo, hi = np.full(nq, -np.inf), np.full(nq, np.inf)
+    lo[1], hi[1] = -_ETA_BOUND, _ETA_BOUND
     # keeps the shortfall gap away from the degenerate closure es -> q,
     # where the likelihood rewards steering quantile paths through data
     # points, and away from overflow on the other side
     if link_kind == dyn.MULT:
-        return [(-12.0, 8.0)] * p
-    return [(_LOG_FLOOR + 1e-6, 8.0)] * (3 * p)
+        lo, hi = np.append(lo, -12.0), np.append(hi, 8.0)
+    else:
+        lo, hi = np.append(lo, [_LOG_FLOOR + 1e-6] * 3), np.append(hi, [8.0] * 3)
+    return np.tile(lo, p), np.tile(hi, p)
 
 
 # -- paths of a packed parameter vector --------------------------------------
-
-
-def _link_scale(link_kind, b, q, ycol, x0j, tau_j, want_grad=False):
-    """Scale path of one asset's packed link coefficients ``b`` given its
-    quantile path ``q``, with its (T, len(b)) derivative under ``want_grad``
-    (else None); None when the scale is not finite and positive, or the
-    requested derivative is not finite."""
-    gamma = b[0] if link_kind == dyn.MULT else np.exp(np.clip(b, _LOG_FLOOR, 60.0))
-    try:
-        delta, _, d = dyn.scale_path(link_kind, gamma, q, ycol, tau_j, x0j, want_grad)
-    except PathError:
-        return None
-    if not np.all(np.isfinite(delta)):
-        return None
-    if want_grad and link_kind == dyn.AR:
-        # chain rule through the log-parameterization; an offset near the
-        # overflow threshold can carry it past
-        with np.errstate(over="ignore"):
-            d = d * gamma
-        if not np.all(np.isfinite(d)):
-            return None
-    return delta, d
 
 
 def _paths(specs, links, y, q0, tau):
@@ -311,13 +288,15 @@ def _weights(v, cache):
     return u, z
 
 
-def _assemble(y, q, dl, cache, u, z, dq=None, ddl=None):
+def _assemble(y, q, dl, cache, u, z, dq=None, ddl=None, metric=False):
     """Q-function value and, given derivative arrays, its gradient.
 
     ``dq`` and ``ddl`` are (p, T, nb): derivatives of the quantile and scale
     paths with respect to each asset's nb block entries; None stands for
     identically zero. The gradient is packed asset by asset, or None when
-    both are None.
+    both are None. Under ``metric`` a third item is the Gauss-Newton metric
+    H = sum_t z_t J_t' inv(Psi~) J_t of the quadratic term, with J the
+    derivative of the scaled residuals, packed like the gradient.
     """
     rows = (y - q) / dl
     au = rows @ cache.inv
@@ -339,7 +318,14 @@ def _assemble(y, q, dl, cache, u, z, dq=None, ddl=None):
         grad = grad - np.einsum("tj,jti->ji", coeff, dq)
     if ddl is not None:
         grad = grad - np.einsum("tj,jti->ji", coeff * rows + 1.0 / dl, ddl)
-    return val, grad.ravel()
+    if not metric:
+        return val, grad.ravel()
+    jac = (0.0 if dq is None else dq) + (0.0 if ddl is None else rows.T[:, :, None] * ddl)
+    # row (j, i) of flat is J[j, :, i]; H[j, i, k, l] = inv[j, k] sum_t z_t J J
+    p, _, n = jac.shape
+    flat = (jac / -dl.T[:, :, None]).transpose(0, 2, 1).reshape(p * n, -1)
+    h = ((flat * z) @ flat.T).reshape(p, n, p, n) * cache.inv[:, None, :, None]
+    return val, grad.ravel(), h.reshape(p * n, p * n)
 
 
 def q_function(params, y, tau, q0, u, z):
@@ -386,200 +372,154 @@ def sigma_m_step(u_rows, u, z, constraints):
     return nearest_pd_correlation(corr)
 
 
-class _StepBase:
-    """Negative objective over one conditional block of packed parameters.
-
-    Subclasses fill ``_q``/``_dl`` (and, under ``want_grad``, whichever of
-    the derivative buffers ``_dpath``/``_dscale`` is not identically zero)
-    for a candidate block vector; invalid parameter regions return a large
-    penalty with a zero gradient, which the line searches back away from.
-    Work buffers are reused across evaluations, so one instance must not be
-    shared between threads.
-    """
-
-    _dpath = None
-    _dscale = None
-
-    def value(self, theta):
-        if not self._fill(theta, False):
-            return _PENALTY
-        val, _ = _assemble(self.y, self._q, self._dl, self.cache, self.u, self.z)
-        return -val if np.isfinite(val) else _PENALTY
-
-    def value_and_grad(self, theta):
-        if not self._fill(theta, True):
-            return _PENALTY, np.zeros_like(theta)
-        val, grad = _assemble(
-            self.y, self._q, self._dl, self.cache, self.u, self.z,
-            self._dpath, self._dscale,
-        )
-        if not np.isfinite(val):
-            return _PENALTY, np.zeros_like(theta)
-        return -val, -grad
-
-
-class _QuantileStep(_StepBase):
-    """Quantile-coefficient block with the scale paths held fixed.
+def _quantile_block(b, y, kind, q0, dl):
+    """Paths of the quantile block ``b`` with the scale paths ``dl`` frozen.
 
     Holding the scales makes this block's score the conditional-quantile
-    fitting condition itself; the scale derivatives are therefore
-    identically zero. Candidate paths must stay strictly negative so the
-    shortfall links remain feasible when the scales are re-derived.
+    fitting condition itself. Returns ``(q, dl, dq, None)``, or None when a
+    path fails or leaves q < 0, which the shortfall links need when the
+    scales are re-derived.
     """
-
-    def __init__(self, y, kind, q0, cache, u, z, delta_fixed):
-        self.y = y
-        self.kind = kind
-        self.q0 = q0
-        self.cache = cache
-        self.u = u
-        self.z = z
-        self.T, self.p = y.shape
-        self.nq = 4 if kind == dyn.AS else 3
-        self._q = np.empty((self.T, self.p))
-        self._dl = delta_fixed
-        self._dpath = np.zeros((self.p, self.T, self.nq))
-
-    def _fill(self, theta, want_grad):
-        nq = self.nq
-        for j in range(self.p):
-            try:
-                qj, dqj = dyn.filter_path(
-                    self.kind, theta[j * nq : (j + 1) * nq], self.y[:, j], self.q0[j],
-                    want_grad,
-                )
-            except PathError:
-                return False
-            if not np.all(qj < 0.0):
-                return False
-            self._q[:, j] = qj
-            if want_grad:
-                self._dpath[j] = dqj
-        return True
-
-
-class _LinkStep(_StepBase):
-    """Shortfall-link block given fixed quantile paths.
-
-    With the quantile paths frozen this is an exact conditional
-    maximization of the full expected complete-data objective; the quantile
-    derivatives are identically zero.
-    """
-
-    def __init__(self, y, link_kind, tau, x0s, q_fixed, cache, u, z):
-        self.y = y
-        self.link_kind = link_kind
-        self.tau = tau
-        self.x0s = x0s
-        self.cache = cache
-        self.u = u
-        self.z = z
-        self.T, self.p = y.shape
-        self.nl = 3 if link_kind == dyn.AR else 1
-        self._q = q_fixed
-        self._dl = np.empty((self.T, self.p))
-        self._dscale = np.zeros((self.p, self.T, self.nl))
-
-    def _fill(self, theta, want_grad):
-        nl = self.nl
-        for j in range(self.p):
-            res = _link_scale(
-                self.link_kind, theta[j * nl : (j + 1) * nl], self._q[:, j], self.y[:, j],
-                self.x0s[j], self.tau[j], want_grad,
-            )
-            if res is None:
-                return False
-            self._dl[:, j] = res[0]
-            if want_grad:
-                self._dscale[j] = res[1]
-        return True
-
-
-def _maximize(objective, theta0, bounds, use_simplex):
-    """Inner minimizer for one block: simplex warmup, quasi-Newton polish.
-
-    Returns whichever candidate (including ``theta0`` itself) achieves the
-    best value, so a block update never loses ground on its own objective.
-    """
-    theta0 = np.asarray(theta0, dtype=float)
-    candidates = [theta0]
-    seed = theta0
-    if bounds is not None:
-        # scipy's ``None`` means unbounded; np.clip needs numeric limits
-        lo = np.array([-np.inf if b[0] is None else b[0] for b in bounds], dtype=float)
-        hi = np.array([np.inf if b[1] is None else b[1] for b in bounds], dtype=float)
-        seed = np.clip(theta0, lo, hi)
-        if not np.array_equal(seed, theta0):
-            candidates.append(seed)
-    if use_simplex:
+    T, p = y.shape
+    nq = b.size // p
+    q = np.empty((T, p))
+    dq = np.empty((p, T, nq))
+    for j in range(p):
         try:
-            nm = optimize.minimize(
-                objective.value,
-                seed,
-                method="Nelder-Mead",
-                bounds=bounds,
-                options={"maxiter": _SIMPLEX_MAXITER, "xatol": 1e-8, "fatol": 1e-10},
+            q[:, j], dq[j] = dyn.filter_path(
+                kind, b[j * nq : (j + 1) * nq], y[:, j], q0[j], jacobian=True
             )
-            candidates.append(np.asarray(nm.x, dtype=float))
-        except ValueError:
-            pass
-    try:
-        qn = optimize.minimize(
-            objective.value_and_grad,
-            candidates[-1],
-            method="L-BFGS-B",
-            jac=True,
-            bounds=bounds,
-            options={"maxiter": _GRADIENT_MAXITER, "ftol": 1e-11, "gtol": 1e-8},
+        except PathError:
+            return None
+    if not np.all(q < 0.0):
+        return None
+    return q, dl, dq, None
+
+
+def _link_block(b, y, link_kind, tau, x0s, q):
+    """Paths of the link block ``b`` given the frozen quantile paths ``q``:
+    ``(q, dl, None, ddl)``, or None when a scale is not finite and positive
+    or its derivative is not finite."""
+    T, p = y.shape
+    nl = b.size // p
+    gamma = b if link_kind == dyn.MULT else np.exp(np.clip(b, _LOG_FLOOR, 60.0))
+    dl = np.empty((T, p))
+    ddl = np.empty((p, T, nl))
+    for j in range(p):
+        g = gamma[j] if link_kind == dyn.MULT else gamma[j * nl : (j + 1) * nl]
+        try:
+            dl[:, j], _, ddl[j] = dyn.scale_path(
+                link_kind, g, q[:, j], y[:, j], tau[j], x0s[j], True
+            )
+        except PathError:
+            return None
+    if not np.all(np.isfinite(dl)):
+        return None
+    if link_kind == dyn.AR:
+        # chain rule through the log-parameterization; an offset near the
+        # overflow threshold can carry it past
+        with np.errstate(over="ignore"):
+            ddl *= gamma.reshape(p, 1, nl)
+        if not np.all(np.isfinite(ddl)):
+            return None
+    return q, dl, None, ddl
+
+
+def _lm_move(block, b, lo, hi, log_scale, y, cache, u, z):
+    """Levenberg-Marquardt ascent of one block's Q-value from ``b``.
+
+    ``block`` maps a block vector to its paths ``(q, dl, dq, ddl)`` or None.
+    Each try solves (H + lam diag H) d = grad Q, with H the Gauss-Newton
+    metric of :func:`_assemble`, and clips b + d to [lo, hi]. Entries on a
+    bound whose gradient points out of the box are held. Under
+    ``log_scale`` every entry is the log of a coefficient, and the step is
+    taken on the coefficient: b + log(1 + d), so a coefficient near its
+    floor does not jump across the box. A try is kept only if the block's
+    Q-value does not fall, then lam shrinks tenfold; otherwise it grows
+    tenfold. With the E-step weights fixed every kept step is a generalized
+    EM step (Lange 1995, the EM-gradient algorithm). Stops after
+    ``_LM_STEPS`` kept steps or ``_LM_TRIES`` tries and returns the list of
+    kept vectors, first to last (empty when none was kept).
+    """
+    paths = block(b)
+    if paths is None:
+        return []
+    val, grad, h = _assemble(y, *paths[:2], cache, u, z, *paths[2:], metric=True)
+    lam = 1e-3
+    kept = []
+    for _ in range(_LM_TRIES):
+        free = ~(((b <= lo) & (grad < 0.0)) | ((b >= hi) & (grad > 0.0)))
+        d = np.zeros_like(b)
+        try:
+            d[free] = np.linalg.solve((h + lam * np.diag(np.diag(h)))[np.ix_(free, free)],
+                                      grad[free])
+        except np.linalg.LinAlgError:
+            d[:] = np.nan
+        if log_scale:
+            # d is a relative change of the coefficient, floored so b + d >= lo
+            with np.errstate(divide="ignore"):
+                d = np.log1p(np.maximum(d, np.expm1(lo - b)))
+        cand = np.clip(b + d, lo, hi)
+        paths = block(cand) if np.all(np.isfinite(cand)) else None
+        res = None if paths is None else _assemble(
+            y, *paths[:2], cache, u, z, *paths[2:], metric=True
         )
-        candidates.append(np.asarray(qn.x, dtype=float))
-    except ValueError:
-        pass
-    values = [objective.value(c) for c in candidates]
-    return candidates[int(np.argmin(values))]
+        if res is None or not res[0] >= val:
+            lam *= 10.0
+            continue
+        b, (val, grad, h) = cand, res
+        lam /= 10.0
+        kept.append(b)
+        if len(kept) == _LM_STEPS:
+            break
+    return kept
 
 
-def _update_dynamics(y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, q, dl,
-                     use_simplex):
+def _update_dynamics(y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, q, dl):
     """One guarded pass over the dynamic-parameter blocks.
 
-    ``(q, dl)`` are the paths of ``theta``. The quantile block is proposed
-    against the frozen scales ``dl``, then the link block against the
-    current quantile paths. A block's move is kept only if the Q-value at
-    its re-derived paths is not below the current one, so the Q-value never
-    falls. Returns the new packed vector with its paths.
+    ``(q, dl)`` are the paths of ``theta``. The quantile block moves by
+    :func:`_lm_move` against the frozen scales ``dl``, then the link block
+    against the current quantile paths. A block keeps the last of its kept
+    steps at which the Q-value of the re-derived paths is not below the
+    current one, so the Q-value never falls. Returns the new packed vector
+    with its paths.
     """
     p = y.shape[1]
     nq = 4 if kind == dyn.AS else 3
-    nl = 3 if link_kind == dyn.AR else 1
-    nb = nq + nl
+    nb = _n_dynamic(kind, link_kind)
+    lo, hi = _bounds(kind, link_kind, p)
     blocks = (
-        (np.arange(nq), _quantile_bounds(kind, p),
-         lambda q, dl: _QuantileStep(y, kind, q0, cache, u, z, dl)),
-        (nq + np.arange(nl), _link_bounds(link_kind, p),
-         lambda q, dl: _LinkStep(y, link_kind, tau, x0s, q, cache, u, z)),
+        (np.arange(nq), False, lambda b, q, dl: _quantile_block(b, y, kind, q0, dl)),
+        (np.arange(nq, nb), True, lambda b, q, dl: _link_block(b, y, link_kind, tau, x0s, q)),
     )
     val = _assemble(y, q, dl, cache, u, z)[0]
-    for offsets, bounds, objective in blocks:
+    for offsets, log_scale, block in blocks:
         sel = np.concatenate([j * nb + offsets for j in range(p)])
-        cand = theta.copy()
-        cand[sel] = _maximize(objective(q, dl), theta[sel], bounds, use_simplex)
-        try:
-            q_c, dl_c = _panel_paths(kind, link_kind, cand, y, q0, x0s, tau)
-        except PathError:
-            continue
-        val_c = _assemble(y, q_c, dl_c, cache, u, z)[0]
-        if val_c >= val:
-            theta, q, dl, val = cand, q_c, dl_c, val_c
+        steps = _lm_move(
+            partial(block, q=q, dl=dl), theta[sel], lo[sel], hi[sel], log_scale, y, cache, u, z,
+        )
+        for step in reversed(steps):
+            cand = theta.copy()
+            cand[sel] = step
+            try:
+                q_c, dl_c = _panel_paths(kind, link_kind, cand, y, q0, x0s, tau)
+            except PathError:
+                continue
+            val_c = _assemble(y, q_c, dl_c, cache, u, z)[0]
+            if val_c >= val:
+                theta, q, dl, val = cand, q_c, dl_c, val_c
+                break
     return theta, q, dl
 
 
 def dynamic_m_step(params, y, tau, q0, u, z):
     """Conditional maximization over the recursion coefficients, psi fixed.
 
-    The EM's guarded pass: a quantile move proposed against frozen scale
-    paths, then a link move against the new quantile paths, each kept only
-    when the full objective does not fall. Returns a parameter set with
+    The EM's guarded pass: Levenberg-Marquardt steps on the quantile block
+    against frozen scale paths, then on the link block against the new
+    quantile paths, each block's move kept only when the full objective
+    does not fall. Returns a parameter set with
     updated specs and links; the value of :func:`q_function` at the packed
     coefficients never decreases.
     """
@@ -597,7 +537,7 @@ def dynamic_m_step(params, y, tau, q0, u, z):
     q, dl = _panel_paths(kind, link_kind, theta, y, q0, x0s, tau)
     theta, _, _ = _update_dynamics(
         y, tau, q0, x0s, kind, link_kind, cache,
-        np.asarray(u, float), np.asarray(z, float), theta, q, dl, use_simplex=True,
+        np.asarray(u, float), np.asarray(z, float), theta, q, dl,
     )
     specs, links = _unpack(theta, kind, link_kind, tau.size, x0s)
     return ParameterSet(specs=specs, links=links, psi=params.psi)
@@ -676,8 +616,7 @@ def _em_chain(y, tau, q0, x0s, theta0, psi0, kind, link_kind, config, callback, 
         iterations = it
         u, z = _weights((y - q) / dl, cache)
         theta, q, dl = _update_dynamics(
-            y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, q, dl,
-            use_simplex=(it == 1),
+            y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, q, dl
         )
         if p > 1:
             try:

@@ -53,6 +53,13 @@ FAMILIES = ("normal", "student_t", "none")
 _BLOWUP = 1e6
 
 
+def _integer(name, value):
+    """``value`` as an ``int``; a bool or a non-integral number raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SimScenario:
     """A data-generating configuration for one study."""
@@ -73,11 +80,8 @@ class SimScenario:
             raise ValidationError("df must be finite")
         if self.error_family == "student_t" and self.df <= 2.0:
             raise ValidationError("student_t requires df > 2")
-        for name in ("T", "burn_in", "B"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name in ("T", "burn_in", "B", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.T <= 0 or self.burn_in < 0 or self.B <= 0:
             raise ValidationError("T and B must be positive, burn_in non-negative")
         object.__setattr__(self, "tau", as_levels(self.tau))
@@ -211,13 +215,14 @@ def generate(scenario, replication=0):
     Raises :class:`PathError` when a quantile leaves [-1e6, 0) or is NaN, or
     a scale is not positive; its ``index`` counts rows from the first
     burn-in row, and the message names the column and whether that row lies
-    in the burn-in.
+    in the burn-in. A bool or non-integral ``replication`` raises
+    :class:`ValidationError`.
     """
     params = scenario.params
     burn_in = scenario.burn_in
     cons = MALConstraints.from_levels(scenario.tau)
     chol = cholesky_with_jitter(assemble_sigma(params.psi, cons))
-    rng = np.random.default_rng([int(scenario.seed), int(replication)])
+    rng = np.random.default_rng([scenario.seed, _integer("replication", replication)])
 
     # each row of shocks is overwritten by that period's returns
     y = _draw_shocks(scenario, cons, chol, rng, burn_in + scenario.T)

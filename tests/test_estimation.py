@@ -12,7 +12,6 @@ from quantes.estimation import (
     ParameterSet,
     _assemble,
     _loglik_rows,
-    _maximize,
     _panel_paths,
     dynamic_m_step,
     e_step,
@@ -208,56 +207,6 @@ def test_dynamic_m_step_never_lowers_objective():
     assert after >= before
 
 
-class _Quadratic:
-    """Weighted quadratic with the ``value``/``value_and_grad`` pair _maximize uses."""
-
-    def __init__(self, center, weight):
-        self.center = np.asarray(center, dtype=float)
-        self.weight = np.asarray(weight, dtype=float)
-        self.visited = []
-
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        self.visited.append(x.copy())
-        return float(np.sum(self.weight * (x - self.center) ** 2))
-
-    def value_and_grad(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x - self.center
-        return float(np.sum(self.weight * d**2)), 2.0 * self.weight * d
-
-
-# scipy's (None, None) marks an unbounded coordinate, as _quantile_bounds does
-MIXED_BOUNDS = [(None, None), (-0.5, 0.5), (None, None), (0.0, 2.0)]
-
-
-@pytest.mark.parametrize("use_simplex", [False, True])
-def test_maximize_mixed_none_and_finite_bounds(use_simplex):
-    objective = _Quadratic(center=[0.3, 0.9, -1.0, 1.0], weight=[1.0, 2.0, 0.5, 1.0])
-    # coordinate 1 starts outside its box; the unbounded ones sit away from 0
-    theta0 = np.array([1.5, 3.0, -2.0, 1.0])
-    start_value = objective.value(theta0)
-    best = _maximize(objective, theta0, MIXED_BOUNDS, use_simplex)
-    assert np.all(np.isfinite(best))
-    assert objective.value(best) <= start_value
-    assert -0.5 <= best[1] <= 0.5
-    assert 0.0 <= best[3] <= 2.0
-    # the clamped seed is evaluated as a candidate: only the finite-bounded
-    # entry moved, the (None, None) entries kept their starting values
-    seed = np.array([1.5, 0.5, -2.0, 1.0])
-    assert any(np.array_equal(x, seed) for x in objective.visited)
-
-
-@pytest.mark.parametrize("use_simplex", [False, True])
-def test_maximize_without_bounds(use_simplex):
-    objective = _Quadratic(center=[0.3, 0.9, -1.0], weight=[1.0, 2.0, 0.5])
-    theta0 = np.array([1.5, 3.0, -2.0])
-    start_value = objective.value(theta0)
-    best = _maximize(objective, theta0, None, use_simplex)
-    assert np.all(np.isfinite(best))
-    assert objective.value(best) <= start_value
-
-
 # -- full fits ----------------------------------------------------------------
 
 
@@ -339,7 +288,7 @@ def test_fit_warm_start_stays_near_truth():
     result = fit(y, tau, config=EMConfig(n_starts=1, seed=0), init=params)
     assert isinstance(result, FitResult)
     assert result.converged and result.stop_reason == "tol"
-    assert result.iterations == 30
+    assert result.iterations == 28
     q0 = result.q0
     assert result.loglik >= observed_loglik(params, y, tau, q0) - 1e-6
     for got, true in zip(result.params.specs, params.specs):

@@ -420,11 +420,31 @@ def _central_difference(fun, theta, rel=1e-6):
     return grad
 
 
-def _check_gradient(step, theta):
-    val, grad = step.value_and_grad(theta)
-    assert val == step.value(theta)
-    assert val < est._PENALTY
-    fd = _central_difference(step.value, theta)
+def _blocks(kind, link_kind, y, tau, q0, x0s, q, dl, theta):
+    """The quantile block (scales frozen at ``dl``) and the link block
+    (quantile paths frozen at ``q``), each as (paths function, packed
+    entries)."""
+    nq = 4 if kind == dyn.AS else 3
+    nb = theta.size // y.shape[1]
+    q_sel = np.concatenate([j * nb + np.arange(nq) for j in range(y.shape[1])])
+    l_sel = np.concatenate([j * nb + np.arange(nq, nb) for j in range(y.shape[1])])
+    return (
+        (lambda b: est._quantile_block(b, y, kind, q0, dl), q_sel),
+        (lambda b: est._link_block(b, y, link_kind, tau, x0s, q), l_sel),
+    )
+
+
+def _block_value(block, y, cache, u, z, b):
+    paths = block(b)
+    return est._assemble(y, paths[0], paths[1], cache, u, z)[0]
+
+
+def _check_gradient(block, b, y, cache, u, z):
+    paths = block(b)
+    assert paths is not None
+    val, grad = est._assemble(y, *paths[:2], cache, u, z, *paths[2:])
+    assert val == _block_value(block, y, cache, u, z, b)
+    fd = _central_difference(lambda c: _block_value(block, y, cache, u, z, c), b)
     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-6 * max(1.0, np.abs(fd).max()))
 
 
@@ -432,23 +452,91 @@ def _check_gradient(step, theta):
 @pytest.mark.parametrize("link_kind", LINKS)
 def test_quantile_step_gradient_matches_central_differences(kind, link_kind):
     y, tau, q0, x0s, q, dl, u, z, cache, theta = _step_problem(kind, link_kind)
-    nq = 4 if kind == dyn.AS else 3
-    nb = theta.size // y.shape[1]
-    sel = np.concatenate([j * nb + np.arange(nq) for j in range(y.shape[1])])
-    step = est._QuantileStep(y, kind, q0, cache, u, z, dl)
+    (block, sel), _ = _blocks(kind, link_kind, y, tau, q0, x0s, q, dl, theta)
     # off the truth, so the check is not made on a near-zero gradient
-    _check_gradient(step, theta[sel] * 1.05)
+    _check_gradient(block, theta[sel] * 1.05, y, cache, u, z)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("link_kind", LINKS)
 def test_link_step_gradient_matches_central_differences(kind, link_kind):
     y, tau, q0, x0s, q, dl, u, z, cache, theta = _step_problem(kind, link_kind)
-    nq = 4 if kind == dyn.AS else 3
+    _, (block, sel) = _blocks(kind, link_kind, y, tau, q0, x0s, q, dl, theta)
+    _check_gradient(block, theta[sel] + 0.1, y, cache, u, z)
+
+
+# -- the Levenberg-Marquardt move -------------------------------------------------
+
+
+def test_metric_is_the_hessian_where_the_quantile_block_is_quadratic():
+    # with the scales frozen and eta held, a SAV path is linear in omega and
+    # beta, so the frozen-scale Q is quadratic there and -H is its Hessian
+    y, tau, q0, x0s, q, dl, u, z, cache, theta = _step_problem(dyn.SAV, dyn.MULT)
+    (block, sel), _ = _blocks(dyn.SAV, dyn.MULT, y, tau, q0, x0s, q, dl, theta)
+    b = theta[sel] * 1.05
+    paths = block(b)
+    _, _, metric = est._assemble(y, *paths[:2], cache, u, z, *paths[2:], metric=True)
+    free = np.array([0, 2, 3, 5])  # omega and beta of both assets
+    hessian = np.empty((free.size, free.size))
+    for col, i in enumerate(free):
+        h = 1e-3 * max(1.0, abs(b[i]))
+        up, down = b.copy(), b.copy()
+        up[i] += h
+        down[i] -= h
+        g_up = est._assemble(y, *block(up)[:2], cache, u, z, *block(up)[2:])[1]
+        g_down = est._assemble(y, *block(down)[:2], cache, u, z, *block(down)[2:])[1]
+        hessian[:, col] = (g_up - g_down)[free] / (2.0 * h)
+    np.testing.assert_allclose(metric[np.ix_(free, free)], -hessian, rtol=1e-5)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("link_kind", LINKS)
+def test_metric_uses_the_jacobian_of_the_scaled_residuals(kind, link_kind):
+    # H = sum_t z_t J_t' inv J_t with J the central-difference derivative of
+    # (y - q) / dl, for each block; the link block's J is all through dl
+    y, tau, q0, x0s, q, dl, u, z, cache, theta = _step_problem(kind, link_kind)
+    for block, sel in _blocks(kind, link_kind, y, tau, q0, x0s, q, dl, theta):
+        b = theta[sel] * 1.05
+        paths = block(b)
+        _, _, metric = est._assemble(y, *paths[:2], cache, u, z, *paths[2:], metric=True)
+        jac = np.empty(y.shape + (b.size,))
+        for i in range(b.size):
+            h = 1e-6 * max(1.0, abs(b[i]))
+            up, down = b.copy(), b.copy()
+            up[i] += h
+            down[i] -= h
+            r_up = (y - block(up)[0]) / block(up)[1]
+            r_down = (y - block(down)[0]) / block(down)[1]
+            jac[:, :, i] = (r_up - r_down) / (2.0 * h)
+        want = np.einsum("t,tji,jk,tkl->il", z, jac, cache.inv, jac)
+        np.testing.assert_allclose(metric, want, rtol=1e-5, atol=1e-7 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("link_kind", LINKS)
+def test_one_lm_move_keeps_the_block_value_and_the_box(kind, link_kind):
+    y, tau, q0, x0s, q, dl, u, z, cache, theta = _step_problem(kind, link_kind)
+    lo, hi = est._bounds(kind, link_kind, y.shape[1])
     nb = theta.size // y.shape[1]
-    sel = np.concatenate([j * nb + nq + np.arange(nb - nq) for j in range(y.shape[1])])
-    step = est._LinkStep(y, link_kind, tau, x0s, q, cache, u, z)
-    _check_gradient(step, theta[sel] + 0.1)
+    start = theta * 1.05
+    start[1::nb] = est._ETA_BOUND  # eta on its bound
+    blocks = _blocks(kind, link_kind, y, tau, q0, x0s, q, dl, start)
+    for (block, sel), log_scale in zip(blocks, (False, True)):
+        paths = block(start[sel])
+        _, _, metric = est._assemble(y, *paths[:2], cache, u, z, *paths[2:], metric=True)
+        np.testing.assert_allclose(metric, metric.T, rtol=1e-12,
+                                   atol=1e-12 * np.abs(metric).max())
+        eig = np.linalg.eigvalsh(metric)
+        assert eig.min() >= -1e-10 * eig.max()
+        steps = est._lm_move(block, start[sel], lo[sel], hi[sel], log_scale, y, cache, u, z)
+        assert 1 <= len(steps) <= est._LM_STEPS
+        values = [_block_value(block, y, cache, u, z, b) for b in [start[sel], *steps]]
+        assert np.all(np.diff(values) >= 0.0)
+        for moved in steps:
+            assert np.all(lo[sel] <= moved) and np.all(moved <= hi[sel])
+            after = start.copy()
+            after[sel] = moved
+            assert np.all(np.abs(after[1::nb]) <= est._ETA_BOUND)
 
 
 # -- one path evaluator ---------------------------------------------------------
@@ -468,15 +556,12 @@ def test_risk_path_equals_the_em_panel(kind, link_kind):
     theta = est._pack(truth.specs, truth.links)
     specs, links = est._unpack(theta, kind, link_kind, p, x0s)
     q, dl = est._panel_paths(kind, link_kind, theta, y, q0, x0s, tau)
-    nq = 4 if kind == dyn.AS else 3
-    nb = theta.size // p
     for j in range(p):
         path = dyn.risk_path(specs[j], links[j], y[:, j], q0[j], tau[j])
         assert np.array_equal(path.quantile, q[:, j])
         assert np.array_equal(path.delta, dl[:, j])
-        b = theta[j * nb + nq : (j + 1) * nb]
-        scale, _ = est._link_scale(link_kind, b, q[:, j], y[:, j], x0s[j], tau[j])
-        assert np.array_equal(scale, dl[:, j])
+    _, (block, sel) = _blocks(kind, link_kind, y, tau, q0, x0s, q, dl, theta)
+    assert np.array_equal(block(theta[sel])[1], dl)
 
 
 def test_em_panel_rejects_non_finite_coefficients_as_a_path_error():
@@ -492,11 +577,10 @@ def test_link_step_rejects_an_exploding_offset_without_a_warning():
     # g3 = exp(60) blows the offset up: the scale is rejected before the
     # chain rule multiplies the (infinite) derivatives by gamma
     y, tau, q0, x0s, q, dl, u, z, cache, theta = _step_problem(dyn.SAV, dyn.AR)
-    step = est._LinkStep(y, dyn.AR, tau, x0s, q, cache, u, z)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        val, grad = step.value_and_grad(np.tile([-2.0, 8.0, 60.0], y.shape[1]))
-    assert val == est._PENALTY and np.all(grad == 0.0)
+        paths = est._link_block(np.tile([-2.0, 8.0, 60.0], y.shape[1]), y, dyn.AR, tau, x0s, q)
+    assert paths is None
 
 
 def test_link_step_rejects_an_overflowing_gradient_without_a_warning():
@@ -505,12 +589,10 @@ def test_link_step_rejects_an_overflowing_gradient_without_a_warning():
     T = 120
     y, q = np.full((T, 1), -1.0), np.full((T, 1), -0.5)
     tau = np.array([0.1])
-    cache = est._SigmaCache(np.eye(1), MALConstraints.from_levels(tau))
-    step = est._LinkStep(y, dyn.AR, tau, np.zeros(1), q, cache, np.ones(T), np.ones(T))
     theta = np.array([0.0, 0.0, 6.0])
     x, _ = dyn.ar_offset(np.exp(theta), q[:, 0], y[:, 0], 0.0)
     assert np.isfinite(x[-1]) and x[-1] > 1e307
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        val, grad = step.value_and_grad(theta)
-    assert val == est._PENALTY and np.all(grad == 0.0)
+        paths = est._link_block(theta, y, dyn.AR, tau, np.zeros(1), q)
+    assert paths is None

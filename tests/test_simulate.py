@@ -174,6 +174,9 @@ def test_nan_paths_are_rejected(monkeypatch, q_next, es_next, what):
         ("burn_in", False),
         ("B", 3.0),
         ("B", True),
+        ("seed", 1.7),
+        ("seed", 1.0),
+        ("seed", True),
     ],
 )
 def test_scenario_rejects_non_integer_counts(field, value):
@@ -193,8 +196,17 @@ def test_scenario_rejects_non_finite_df(family, df):
 
 def test_numpy_integer_counts_give_the_same_panel():
     params = reference_params(p=2)
-    plain = SimScenario(params=params, tau=np.full(2, 0.1), T=60, burn_in=20, B=3)
+    plain = SimScenario(params=params, tau=np.full(2, 0.1), T=60, burn_in=20, B=3, seed=3)
     numpy = SimScenario(params=params, tau=np.full(2, 0.1), T=np.int64(60),
-                        burn_in=np.int32(20), B=np.int64(3))
+                        burn_in=np.int32(20), B=np.int64(3), seed=np.int64(3))
     assert type(numpy.T) is int and type(numpy.burn_in) is int and type(numpy.B) is int
-    assert generate(numpy).tobytes() == generate(plain).tobytes()
+    assert type(numpy.seed) is int
+    assert generate(numpy, np.int64(3)).tobytes() == generate(plain, 3).tobytes()
+
+
+@pytest.mark.parametrize("replication", [2.9, 2.0, True, "2"])
+def test_generate_rejects_a_non_integer_replication(replication):
+    scenario = SimScenario(params=reference_params(p=2), tau=np.full(2, 0.1), T=50)
+    with pytest.raises(ValidationError, match="replication must be an integer"):
+        generate(scenario, replication)
+
