@@ -247,17 +247,18 @@ def ar_offset(gamma, q, y, x0, dq=None):
 
 
 def quantile_step(spec, q_prev, y_prev):
-    """One recursion step: the quantile for the next period."""
+    """One recursion step: the quantile for the next period.
+
+    The terms are added in :func:`filter_path`'s order, (omega + beta'r) +
+    eta s, so a SAV or AS step equals the path's next row bit for bit. IG
+    steps from q rather than the path's radicand s, so it agrees within 2 ulp.
+    """
     if spec.kind == SAV:
-        return spec.omega + spec.eta * q_prev + spec.beta[0] * abs(y_prev)
+        return spec.omega + spec.beta[0] * abs(y_prev) + spec.eta * q_prev
     if spec.kind == AS:
-        return (
-            spec.omega
-            + spec.eta * q_prev
-            + spec.beta[0] * max(y_prev, 0.0)
-            + spec.beta[1] * max(-y_prev, 0.0)
-        )
-    rad = spec.omega + spec.eta * q_prev**2 + spec.beta[0] * y_prev**2
+        pos, neg = spec.beta[0] * max(y_prev, 0.0), spec.beta[1] * max(-y_prev, 0.0)
+        return spec.omega + pos + neg + spec.eta * q_prev
+    rad = spec.omega + spec.beta[0] * (y_prev * y_prev) + spec.eta * (q_prev * q_prev)
     if rad <= 0.0:
         raise PathError("negative radicand in indirect-GARCH step")
     return -np.sqrt(rad)
@@ -334,7 +335,9 @@ def one_step_forecast(spec, link, q_last, y_last, x_last=0.0):
     """Out-of-sample one-step quantile and shortfall from the last
     in-sample quantile, return and offset: :func:`risk_step` without the
     offset. The offset moves on the last in-sample violation (Taylor 2019),
-    so the forecast follows the rule of the in-sample path exactly."""
+    so the forecast follows the rule of the in-sample path: from row T-1 of
+    :func:`risk_path` it equals row T, exactly for SAV and AS and within
+    2 ulp for IG, whose path carries the radicand rather than q."""
     return risk_step(spec, link, q_last, y_last, x_last)[:2]
 
 

@@ -38,7 +38,7 @@ from scipy import special
 from . import dynamics as dyn
 from .exceptions import NumericError, PathError, ValidationError
 from .linalg import nearest_pd_correlation
-from .mal import MALConstraints, _log_density_rows, _quad_form, _SigmaCache, as_levels
+from .mal import MALConstraints, _log_density_rows, _quad_form, _SigmaCache, as_integer, as_levels
 
 __all__ = [
     "EMConfig",
@@ -71,12 +71,17 @@ class EMConfig:
     log-likelihood between consecutive iterations that counts as converged,
     ``max_iterations`` caps the iterations of a start, and ``seed`` drives
     every random draw. The step budget of a block is a module constant.
+    A bool or non-integral count or seed raises :class:`ValidationError`.
     """
 
     tol: float = 1e-5
     max_iterations: int = 200
     n_starts: int = 100
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("max_iterations", "n_starts", "seed"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ worker processes.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -40,6 +41,7 @@ from .exceptions import DegeneratePointError, ValidationError
 from .linalg import check_correlation, cholesky_with_jitter
 
 __all__ = [
+    "as_integer",
     "as_levels",
     "fixed_skew",
     "fixed_scale",
@@ -55,7 +57,15 @@ __all__ = [
     "al_cdf",
     "al_quantile",
     "al_mean",
+    "al_es",
 ]
+
+
+def as_integer(name, value):
+    """``value`` as an ``int``; a bool or a non-integral number raises."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def as_levels(tau, p=None):
@@ -214,12 +224,6 @@ class ALParams:
     delta_star: float
 
 
-def _as_rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 class _SigmaCache:
     """The Sigma-derived terms of every density evaluation, computed once.
 
@@ -333,17 +337,19 @@ def mal_sample(params, n, seed):
     """Draw ``n`` vectors via the exponential scale-mixture representation.
 
     Y = mu + D xi W + sqrt(W) D Sigma^{1/2} Z with W ~ Exp(1), Z standard
-    normal. ``seed`` is an integer or a ``numpy.random.Generator``.
+    normal. ``seed`` is an integer or a ``numpy.random.Generator`` with a seed
+    sequence. Its stream is split by ``spawn(2)``: the first child draws the
+    (n, p) block of Z, correlated by one ``Z @ L'`` product with L the
+    Cholesky factor of Sigma, and the second the n values of W. Each child
+    fills its rows in order, so row i of a sample does not depend on ``n``.
     """
+    n = as_integer("n", n)
     if n <= 0:
         raise ValidationError("sample size must be positive")
-    rng = _as_rng(seed)
-    cons = params.constraints
-    chol = cholesky_with_jitter(params.sigma())
-    w = rng.exponential(1.0, size=n)
-    z = rng.standard_normal(size=(n, params.p))
-    core = w[:, None] * cons.xi_tilde + np.sqrt(w)[:, None] * (z @ chol.T)
-    return params.mu + params.delta * core
+    z_rng, w_rng = np.random.default_rng(seed).spawn(2)
+    z = z_rng.standard_normal((n, params.p)) @ cholesky_with_jitter(params.sigma()).T
+    w = w_rng.exponential(1.0, n)[:, None]
+    return params.mu + params.delta * (params.constraints.xi_tilde * w + np.sqrt(w) * z)
 
 
 def linear_combine(b, params):

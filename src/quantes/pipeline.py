@@ -33,6 +33,7 @@ from .mal import (
     MALParams,
     al_es,
     al_quantile,
+    as_integer,
     as_levels,
     assemble_sigma,
     linear_combine,
@@ -71,11 +72,15 @@ class RunConfig:
     def __post_init__(self):
         if self.window not in WINDOWS:
             raise ValidationError(f"unknown window policy {self.window!r}")
-        if int(self.oos) < _MIN_OOS:
+        for name in ("oos", "refit_every", "window_width", "seed"):
+            value = getattr(self, name)
+            if value is not None or name != "window_width":
+                object.__setattr__(self, name, as_integer(name, value))
+        if self.oos < _MIN_OOS:
             raise ValidationError(f"out-of-sample length must be at least {_MIN_OOS}")
-        if int(self.refit_every) < 1:
+        if self.refit_every < 1:
             raise ValidationError("refit cadence must be positive")
-        if self.window_width is not None and int(self.window_width) < 2:
+        if self.window_width is not None and self.window_width < 2:
             raise ValidationError("rolling window width must exceed 1")
         if self.kind not in dyn.KINDS or self.link_kind not in dyn.LINKS:
             raise ValidationError("unknown recursion or link kind")
@@ -83,10 +88,6 @@ class RunConfig:
             raise ValidationError("portfolio level must lie in (0, 0.5]")
         if self.columns is not None:
             object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "oos", int(self.oos))
-        object.__setattr__(self, "refit_every", int(self.refit_every))
-        if self.window_width is not None:
-            object.__setattr__(self, "window_width", int(self.window_width))
 
     def levels(self, p):
         return as_levels(np.asarray(self.tau, dtype=float).reshape(-1), p)

@@ -17,16 +17,16 @@ offset moves on the previous period's violation (Taylor 2019, JBES 37)
 and starts from the link's ``x0``.
 
 Panels are reproducible across versions because the draw order is fixed:
-the generator is seeded with ``[seed, replication]``, and each period, burn-in
-included, draws ``standard_normal(p)`` and then ``exponential(1.0)``
-("normal") or ``chisquare(df)`` ("student_t"); "none" draws nothing. Every
-shock is drawn before the recursion runs, and each row's z is correlated by
-its own ``chol @ z`` product. ``tests/test_simulate.py`` pins this order
-against the per-period loop it replaced.
+the generator, seeded with ``[seed, replication]``, is split as
+:func:`mal.mal_sample` splits it. One child draws the (burn_in + T, p)
+normals, correlated by one ``z @ L'`` product; the other draws the mixing
+values, ``exponential(1.0)`` ("normal") or ``chisquare(df)`` ("student_t").
+"none" draws nothing. Each stream fills its rows in order, so a panel is a
+prefix of a longer one with the same burn-in. ``tests/test_simulate.py``
+pins this order against a per-period reference loop.
 """
 
 import math
-import numbers
 import os
 import time
 from collections import Counter
@@ -39,7 +39,7 @@ from . import dynamics as dyn
 from .estimation import EMConfig, ParameterSet, fit
 from .exceptions import NumericError, PathError, ValidationError
 from .linalg import cholesky_with_jitter
-from .mal import MALConstraints, as_levels, assemble_sigma
+from .mal import MALParams, as_integer, as_levels, mal_sample
 
 __all__ = [
     "SimScenario",
@@ -51,13 +51,6 @@ __all__ = [
 
 FAMILIES = ("normal", "student_t", "none")
 _BLOWUP = 1e6
-
-
-def _integer(name, value):
-    """``value`` as an ``int``; a bool or a non-integral number raises."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -81,7 +74,7 @@ class SimScenario:
         if self.error_family == "student_t" and self.df <= 2.0:
             raise ValidationError("student_t requires df > 2")
         for name in ("T", "burn_in", "B", "seed"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.T <= 0 or self.burn_in < 0 or self.B <= 0:
             raise ValidationError("T and B must be positive, burn_in non-negative")
         object.__setattr__(self, "tau", as_levels(self.tau))
@@ -163,32 +156,23 @@ def _initial_state(params):
     return q0
 
 
-def _draw_shocks(scenario, cons, chol, rng, total):
-    """Every period's shock e_t as a (total, p) array, drawn in stream order.
+def _draw_shocks(scenario, rng, total):
+    """Every period's shock e_t as a (total, p) array, in the module's draw order.
 
-    Period by period the stream gives ``standard_normal(p)``, correlated by
-    one ``chol @ z`` product per row, then the mixing draw. The rows are
-    multiplied one at a time because a batched product can round the last
-    bit differently, and the draws interleave per period, so neither can be
-    taken as one block without changing the panel.
+    "normal" is :func:`mal.mal_sample` at mu = 0, delta = 1. "student_t"
+    splits the stream the same way and mixes the same correlated kernel over
+    ``chisquare(df, total)`` instead: e = xi + sqrt(df / g) L z.
     """
-    p = cons.p
+    p = scenario.tau.size
     if scenario.error_family == "none":
         return np.zeros((total, p))
-    student = scenario.error_family == "student_t"
-    draw, arg = (rng.chisquare, scenario.df) if student else (rng.exponential, 1.0)
-    e = np.empty((total, p))
-    mix = np.empty((total, 1))
-    for t in range(total):
-        e[t] = chol @ rng.standard_normal(p)
-        mix[t] = draw(arg)
-    # in place; each sum takes its terms in swapped order, which changes no bit
-    if student:
-        e *= np.sqrt(scenario.df / mix)
-        e += cons.xi_tilde
-    else:
-        e *= np.sqrt(mix)
-        e += cons.xi_tilde * mix
+    unit = MALParams(np.zeros(p), np.ones(p), scenario.params.psi, scenario.tau)
+    if scenario.error_family == "normal":
+        return mal_sample(unit, total, rng)
+    z_rng, g_rng = rng.spawn(2)
+    e = z_rng.standard_normal((total, p)) @ cholesky_with_jitter(unit.sigma()).T
+    e *= np.sqrt(scenario.df / g_rng.chisquare(scenario.df, total))[:, None]
+    e += unit.constraints.xi_tilde
     return e
 
 
@@ -205,12 +189,10 @@ def generate(scenario, replication=0):
     """Simulate one replication; returns a (T, p) matrix after burn-in.
 
     The draws follow the fixed order of the module docstring, so a
-    (scenario, replication) pair gives the same panel in every version: the
-    generator is seeded with ``[seed, replication]``, and each of the
-    burn_in + T periods draws ``standard_normal(p)``, then
-    ``exponential(1.0)`` ("normal") or ``chisquare(df)`` ("student_t");
-    "none" draws nothing. All shocks are drawn before the recursion runs.
-    Each asset then steps through :func:`dynamics.risk_step` on plain floats.
+    (scenario, replication) pair gives the same panel in every version, and
+    its first rows do not depend on T. All shocks are drawn before the
+    recursion runs; each asset then steps through :func:`dynamics.risk_step`
+    on plain floats.
 
     Raises :class:`PathError` when a quantile leaves [-1e6, 0) or is NaN, or
     a scale is not positive; its ``index`` counts rows from the first
@@ -220,12 +202,10 @@ def generate(scenario, replication=0):
     """
     params = scenario.params
     burn_in = scenario.burn_in
-    cons = MALConstraints.from_levels(scenario.tau)
-    chol = cholesky_with_jitter(assemble_sigma(params.psi, cons))
-    rng = np.random.default_rng([scenario.seed, _integer("replication", replication)])
+    rng = np.random.default_rng([scenario.seed, as_integer("replication", replication)])
 
     # each row of shocks is overwritten by that period's returns
-    y = _draw_shocks(scenario, cons, chol, rng, burn_in + scenario.T)
+    y = _draw_shocks(scenario, rng, burn_in + scenario.T)
     assets = tuple(zip(params.specs, params.links, scenario.tau.tolist()))
     q = _initial_state(params).tolist()
     x = [link.x0 for link in params.links]

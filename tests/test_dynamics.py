@@ -124,10 +124,11 @@ def test_quantile_step_matches_path():
         CaviarSpec(IG, 0.2, 0.7, [0.1]),
     ):
         q = quantile_path(spec, y, q0=-1.5)
-        for t in range(1, 50):
-            assert quantile_step(spec, q[t - 1], y[t - 1]) == pytest.approx(
-                q[t], rel=1e-14
-            )
+        steps = np.array([quantile_step(spec, q[t - 1], y[t - 1]) for t in range(1, 50)])
+        if spec.kind == IG:
+            np.testing.assert_array_max_ulp(steps, q[1:], maxulp=2)
+        else:
+            assert np.array_equal(steps, q[1:])
 
 
 def test_path_determinism(synthetic):
@@ -218,12 +219,12 @@ def test_one_step_forecast_consistent_with_path(synthetic):
     spec = CaviarSpec(SAV, -0.2, 0.85, [-0.1])
     link = ESLink(MULT, gamma0=-1.1)
     rp = risk_path(spec, link, synthetic, q0=-1.8, tau=0.1)
-    # Forecast from T-1 state must equal the in-sample value at T.
-    q_next, es_next = one_step_forecast(
-        spec, link, rp.quantile[-2], synthetic[-2]
-    )
-    assert q_next == pytest.approx(rp.quantile[-1], rel=1e-14)
-    assert es_next == pytest.approx(rp.es[-1], rel=1e-14)
+    # the forecast from row t-1 equals the in-sample row t, at every t
+    steps = [one_step_forecast(spec, link, rp.quantile[t - 1], synthetic[t - 1])
+             for t in range(1, synthetic.size)]
+    q_next, es_next = np.array(steps).T
+    assert np.array_equal(q_next, rp.quantile[1:])
+    assert np.array_equal(es_next, rp.es[1:])
 
 
 def test_one_step_forecast_ar_carries_offset():
@@ -236,24 +237,21 @@ def test_one_step_forecast_ar_carries_offset():
     assert es_next == q_next - (0.05 + 0.12 * 0.5 + 0.8 * 0.7)
 
 
-# The scalar quantile step adds the recursion's terms in another order than
-# the filter, so the quantiles below agree to rounding; the offset and the
-# shortfall given the quantiles are equal, not close.
-
-
 @pytest.mark.parametrize("kind", [SAV, AS, IG])
 def test_one_step_forecast_continues_the_ar_path(kind):
     truth = reference_params(kind, AR, 1)
     y = generate(SimScenario(params=truth, tau=[0.1], T=400, seed=5), 0)[:, 0]
     spec, link = truth.specs[0], truth.links[0]
     rp = risk_path(spec, link, y, initial_quantile(y, 0.1), 0.1)
-    hits = 0
-    for t in range(1, y.size):
-        q_next, es_next = one_step_forecast(spec, link, rp.quantile[t - 1], y[t - 1], rp.x[t - 1])
-        assert q_next == pytest.approx(rp.quantile[t], rel=1e-13, abs=0.0)
-        assert es_next == q_next - rp.x[t]
-        hits += y[t - 1] <= rp.quantile[t - 1]
-    assert hits > 10
+    steps = [one_step_forecast(spec, link, rp.quantile[t - 1], y[t - 1], rp.x[t - 1])
+             for t in range(1, y.size)]
+    q_next, es_next = np.array(steps).T
+    if kind == IG:
+        np.testing.assert_array_max_ulp(q_next, rp.quantile[1:], maxulp=2)
+    else:
+        assert np.array_equal(q_next, rp.quantile[1:])
+    assert np.array_equal(es_next, q_next - rp.x[1:])
+    assert np.sum(y[:-1] <= rp.quantile[:-1]) > 10
 
 
 @pytest.mark.parametrize("kind", [SAV, AS, IG])
@@ -275,8 +273,15 @@ def test_risk_path_reproduces_the_simulated_ar_paths(kind, monkeypatch):
         first = (q0[j], shortfall(link, q0[j], link.x0), link.x0)
         q, es, x = np.array([first, *steps[j::2]]).T
         rp = risk_path(spec, link, y[:, j], q0[j], tau[j])
-        np.testing.assert_allclose(rp.quantile, q, rtol=1e-13, atol=0.0)
-        np.testing.assert_allclose(rp.es, es, rtol=1e-12, atol=0.0)
+        if kind == IG:
+            # each step is within 2 ulp, but the simulator carries q, not the
+            # path's radicand, so the gaps ride the recursion (4 ulp at most
+            # in 20 seeds of T=2000); es = q - x adds one rounding
+            np.testing.assert_array_max_ulp(rp.quantile, q, maxulp=4)
+            np.testing.assert_array_max_ulp(rp.es, es, maxulp=5)
+        else:
+            assert np.array_equal(rp.quantile, q)
+            assert np.array_equal(rp.es, es)
         # the path evaluator along the simulator's quantiles
         delta, x_path, _ = scale_path(AR, link.gamma, q, y[:, j], tau[j], link.x0)
         assert np.array_equal(x_path, x)

@@ -288,7 +288,7 @@ def test_fit_warm_start_stays_near_truth():
     result = fit(y, tau, config=EMConfig(n_starts=1, seed=0), init=params)
     assert isinstance(result, FitResult)
     assert result.converged and result.stop_reason == "tol"
-    assert result.iterations == 28
+    assert result.iterations == 29
     q0 = result.q0
     assert result.loglik >= observed_loglik(params, y, tau, q0) - 1e-6
     for got, true in zip(result.params.specs, params.specs):
@@ -345,6 +345,24 @@ def test_one_level_is_shared_by_every_asset():
             dynamic_m_step(params, y, bad, q0, u, z)
         with pytest.raises(ValidationError, match="3 assets"):
             fit(y, bad, config=cfg)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n_starts", 1.5),
+        ("n_starts", 2.0),
+        ("n_starts", True),
+        ("max_iterations", 10.5),
+        ("max_iterations", "10"),
+        ("seed", 1.5),
+        ("seed", True),
+    ],
+)
+def test_em_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+        EMConfig(**{field: value})
+    assert type(getattr(EMConfig(**{field: np.int64(3)}), field)) is int
 
 
 def test_fit_validation():

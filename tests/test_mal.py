@@ -393,6 +393,15 @@ def test_sample_reproducible():
     a = mal_sample(params, 100, seed=9)
     b = mal_sample(params, 100, seed=9)
     np.testing.assert_array_equal(a, b)
+    # each stream fills its rows in order, so a shorter sample is a prefix
+    np.testing.assert_array_equal(mal_sample(params, 37, seed=9), a[:37])
+
+
+@pytest.mark.parametrize("n", [100.0, 2.5, True, "100"])
+def test_sample_rejects_a_non_integer_size(n):
+    params = MALParams(mu=[0.0], delta=[1.0], psi=[[1.0]], tau=[0.3])
+    with pytest.raises(ValidationError, match="n must be an integer"):
+        mal_sample(params, n, seed=9)
 
 
 def test_sample_mean_matches_theory():

@@ -256,6 +256,31 @@ def test_forecast_rejects_a_short_backtest_block_before_any_fit(tmp_path, monkey
     assert RunConfig(input_path=str(data), oos=9).oos == 9
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("oos", 30.9),
+        ("oos", 40.0),
+        ("oos", "40"),
+        ("refit_every", 2.5),
+        ("refit_every", True),
+        ("window_width", 100.7),
+        ("seed", 1.5),
+        ("seed", False),
+    ],
+)
+def test_run_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+        RunConfig(input_path="panel.csv", **{field: value})
+
+
+def test_run_config_takes_numpy_integer_counts():
+    cfg = RunConfig(input_path="panel.csv", oos=np.int64(40), refit_every=np.int32(2),
+                    window_width=np.int64(100), seed=np.int64(3))
+    assert (cfg.oos, cfg.refit_every, cfg.window_width, cfg.seed) == (40, 2, 100, 3)
+    assert all(type(v) is int for v in (cfg.oos, cfg.refit_every, cfg.window_width, cfg.seed))
+
+
 # -- the loader ---------------------------------------------------------------
 
 _PANEL = "date,a,b\n2001-01-02,0.5,-1\n2001-01-03,1.5,2e-3\n2001-01-04,-0.25,7\n"

@@ -1,9 +1,11 @@
 """The simulator against its per-period reference, its errors and its inputs.
 
-``reference_generate`` below is the per-period loop that ``generate``
-replaced, kept verbatim as the oracle: every panel must match it byte for
-byte, and every failing scenario must fail at the same row. It also pins the
-draw order, so a panel stays the same across versions.
+``reference_generate`` below is a per-period loop over the draws of the
+fixed order, written out here rather than through ``mal_sample``: the
+generator is split by ``spawn(2)``, the first child draws every period's
+standard normals and the second every mixing draw. Every panel must match it
+byte for byte, and every failing scenario must fail at the same row, so it
+also pins the draw order and a panel stays the same across versions.
 """
 
 import itertools
@@ -26,16 +28,23 @@ _BLOWUP = 1e6
 # -- the per-period reference -------------------------------------------------
 
 
-def _draw_raw(scenario, cons, chol, rng):
+def _draw_raw(scenario, cons, chol, rng, total):
+    """Every period's standardized shock, one row per period.
+
+    The normals are correlated by one product over all rows, as the
+    simulator does: a per-row ``chol @ z`` can round the last bit
+    differently.
+    """
     p = cons.p
     if scenario.error_family == "none":
-        return np.zeros(p)
-    z = chol @ rng.standard_normal(p)
+        return np.zeros((total, p))
+    z_rng, mix_rng = rng.spawn(2)
+    z = z_rng.standard_normal((total, p)) @ chol.T
     if scenario.error_family == "student_t":
-        g = rng.chisquare(scenario.df)
-        return cons.xi_tilde + np.sqrt(scenario.df / g) * z
-    w = rng.exponential(1.0)
-    return cons.xi_tilde * w + np.sqrt(w) * z
+        g = mix_rng.chisquare(scenario.df, total)
+        return [cons.xi_tilde + np.sqrt(scenario.df / g[t]) * z[t] for t in range(total)]
+    w = mix_rng.exponential(1.0, total)
+    return [cons.xi_tilde * w[t] + np.sqrt(w[t]) * z[t] for t in range(total)]
 
 
 def reference_generate(scenario, replication=0):
@@ -48,6 +57,7 @@ def reference_generate(scenario, replication=0):
     rng = np.random.default_rng([int(scenario.seed), int(replication)])
 
     total = scenario.burn_in + scenario.T
+    raw = _draw_raw(scenario, cons, chol, rng, total)
     y = np.empty((total, p))
     q = simulate._initial_state(params)
     x = np.array([link.x0 for link in params.links])
@@ -60,11 +70,10 @@ def reference_generate(scenario, replication=0):
         if np.any(np.abs(q) > _BLOWUP) or np.any(q >= 0.0):
             raise PathError("simulated quantile path left the valid region", index=t)
 
-        raw = _draw_raw(scenario, cons, chol, rng)
         delta = tau * (0.0 - es)
         if np.any(delta <= 0.0):
             raise PathError("simulated scale path became non-positive", index=t)
-        y[t] = q + delta * raw
+        y[t] = q + delta * raw[t]
 
     return y[scenario.burn_in :]
 
@@ -121,6 +130,17 @@ def test_blowup_raises_at_the_reference_row(burn_in):
         generate(scenario)
     assert got.value.index == ref.value.index
     assert 0 < got.value.index < 500
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("family", ["normal", "student_t"])
+def test_a_shorter_panel_is_a_prefix_of_a_longer_one(family, p):
+    def panel(T):
+        return generate(SimScenario(params=reference_params(dyn.SAV, dyn.AR, p),
+                                    tau=np.full(p, 0.1), T=T, error_family=family,
+                                    burn_in=0, seed=11), 2)
+
+    assert panel(300).tobytes() == panel(1777)[:300].tobytes()
 
 
 def test_path_errors_name_the_column_and_the_burn_in():
