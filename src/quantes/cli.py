@@ -195,7 +195,7 @@ _EM_FIELDS = {k: k for k in ("n_starts", "tol", "max_iterations", "seed")}
 _RUN_FIELDS = {
     "tau": "tau", "columns": "columns", "kind": "kind", "link": "link_kind",
     "window": "window", "window_width": "window_width", "oos": "oos",
-    "refit_every": "refit_every", "tau_tilde": "tau_tilde", "out": "out_dir", "seed": "seed",
+    "refit_every": "refit_every", "tau_tilde": "tau_tilde", "out": "out_dir",
 }
 
 

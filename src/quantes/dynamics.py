@@ -216,17 +216,16 @@ def filter_path(kind, coef, y, q0, jacobian=False):
     return q, dq
 
 
-def ar_offset(gamma, q, y, x0, dq=None):
+def ar_offset(gamma, q, y, x0, grad=False):
     """Autoregressive shortfall offset and optionally its derivatives.
 
     After a violation y_{t-1} <= q_{t-1} the offset becomes
     g1 + g2 (q_{t-1} - y_{t-1}) + g3 x_{t-1}; otherwise it carries over
     (Taylor 2019). So the recursion is one first-order filter over the
-    violations, forward-filled in between. With ``dq`` (T, nq), the
-    derivatives of q with respect to its own coefficients, also returns dx
-    of shape (T, nq + 3) with respect to (q-coefficients..., g1, g2, g3);
-    else None. The violation indicator is treated as locally constant in
-    the parameters (it changes on a measure-zero set).
+    violations, forward-filled in between. Under ``grad`` also returns dx
+    of shape (T, 3), the derivative with respect to (g1, g2, g3); else
+    None. The violation indicator is treated as locally constant in the
+    parameters (it changes on a measure-zero set).
     """
     hit = np.flatnonzero(y[:-1] <= q[:-1])
     gap = q[hit] - y[hit]
@@ -239,10 +238,10 @@ def ar_offset(gamma, q, y, x0, dq=None):
     slot[hit + 1] = np.arange(1, hit.size + 1)
     np.maximum.accumulate(slot, out=slot)
     x = xv[slot]
-    if dq is None:
+    if not grad:
         return x, None
-    drive = np.zeros((hit.size + 1, dq.shape[1] + 3))
-    drive[1:] = np.column_stack((g2 * dq[hit], np.ones(hit.size), gap, xv[:-1]))
+    drive = np.zeros((hit.size + 1, 3))
+    drive[1:] = np.column_stack((np.ones(hit.size), gap, xv[:-1]))
     return x, lfilter(_UNIT, ar, drive, axis=0)[slot]
 
 
@@ -288,8 +287,7 @@ def scale_path(kind, gamma, q, y, tau, x0=0.0, grad=False):
         g = math.exp(min(gamma, 60.0))
         delta, x = -tau * (1.0 + g) * q, None
     else:
-        # zero-width quantile derivatives: only the gamma columns are wanted
-        x, dx = ar_offset(gamma, q, y, x0, np.zeros((q.size, 0)) if grad else None)
+        x, dx = ar_offset(gamma, q, y, x0, grad)
         delta = -tau * (q - x)
     positive = delta > 0.0
     if not positive.all():

@@ -11,6 +11,9 @@ is a weighted quadratic in the scaled residuals, so each dynamic block
 moves by a few guarded Levenberg-Marquardt steps on its Gauss-Newton
 metric, with exact gradients from forward sensitivity recursions.
 
+The dynamic coefficients are a (p, n) array with one row per asset, whose
+column blocks ``[:nq]`` and ``[nq:]`` are the quantile and link blocks;
+only :func:`_pack`, :func:`_unpack` and :func:`_bounds` know each column.
 The likelihood rows come from the density core in ``mal``, with the
 quadratic form floored at ``_M_FLOOR``; the expected complete-data
 objective (the Q-value) is computed only in :func:`_assemble`.
@@ -22,7 +25,8 @@ however few steps a block takes. The quantile block is proposed
 with the scale paths frozen, which keeps its first-order condition
 centered on the conditional-quantile fit itself, so the quantile dynamics
 are recovered without bias even when the innovation distribution is not
-the one being maximized.
+the one being maximized; its steps are re-scored on re-derived scales,
+while the link block's last kept step stands as :func:`_lm_move` scored it.
 
 Everything here is pure-functional over immutable inputs: fits can run in
 parallel worker processes with no shared state beyond the arguments.
@@ -30,7 +34,6 @@ parallel worker processes with no shared state beyond the arguments.
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 from scipy import special
@@ -68,10 +71,12 @@ class EMConfig:
     ``n_starts`` random starts perturb the univariate-calibrated initial
     point multiplicatively with N(0, _PERTURB_SD^2) noise (the first start
     is unperturbed). ``tol`` is the absolute change in observed
-    log-likelihood between consecutive iterations that counts as converged,
-    ``max_iterations`` caps the iterations of a start, and ``seed`` drives
-    every random draw. The step budget of a block is a module constant.
-    A bool or non-integral count or seed raises :class:`ValidationError`.
+    log-likelihood between consecutive iterations that counts as converged
+    (0 runs every start to the cap), ``max_iterations`` caps the iterations
+    of a start, and ``seed`` drives every random draw. The step budget of a
+    block is a module constant. A bool or non-integral count or seed, a
+    count below 1, or a negative or non-finite ``tol`` raises
+    :class:`ValidationError`.
     """
 
     tol: float = 1e-5
@@ -82,6 +87,11 @@ class EMConfig:
     def __post_init__(self):
         for name in ("max_iterations", "n_starts", "seed"):
             object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        for name in ("max_iterations", "n_starts"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValidationError(f"tol must be finite and >= 0, got {self.tol!r}")
 
 
 @dataclass(frozen=True)
@@ -179,40 +189,34 @@ class FitResult:
 # -- packing of the dynamic parameters ---------------------------------------
 
 
-def _n_dynamic(kind, link_kind):
-    n = 4 if kind == dyn.AS else 3
-    return n + (3 if link_kind == dyn.AR else 1)
-
-
 def _pack(specs, links):
-    out = []
+    """(p, n) coefficients: row j is asset j's quantile block (omega, eta,
+    *beta), then its link block (gamma0, or log gamma for the AR link)."""
+    rows = []
     for spec, link in zip(specs, links):
-        out.extend([spec.omega, spec.eta, *spec.beta])
+        row = [spec.omega, spec.eta, *spec.beta]
         if link.kind == dyn.MULT:
-            out.append(link.gamma0)
+            row.append(link.gamma0)
         else:
-            out.extend(np.log(np.maximum(link.gamma, 1e-10)))
-    return np.array(out, dtype=float)
+            row.extend(np.log(np.maximum(link.gamma, 1e-10)))
+        rows.append(row)
+    return np.array(rows, dtype=float)
 
 
-def _unpack(theta, kind, link_kind, p, x0s):
-    n = _n_dynamic(kind, link_kind)
-    specs, links = [], []
-    nb = 2 if kind == dyn.AS else 1
-    for j in range(p):
-        block = theta[j * n : (j + 1) * n]
-        specs.append(dyn.CaviarSpec(kind, block[0], block[1], block[2 : 2 + nb]))
-        if link_kind == dyn.MULT:
-            links.append(dyn.ESLink(dyn.MULT, gamma0=block[2 + nb]))
-        else:
-            gamma = np.exp(np.clip(block[2 + nb : 5 + nb], _LOG_FLOOR, 60.0))
-            links.append(dyn.ESLink(dyn.AR, gamma=gamma, x0=x0s[j]))
-    return tuple(specs), tuple(links)
+def _unpack(theta, kind, link_kind, x0s):
+    nq = 4 if kind == dyn.AS else 3
+    specs = tuple(dyn.CaviarSpec(kind, row[0], row[1], row[2:nq]) for row in theta)
+    if link_kind == dyn.MULT:
+        links = tuple(dyn.ESLink(dyn.MULT, gamma0=row[nq]) for row in theta)
+    else:
+        gamma = np.exp(np.clip(theta[:, nq:], _LOG_FLOOR, 60.0))
+        links = tuple(dyn.ESLink(dyn.AR, gamma=g, x0=x0) for g, x0 in zip(gamma, x0s))
+    return specs, links
 
 
-def _bounds(kind, link_kind, p):
-    """Box ``(lo, hi)`` of the packed vector: |eta| <= _ETA_BOUND, and the
-    link coefficients in a fixed interval."""
+def _bounds(kind, link_kind):
+    """Box ``(lo, hi)`` of one asset's row, which broadcasts over the assets:
+    |eta| <= _ETA_BOUND, and the link coefficients in a fixed interval."""
     nq = 4 if kind == dyn.AS else 3
     lo, hi = np.full(nq, -np.inf), np.full(nq, np.inf)
     lo[1], hi[1] = -_ETA_BOUND, _ETA_BOUND
@@ -220,13 +224,11 @@ def _bounds(kind, link_kind, p):
     # where the likelihood rewards steering quantile paths through data
     # points, and away from overflow on the other side
     if link_kind == dyn.MULT:
-        lo, hi = np.append(lo, -12.0), np.append(hi, 8.0)
-    else:
-        lo, hi = np.append(lo, [_LOG_FLOOR + 1e-6] * 3), np.append(hi, [8.0] * 3)
-    return np.tile(lo, p), np.tile(hi, p)
+        return np.append(lo, -12.0), np.append(hi, 8.0)
+    return np.append(lo, [_LOG_FLOOR + 1e-6] * 3), np.append(hi, [8.0] * 3)
 
 
-# -- paths of a packed parameter vector --------------------------------------
+# -- paths of the packed coefficients ----------------------------------------
 
 
 def _paths(specs, links, y, q0, tau):
@@ -246,10 +248,10 @@ def _paths(specs, links, y, q0, tau):
 
 
 def _panel_paths(kind, link_kind, theta, y, q0, x0s, tau):
-    """(q, delta) panels of a packed parameter vector; raises
+    """(q, delta) panels of the (p, n) coefficients ``theta``; raises
     :class:`PathError` when a block is invalid, non-finite entries included."""
     try:
-        specs, links = _unpack(theta, kind, link_kind, y.shape[1], x0s)
+        specs, links = _unpack(theta, kind, link_kind, x0s)
     except ValidationError as exc:
         raise PathError(f"invalid coefficients: {exc}") from exc
     return _paths(specs, links, y, q0, tau)
@@ -297,11 +299,13 @@ def _assemble(y, q, dl, cache, u, z, dq=None, ddl=None, metric=False):
     """Q-function value and, given derivative arrays, its gradient.
 
     ``dq`` and ``ddl`` are (p, T, nb): derivatives of the quantile and scale
-    paths with respect to each asset's nb block entries; None stands for
-    identically zero. The gradient is packed asset by asset, or None when
-    both are None. Under ``metric`` a third item is the Gauss-Newton metric
+    paths with respect to each asset's nb entries of one block, a (p, nb)
+    column slice of the coefficients; None stands for identically zero. The
+    gradient has the block's (p, nb) shape, or is None when both are None.
+    Under ``metric`` a third item is the Gauss-Newton metric
     H = sum_t z_t J_t' inv(Psi~) J_t of the quadratic term, with J the
-    derivative of the scaled residuals, packed like the gradient.
+    derivative of the scaled residuals, a (p nb, p nb) matrix over the
+    block's entries in row-major order.
     """
     rows = (y - q) / dl
     au = rows @ cache.inv
@@ -324,13 +328,13 @@ def _assemble(y, q, dl, cache, u, z, dq=None, ddl=None, metric=False):
     if ddl is not None:
         grad = grad - np.einsum("tj,jti->ji", coeff * rows + 1.0 / dl, ddl)
     if not metric:
-        return val, grad.ravel()
+        return val, grad
     jac = (0.0 if dq is None else dq) + (0.0 if ddl is None else rows.T[:, :, None] * ddl)
     # row (j, i) of flat is J[j, :, i]; H[j, i, k, l] = inv[j, k] sum_t z_t J J
     p, _, n = jac.shape
     flat = (jac / -dl.T[:, :, None]).transpose(0, 2, 1).reshape(p * n, -1)
     h = ((flat * z) @ flat.T).reshape(p, n, p, n) * cache.inv[:, None, :, None]
-    return val, grad.ravel(), h.reshape(p * n, p * n)
+    return val, grad, h.reshape(p * n, p * n)
 
 
 def q_function(params, y, tau, q0, u, z):
@@ -378,7 +382,7 @@ def sigma_m_step(u_rows, u, z, constraints):
 
 
 def _quantile_block(b, y, kind, q0, dl):
-    """Paths of the quantile block ``b`` with the scale paths ``dl`` frozen.
+    """Paths of the (p, nq) quantile block ``b`` at the frozen scales ``dl``.
 
     Holding the scales makes this block's score the conditional-quantile
     fitting condition itself. Returns ``(q, dl, dq, None)``, or None when a
@@ -386,14 +390,11 @@ def _quantile_block(b, y, kind, q0, dl):
     scales are re-derived.
     """
     T, p = y.shape
-    nq = b.size // p
     q = np.empty((T, p))
-    dq = np.empty((p, T, nq))
+    dq = np.empty((p, T, b.shape[1]))
     for j in range(p):
         try:
-            q[:, j], dq[j] = dyn.filter_path(
-                kind, b[j * nq : (j + 1) * nq], y[:, j], q0[j], jacobian=True
-            )
+            q[:, j], dq[j] = dyn.filter_path(kind, b[j], y[:, j], q0[j], jacobian=True)
         except PathError:
             return None
     if not np.all(q < 0.0):
@@ -402,16 +403,15 @@ def _quantile_block(b, y, kind, q0, dl):
 
 
 def _link_block(b, y, link_kind, tau, x0s, q):
-    """Paths of the link block ``b`` given the frozen quantile paths ``q``:
-    ``(q, dl, None, ddl)``, or None when a scale is not finite and positive
-    or its derivative is not finite."""
+    """Paths of the (p, nl) link block ``b`` given the frozen quantile paths
+    ``q``: ``(q, dl, None, ddl)``, or None when a scale is not finite and
+    positive or its derivative is not finite."""
     T, p = y.shape
-    nl = b.size // p
     gamma = b if link_kind == dyn.MULT else np.exp(np.clip(b, _LOG_FLOOR, 60.0))
     dl = np.empty((T, p))
-    ddl = np.empty((p, T, nl))
+    ddl = np.empty((p, T, b.shape[1]))
     for j in range(p):
-        g = gamma[j] if link_kind == dyn.MULT else gamma[j * nl : (j + 1) * nl]
+        g = gamma[j, 0] if link_kind == dyn.MULT else gamma[j]
         try:
             dl[:, j], _, ddl[j] = dyn.scale_path(
                 link_kind, g, q[:, j], y[:, j], tau[j], x0s[j], True
@@ -424,7 +424,7 @@ def _link_block(b, y, link_kind, tau, x0s, q):
         # chain rule through the log-parameterization; an offset near the
         # overflow threshold can carry it past
         with np.errstate(over="ignore"):
-            ddl *= gamma.reshape(p, 1, nl)
+            ddl *= gamma[:, None, :]
         if not np.all(np.isfinite(ddl)):
             return None
     return q, dl, None, ddl
@@ -433,18 +433,19 @@ def _link_block(b, y, link_kind, tau, x0s, q):
 def _lm_move(block, b, lo, hi, log_scale, y, cache, u, z):
     """Levenberg-Marquardt ascent of one block's Q-value from ``b``.
 
-    ``block`` maps a block vector to its paths ``(q, dl, dq, ddl)`` or None.
-    Each try solves (H + lam diag H) d = grad Q, with H the Gauss-Newton
-    metric of :func:`_assemble`, and clips b + d to [lo, hi]. Entries on a
-    bound whose gradient points out of the box are held. Under
-    ``log_scale`` every entry is the log of a coefficient, and the step is
-    taken on the coefficient: b + log(1 + d), so a coefficient near its
-    floor does not jump across the box. A try is kept only if the block's
-    Q-value does not fall, then lam shrinks tenfold; otherwise it grows
-    tenfold. With the E-step weights fixed every kept step is a generalized
-    EM step (Lange 1995, the EM-gradient algorithm). Stops after
-    ``_LM_STEPS`` kept steps or ``_LM_TRIES`` tries and returns the list of
-    kept vectors, first to last (empty when none was kept).
+    ``block`` maps a (p, nb) block to its paths ``(q, dl, dq, ddl)`` or
+    None; ``lo`` and ``hi`` are its (nb,) bounds. Each try solves
+    (H + lam diag H) d = grad Q, with H the Gauss-Newton metric of
+    :func:`_assemble`, and clips b + d to [lo, hi]. Entries on a bound
+    whose gradient points out of the box are held. Under ``log_scale``
+    every entry is the log of a coefficient, and the step is taken on the
+    coefficient: b + log(1 + d), so a coefficient near its floor does not
+    jump across the box. A try is kept only if the block's Q-value does not
+    fall, then lam shrinks tenfold; otherwise it grows tenfold. With the
+    E-step weights fixed every kept step is a generalized EM step (Lange
+    1995, the EM-gradient algorithm). Stops after ``_LM_STEPS`` kept steps
+    or ``_LM_TRIES`` tries and returns the kept ``(b, paths, value)``
+    triples, first to last (empty when none was kept).
     """
     paths = block(b)
     if paths is None:
@@ -454,9 +455,10 @@ def _lm_move(block, b, lo, hi, log_scale, y, cache, u, z):
     kept = []
     for _ in range(_LM_TRIES):
         free = ~(((b <= lo) & (grad < 0.0)) | ((b >= hi) & (grad > 0.0)))
+        flat = free.ravel()
         d = np.zeros_like(b)
         try:
-            d[free] = np.linalg.solve((h + lam * np.diag(np.diag(h)))[np.ix_(free, free)],
+            d[free] = np.linalg.solve((h + lam * np.diag(np.diag(h)))[np.ix_(flat, flat)],
                                       grad[free])
         except np.linalg.LinAlgError:
             d[:] = np.nan
@@ -474,48 +476,48 @@ def _lm_move(block, b, lo, hi, log_scale, y, cache, u, z):
             continue
         b, (val, grad, h) = cand, res
         lam /= 10.0
-        kept.append(b)
+        kept.append((b, paths, val))
         if len(kept) == _LM_STEPS:
             break
     return kept
 
 
 def _update_dynamics(y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, q, dl):
-    """One guarded pass over the dynamic-parameter blocks.
+    """One guarded pass over the blocks of the (p, n) coefficients ``theta``
+    with paths ``(q, dl)``; the Q-value never falls.
 
-    ``(q, dl)`` are the paths of ``theta``. The quantile block moves by
-    :func:`_lm_move` against the frozen scales ``dl``, then the link block
-    against the current quantile paths. A block keeps the last of its kept
-    steps at which the Q-value of the re-derived paths is not below the
-    current one, so the Q-value never falls. Returns the new packed vector
-    with its paths.
+    The quantile block ``theta[:, :nq]`` moves by :func:`_lm_move` against
+    the frozen scales ``dl`` and keeps the last kept step whose re-derived
+    paths do not lower the Q-value. The link block ``theta[:, nq:]`` then
+    moves against the current quantile paths, which is where
+    :func:`_lm_move` scored it, so its last kept step stands as it is.
+    Returns the new coefficients with their paths and Q-value.
     """
-    p = y.shape[1]
     nq = 4 if kind == dyn.AS else 3
-    nb = _n_dynamic(kind, link_kind)
-    lo, hi = _bounds(kind, link_kind, p)
-    blocks = (
-        (np.arange(nq), False, lambda b, q, dl: _quantile_block(b, y, kind, q0, dl)),
-        (np.arange(nq, nb), True, lambda b, q, dl: _link_block(b, y, link_kind, tau, x0s, q)),
-    )
+    lo, hi = _bounds(kind, link_kind)
     val = _assemble(y, q, dl, cache, u, z)[0]
-    for offsets, log_scale, block in blocks:
-        sel = np.concatenate([j * nb + offsets for j in range(p)])
-        steps = _lm_move(
-            partial(block, q=q, dl=dl), theta[sel], lo[sel], hi[sel], log_scale, y, cache, u, z,
-        )
-        for step in reversed(steps):
-            cand = theta.copy()
-            cand[sel] = step
-            try:
-                q_c, dl_c = _panel_paths(kind, link_kind, cand, y, q0, x0s, tau)
-            except PathError:
-                continue
-            val_c = _assemble(y, q_c, dl_c, cache, u, z)[0]
-            if val_c >= val:
-                theta, q, dl, val = cand, q_c, dl_c, val_c
-                break
-    return theta, q, dl
+    steps = _lm_move(
+        lambda b: _quantile_block(b, y, kind, q0, dl),
+        theta[:, :nq], lo[:nq], hi[:nq], False, y, cache, u, z,
+    )
+    for b, _, _ in reversed(steps):
+        cand = np.hstack((b, theta[:, nq:]))
+        try:
+            q_c, dl_c = _panel_paths(kind, link_kind, cand, y, q0, x0s, tau)
+        except PathError:
+            continue
+        val_c = _assemble(y, q_c, dl_c, cache, u, z)[0]
+        if val_c >= val:
+            theta, q, dl, val = cand, q_c, dl_c, val_c
+            break
+    steps = _lm_move(
+        lambda b: _link_block(b, y, link_kind, tau, x0s, q),
+        theta[:, nq:], lo[nq:], hi[nq:], True, y, cache, u, z,
+    )
+    if steps:
+        b, (_, dl, _, _), val = steps[-1]
+        theta = np.hstack((theta[:, :nq], b))
+    return theta, q, dl, val
 
 
 def dynamic_m_step(params, y, tau, q0, u, z):
@@ -540,11 +542,11 @@ def dynamic_m_step(params, y, tau, q0, u, z):
     cache = _SigmaCache(params.psi, cons)
     theta = _pack(params.specs, params.links)
     q, dl = _panel_paths(kind, link_kind, theta, y, q0, x0s, tau)
-    theta, _, _ = _update_dynamics(
+    theta = _update_dynamics(
         y, tau, q0, x0s, kind, link_kind, cache,
         np.asarray(u, float), np.asarray(z, float), theta, q, dl,
-    )
-    specs, links = _unpack(theta, kind, link_kind, tau.size, x0s)
+    )[0]
+    specs, links = _unpack(theta, kind, link_kind, x0s)
     return ParameterSet(specs=specs, links=links, psi=params.psi)
 
 
@@ -585,7 +587,7 @@ def _univariate_theta(y_j, tau_j, kind, link_kind, q0, x0, config, rng):
 
     best_theta, best_val = None, np.inf
     for _ in range(_INIT_CANDIDATES):
-        theta = np.array(_candidate_block(rng, kind, link_kind, q0))
+        theta = np.array([_candidate_block(rng, kind, link_kind, q0)])
         try:
             q, dl = _panel_paths(kind, link_kind, theta, col, q0v, x0v, tau_v)
         except PathError:
@@ -620,7 +622,7 @@ def _em_chain(y, tau, q0, x0s, theta0, psi0, kind, link_kind, config, callback, 
     for it in range(1, config.max_iterations + 1):
         iterations = it
         u, z = _weights((y - q) / dl, cache)
-        theta, q, dl = _update_dynamics(
+        theta, q, dl, val = _update_dynamics(
             y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, q, dl
         )
         if p > 1:
@@ -630,7 +632,7 @@ def _em_chain(y, tau, q0, x0s, theta0, psi0, kind, link_kind, config, callback, 
                 psi_cand = None
             if psi_cand is not None:
                 cache_cand = _SigmaCache(psi_cand, cons)
-                if _assemble(y, q, dl, cache_cand, u, z)[0] >= _assemble(y, q, dl, cache, u, z)[0]:
+                if _assemble(y, q, dl, cache_cand, u, z)[0] >= val:
                     psi, cache = psi_cand, cache_cand
         rows = _loglik_rows(y, q, dl, cache)
         ll_new = float(rows.sum())
@@ -654,9 +656,9 @@ def _em_chain(y, tau, q0, x0s, theta0, psi0, kind, link_kind, config, callback, 
     }
 
 
-def _perturb(theta, rng, eta_idx):
-    out = theta * (1.0 + _PERTURB_SD * rng.standard_normal(theta.size))
-    out[eta_idx] = np.clip(out[eta_idx], -_ETA_BOUND + 1e-6, _ETA_BOUND - 1e-6)
+def _perturb(theta, rng):
+    out = theta * (1.0 + _PERTURB_SD * rng.standard_normal(theta.shape))
+    out[:, 1] = np.clip(out[:, 1], -_ETA_BOUND + 1e-6, _ETA_BOUND - 1e-6)  # eta
     return out
 
 
@@ -693,7 +695,7 @@ def fit(y, tau, kind=dyn.SAV, link_kind=dyn.MULT, config=None, init=None, callba
     tau = as_levels(tau, p)
     if kind not in dyn.KINDS or link_kind not in dyn.LINKS:
         raise ValidationError("unknown recursion or link kind")
-    n_free = p * _n_dynamic(kind, link_kind) + p * (p - 1) // 2
+    n_free = p * _bounds(kind, link_kind)[0].size + p * (p - 1) // 2
     if T < 10 * n_free:
         raise ValidationError(
             f"sample of length {T} is too short for {n_free} free parameters"
@@ -721,8 +723,6 @@ def fit(y, tau, kind=dyn.SAV, link_kind=dyn.MULT, config=None, init=None, callba
         theta0 = np.concatenate(blocks)
         psi0 = nearest_pd_correlation(np.corrcoef(y.T)) if p > 1 else np.array([[1.0]])
 
-    nb = _n_dynamic(kind, link_kind)
-
     def _selection_score(state):
         # chains are compared on a winsorized likelihood: the density has
         # integrable poles at y = mu for p >= 2, so a chain can buy an
@@ -737,9 +737,8 @@ def fit(y, tau, kind=dyn.SAV, link_kind=dyn.MULT, config=None, init=None, callba
     best = None
     best_score = -np.inf
     errors = []
-    eta_idx = 1 + nb * np.arange(p)
     for k in range(config.n_starts):
-        theta_k = theta0 if k == 0 else _perturb(theta0, rng, eta_idx)
+        theta_k = theta0 if k == 0 else _perturb(theta0, rng)
         try:
             state = _em_chain(
                 y, tau, q0, x0s, theta_k, psi0, kind, link_kind, config, callback, k
@@ -755,7 +754,7 @@ def fit(y, tau, kind=dyn.SAV, link_kind=dyn.MULT, config=None, init=None, callba
         raise NumericError("all starts failed: " + "; ".join(errors[:5]))
 
     k, state = best
-    specs, links = _unpack(state["theta"], kind, link_kind, p, x0s)
+    specs, links = _unpack(state["theta"], kind, link_kind, x0s)
     params = ParameterSet(specs=specs, links=links, psi=state["psi"])
     paths = tuple(
         dyn.risk_path(specs[j], links[j], y[:, j], q0[j], tau[j]) for j in range(p)

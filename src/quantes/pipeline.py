@@ -66,13 +66,12 @@ class RunConfig:
     refit_every: int = 4
     tau_tilde: float = None
     out_dir: str = "reports"
-    seed: int = 0
     em: EMConfig = field(default_factory=EMConfig)
 
     def __post_init__(self):
         if self.window not in WINDOWS:
             raise ValidationError(f"unknown window policy {self.window!r}")
-        for name in ("oos", "refit_every", "window_width", "seed"):
+        for name in ("oos", "refit_every", "window_width"):
             value = getattr(self, name)
             if value is not None or name != "window_width":
                 object.__setattr__(self, name, as_integer(name, value))
@@ -375,8 +374,7 @@ def _forecast_state(config, table):
     tau = config.levels(p)
     cons = MALConstraints.from_levels(tau)
     width = config.window_width or (T - config.oos)
-    em_cold = replace(config.em, seed=config.seed)
-    em_warm = replace(em_cold, n_starts=1)
+    em_warm = replace(config.em, n_starts=1)
 
     params = None
     var = np.empty((config.oos, p))
@@ -395,7 +393,7 @@ def _forecast_state(config, table):
                     tau,
                     kind=config.kind,
                     link_kind=config.link_kind,
-                    config=em_cold if params is None else em_warm,
+                    config=config.em if params is None else em_warm,
                     init=params,
                 )
                 params = result.params

@@ -187,7 +187,7 @@ def test_es_ar_offset_stays_nonnegative():
     hit = y[:-1] <= q[:-1]
     assert hit.any() and not hit.all()
     for gamma, x0 in (([0.0, 0.0, 0.0], 0.2), ([3.0, 50.0, 0.99], 0.0)):
-        x, dx = ar_offset(np.array(gamma), q, y, x0, np.zeros((y.size, 0)))
+        x, dx = ar_offset(np.array(gamma), q, y, x0, grad=True)
         assert np.all(x >= 0.0) and np.all(np.isfinite(dx))
         assert np.all(x[1:][hit] == gamma[0] + gamma[1] * (q - y)[:-1][hit] + gamma[2] * x[:-1][hit])
         assert np.array_equal(x[1:][~hit], x[:-1][~hit])

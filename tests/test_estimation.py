@@ -223,26 +223,32 @@ def test_fit_trace_monotone(kind, link):
 @pytest.mark.parametrize("kind,link", [(dyn.SAV, dyn.MULT), (dyn.AS, dyn.AR)])
 def test_every_dynamic_pass_keeps_the_q_value(kind, link, monkeypatch):
     # a block move is kept only if the Q-value at the sweep's E-step weights
-    # does not fall, and the pass hands back the paths of its packed vector
+    # does not fall, and the pass hands back the paths of its coefficients
+    # and the Q-value there, also when it keeps a link step as it is
     _, y, tau = _sim_panel(kind=kind, link=link, T=350, seed=29)
     inner = estimation._update_dynamics
     signature = inspect.signature(inner)
+    nq = 4 if kind == dyn.AS else 3
     falls = []
+    link_moves = []
 
     def recording(*args, **kwargs):
         a = signature.bind(*args, **kwargs).arguments
-        theta, q, dl = inner(*args, **kwargs)
+        theta, q, dl, val = inner(*args, **kwargs)
         paths = _panel_paths(kind, link, theta, a["y"], a["q0"], a["x0s"], a["tau"])
         assert np.array_equal(paths[0], q) and np.array_equal(paths[1], dl)
         weights = (a["cache"], a["u"], a["z"])
+        assert val == _assemble(a["y"], q, dl, *weights)[0]
         before = _assemble(a["y"], a["q"], a["dl"], *weights)[0]
-        falls.append(before - _assemble(a["y"], q, dl, *weights)[0])
-        return theta, q, dl
+        falls.append(before - val)
+        link_moves.append(not np.array_equal(theta[:, nq:], a["theta"][:, nq:]))
+        return theta, q, dl, val
 
     monkeypatch.setattr(estimation, "_update_dynamics", recording)
     fit(y, tau, kind=kind, link_kind=link, config=EMConfig(n_starts=2, seed=1))
     assert falls
     assert [f for f in falls if f > 0.0] == []
+    assert any(link_moves)
 
 
 @pytest.mark.parametrize("kind,link", [(dyn.SAV, dyn.MULT), (dyn.AS, dyn.AR)])
@@ -363,6 +369,23 @@ def test_em_config_rejects_non_integer_counts(field, value):
     with pytest.raises(ValidationError, match=f"{field} must be an integer"):
         EMConfig(**{field: value})
     assert type(getattr(EMConfig(**{field: np.int64(3)}), field)) is int
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("n_starts", 0, "n_starts must be at least 1"),
+        ("n_starts", -2, "n_starts must be at least 1"),
+        ("max_iterations", 0, "max_iterations must be at least 1"),
+        ("tol", -1e-5, "tol must be finite and >= 0"),
+        ("tol", float("nan"), "tol must be finite and >= 0"),
+        ("tol", float("inf"), "tol must be finite and >= 0"),
+    ],
+)
+def test_em_config_rejects_settings_that_cannot_run(field, value, message):
+    with pytest.raises(ValidationError, match=message):
+        EMConfig(**{field: value})
+    assert EMConfig(tol=0.0).tol == 0.0  # runs every start to the cap
 
 
 def test_fit_validation():

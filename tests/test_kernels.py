@@ -193,9 +193,8 @@ def _ref_assemble(y, q, dl, inv, lin, skew, logdet, u, z, dq, ddl, want_grad):
     if not want_grad:
         return val, np.zeros(1)
     nb = dq.shape[2]
-    grad = np.zeros(p * nb)
+    grad = np.zeros((p, nb))
     for j in range(p):
-        base = j * nb
         for t in range(T):
             coeff = lin[j] - z[t] * au[t, j]
             inv_dl = 1.0 / dl[t, j]
@@ -203,7 +202,7 @@ def _ref_assemble(y, q, dl, inv, lin, skew, logdet, u, z, dq, ddl, want_grad):
             for i in range(nb):
                 dd = ddl[j, t, i]
                 du = (-dq[j, t, i] - uj * dd) * inv_dl
-                grad[base + i] += coeff * du - dd * inv_dl
+                grad[j, i] += coeff * du - dd * inv_dl
     return val, grad
 
 
@@ -312,11 +311,10 @@ def test_ar_offset_and_derivatives_match_loop(kind, seed):
             assert none is None
             # same operations in the same order as the loop: equal, not close
             np.testing.assert_array_equal(x, x_ref, err_msg=label)
-            x2, dx = dyn.ar_offset(np.array(gamma), qc, y, x0, dq)
+            x2, dx = dyn.ar_offset(np.array(gamma), qc, y, x0, grad=True)
             assert np.array_equal(x, x2)
-            np.testing.assert_array_equal(dx, dx_ref, err_msg=label)
-            _, dx_link = dyn.ar_offset(np.array(gamma), qc, y, x0, np.zeros((y.size, 0)))
-            np.testing.assert_array_equal(dx_link, dx_ref[:, -3:])
+            # the gamma columns of the loop's sensitivities
+            np.testing.assert_array_equal(dx, dx_ref[:, -3:], err_msg=label)
             if label == "none":
                 assert np.all(x == x0) and np.all(dx == 0.0)
 
@@ -350,14 +348,14 @@ def test_block_paths_and_assemble_match_loops(kind, link_kind, seed):
         ref = _ref_block_sens(kind, link_kind, block, y[:, j], q0[j], x0s[j], tau[j])
         # one asset alone is a one-column panel
         new = est._panel_paths(
-            kind, link_kind, block, y[:, [j]], q0[[j]], x0s[[j]], tau[[j]]
+            kind, link_kind, block[None], y[:, [j]], q0[[j]], x0s[[j]], tau[[j]]
         )
         np.testing.assert_allclose(new[0][:, 0], ref[0], rtol=RTOL, atol=0.0)
         np.testing.assert_allclose(new[1][:, 0], ref[1], rtol=RTOL, atol=0.0)
         q[:, j], dl[:, j] = ref[0], ref[1]
         dq[j, :, : ref[2].shape[1]] = ref[2]
         ddl[j] = ref[3]
-    panel = est._panel_paths(kind, link_kind, np.concatenate(blocks), y, q0, x0s, tau)
+    panel = est._panel_paths(kind, link_kind, np.array(blocks), y, q0, x0s, tau)
     np.testing.assert_allclose(panel[0], q, rtol=RTOL, atol=0.0)
     np.testing.assert_allclose(panel[1], dl, rtol=RTOL, atol=0.0)
 
@@ -412,25 +410,22 @@ def _step_problem(kind, link_kind, T=160, p=2, seed=17):
 def _central_difference(fun, theta, rel=1e-6):
     grad = np.empty_like(theta)
     for i in range(theta.size):
-        h = rel * max(1.0, abs(theta[i]))
+        h = rel * max(1.0, abs(theta.flat[i]))
         up, down = theta.copy(), theta.copy()
-        up[i] += h
-        down[i] -= h
-        grad[i] = (fun(up) - fun(down)) / (2.0 * h)
+        up.flat[i] += h
+        down.flat[i] -= h
+        grad.flat[i] = (fun(up) - fun(down)) / (2.0 * h)
     return grad
 
 
-def _blocks(kind, link_kind, y, tau, q0, x0s, q, dl, theta):
+def _blocks(kind, link_kind, y, tau, q0, x0s, q, dl):
     """The quantile block (scales frozen at ``dl``) and the link block
-    (quantile paths frozen at ``q``), each as (paths function, packed
-    entries)."""
+    (quantile paths frozen at ``q``), each as (paths function, columns of
+    the packed coefficients)."""
     nq = 4 if kind == dyn.AS else 3
-    nb = theta.size // y.shape[1]
-    q_sel = np.concatenate([j * nb + np.arange(nq) for j in range(y.shape[1])])
-    l_sel = np.concatenate([j * nb + np.arange(nq, nb) for j in range(y.shape[1])])
     return (
-        (lambda b: est._quantile_block(b, y, kind, q0, dl), q_sel),
-        (lambda b: est._link_block(b, y, link_kind, tau, x0s, q), l_sel),
+        (lambda b: est._quantile_block(b, y, kind, q0, dl), slice(None, nq)),
+        (lambda b: est._link_block(b, y, link_kind, tau, x0s, q), slice(nq, None)),
     )
 
 
@@ -452,17 +447,17 @@ def _check_gradient(block, b, y, cache, u, z):
 @pytest.mark.parametrize("link_kind", LINKS)
 def test_quantile_step_gradient_matches_central_differences(kind, link_kind):
     y, tau, q0, x0s, q, dl, u, z, cache, theta = _step_problem(kind, link_kind)
-    (block, sel), _ = _blocks(kind, link_kind, y, tau, q0, x0s, q, dl, theta)
+    (block, cols), _ = _blocks(kind, link_kind, y, tau, q0, x0s, q, dl)
     # off the truth, so the check is not made on a near-zero gradient
-    _check_gradient(block, theta[sel] * 1.05, y, cache, u, z)
+    _check_gradient(block, theta[:, cols] * 1.05, y, cache, u, z)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("link_kind", LINKS)
 def test_link_step_gradient_matches_central_differences(kind, link_kind):
     y, tau, q0, x0s, q, dl, u, z, cache, theta = _step_problem(kind, link_kind)
-    _, (block, sel) = _blocks(kind, link_kind, y, tau, q0, x0s, q, dl, theta)
-    _check_gradient(block, theta[sel] + 0.1, y, cache, u, z)
+    _, (block, cols) = _blocks(kind, link_kind, y, tau, q0, x0s, q, dl)
+    _check_gradient(block, theta[:, cols] + 0.1, y, cache, u, z)
 
 
 # -- the Levenberg-Marquardt move -------------------------------------------------
@@ -472,20 +467,20 @@ def test_metric_is_the_hessian_where_the_quantile_block_is_quadratic():
     # with the scales frozen and eta held, a SAV path is linear in omega and
     # beta, so the frozen-scale Q is quadratic there and -H is its Hessian
     y, tau, q0, x0s, q, dl, u, z, cache, theta = _step_problem(dyn.SAV, dyn.MULT)
-    (block, sel), _ = _blocks(dyn.SAV, dyn.MULT, y, tau, q0, x0s, q, dl, theta)
-    b = theta[sel] * 1.05
+    (block, cols), _ = _blocks(dyn.SAV, dyn.MULT, y, tau, q0, x0s, q, dl)
+    b = theta[:, cols] * 1.05
     paths = block(b)
     _, _, metric = est._assemble(y, *paths[:2], cache, u, z, *paths[2:], metric=True)
     free = np.array([0, 2, 3, 5])  # omega and beta of both assets
     hessian = np.empty((free.size, free.size))
     for col, i in enumerate(free):
-        h = 1e-3 * max(1.0, abs(b[i]))
+        h = 1e-3 * max(1.0, abs(b.flat[i]))
         up, down = b.copy(), b.copy()
-        up[i] += h
-        down[i] -= h
+        up.flat[i] += h
+        down.flat[i] -= h
         g_up = est._assemble(y, *block(up)[:2], cache, u, z, *block(up)[2:])[1]
         g_down = est._assemble(y, *block(down)[:2], cache, u, z, *block(down)[2:])[1]
-        hessian[:, col] = (g_up - g_down)[free] / (2.0 * h)
+        hessian[:, col] = (g_up - g_down).ravel()[free] / (2.0 * h)
     np.testing.assert_allclose(metric[np.ix_(free, free)], -hessian, rtol=1e-5)
 
 
@@ -495,16 +490,16 @@ def test_metric_uses_the_jacobian_of_the_scaled_residuals(kind, link_kind):
     # H = sum_t z_t J_t' inv J_t with J the central-difference derivative of
     # (y - q) / dl, for each block; the link block's J is all through dl
     y, tau, q0, x0s, q, dl, u, z, cache, theta = _step_problem(kind, link_kind)
-    for block, sel in _blocks(kind, link_kind, y, tau, q0, x0s, q, dl, theta):
-        b = theta[sel] * 1.05
+    for block, cols in _blocks(kind, link_kind, y, tau, q0, x0s, q, dl):
+        b = theta[:, cols] * 1.05
         paths = block(b)
         _, _, metric = est._assemble(y, *paths[:2], cache, u, z, *paths[2:], metric=True)
         jac = np.empty(y.shape + (b.size,))
         for i in range(b.size):
-            h = 1e-6 * max(1.0, abs(b[i]))
+            h = 1e-6 * max(1.0, abs(b.flat[i]))
             up, down = b.copy(), b.copy()
-            up[i] += h
-            down[i] -= h
+            up.flat[i] += h
+            down.flat[i] -= h
             r_up = (y - block(up)[0]) / block(up)[1]
             r_down = (y - block(down)[0]) / block(down)[1]
             jac[:, :, i] = (r_up - r_down) / (2.0 * h)
@@ -516,27 +511,29 @@ def test_metric_uses_the_jacobian_of_the_scaled_residuals(kind, link_kind):
 @pytest.mark.parametrize("link_kind", LINKS)
 def test_one_lm_move_keeps_the_block_value_and_the_box(kind, link_kind):
     y, tau, q0, x0s, q, dl, u, z, cache, theta = _step_problem(kind, link_kind)
-    lo, hi = est._bounds(kind, link_kind, y.shape[1])
-    nb = theta.size // y.shape[1]
+    lo, hi = est._bounds(kind, link_kind)
     start = theta * 1.05
-    start[1::nb] = est._ETA_BOUND  # eta on its bound
-    blocks = _blocks(kind, link_kind, y, tau, q0, x0s, q, dl, start)
-    for (block, sel), log_scale in zip(blocks, (False, True)):
-        paths = block(start[sel])
+    start[:, 1] = est._ETA_BOUND  # eta on its bound
+    blocks = _blocks(kind, link_kind, y, tau, q0, x0s, q, dl)
+    for (block, cols), log_scale in zip(blocks, (False, True)):
+        paths = block(start[:, cols])
         _, _, metric = est._assemble(y, *paths[:2], cache, u, z, *paths[2:], metric=True)
         np.testing.assert_allclose(metric, metric.T, rtol=1e-12,
                                    atol=1e-12 * np.abs(metric).max())
         eig = np.linalg.eigvalsh(metric)
         assert eig.min() >= -1e-10 * eig.max()
-        steps = est._lm_move(block, start[sel], lo[sel], hi[sel], log_scale, y, cache, u, z)
+        steps = est._lm_move(block, start[:, cols], lo[cols], hi[cols], log_scale, y, cache, u, z)
         assert 1 <= len(steps) <= est._LM_STEPS
-        values = [_block_value(block, y, cache, u, z, b) for b in [start[sel], *steps]]
+        values = [_block_value(block, y, cache, u, z, b)
+                  for b in [start[:, cols], *(moved for moved, _, _ in steps)]]
         assert np.all(np.diff(values) >= 0.0)
-        for moved in steps:
-            assert np.all(lo[sel] <= moved) and np.all(moved <= hi[sel])
+        for moved, moved_paths, value in steps:
+            # each kept step carries its own paths and the Q-value there
+            assert value == est._assemble(y, *moved_paths[:2], cache, u, z)[0]
+            assert np.all(lo[cols] <= moved) and np.all(moved <= hi[cols])
             after = start.copy()
-            after[sel] = moved
-            assert np.all(np.abs(after[1::nb]) <= est._ETA_BOUND)
+            after[:, cols] = moved
+            assert np.all(np.abs(after[:, 1]) <= est._ETA_BOUND)
 
 
 # -- one path evaluator ---------------------------------------------------------
@@ -554,21 +551,21 @@ def test_risk_path_equals_the_em_panel(kind, link_kind):
     q0 = np.array([dyn.initial_quantile(y[:, j], tau[j]) for j in range(p)])
     x0s = np.array([link.x0 for link in truth.links])
     theta = est._pack(truth.specs, truth.links)
-    specs, links = est._unpack(theta, kind, link_kind, p, x0s)
+    specs, links = est._unpack(theta, kind, link_kind, x0s)
     q, dl = est._panel_paths(kind, link_kind, theta, y, q0, x0s, tau)
     for j in range(p):
         path = dyn.risk_path(specs[j], links[j], y[:, j], q0[j], tau[j])
         assert np.array_equal(path.quantile, q[:, j])
         assert np.array_equal(path.delta, dl[:, j])
-    _, (block, sel) = _blocks(kind, link_kind, y, tau, q0, x0s, q, dl, theta)
-    assert np.array_equal(block(theta[sel])[1], dl)
+    _, (block, cols) = _blocks(kind, link_kind, y, tau, q0, x0s, q, dl)
+    assert np.array_equal(block(theta[:, cols])[1], dl)
 
 
 def test_em_panel_rejects_non_finite_coefficients_as_a_path_error():
     y, tau, q0, x0s, q, dl, u, z, cache, theta = _step_problem(dyn.SAV, dyn.MULT)
     for bad in (np.nan, np.inf):
         broken = theta.copy()
-        broken[0] = bad
+        broken[0, 0] = bad
         with pytest.raises(PathError):
             est._panel_paths(dyn.SAV, dyn.MULT, broken, y, q0, x0s, tau)
 
@@ -579,7 +576,7 @@ def test_link_step_rejects_an_exploding_offset_without_a_warning():
     y, tau, q0, x0s, q, dl, u, z, cache, theta = _step_problem(dyn.SAV, dyn.AR)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        paths = est._link_block(np.tile([-2.0, 8.0, 60.0], y.shape[1]), y, dyn.AR, tau, x0s, q)
+        paths = est._link_block(np.tile([-2.0, 8.0, 60.0], (y.shape[1], 1)), y, dyn.AR, tau, x0s, q)
     assert paths is None
 
 
@@ -594,5 +591,5 @@ def test_link_step_rejects_an_overflowing_gradient_without_a_warning():
     assert np.isfinite(x[-1]) and x[-1] > 1e307
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        paths = est._link_block(theta, y, dyn.AR, tau, np.zeros(1), q)
+        paths = est._link_block(theta[None], y, dyn.AR, tau, np.zeros(1), q)
     assert paths is None

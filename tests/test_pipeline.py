@@ -72,6 +72,15 @@ def test_forecast_rejects_tau_of_wrong_length(tmp_path, capsys):
     assert not (tmp_path / "reports").exists()
 
 
+@pytest.mark.parametrize("option,value", [("--n-starts", "0"), ("--max-iterations", "0"),
+                                          ("--tol", "-1"), ("--tol", "nan")])
+def test_fit_rejects_em_settings_that_cannot_run_with_exit_2(tmp_path, capsys, option, value):
+    data = tmp_path / "panel.csv"
+    assert cli.main(["simulate", "--dimension", "2", "--length", "150", "--out", str(data)]) == 0
+    assert cli.main(["fit", "--input", str(data), option, value]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {option[2:].replace('-', '_')} must be")
+
+
 def test_backtest_reads_tau_from_manifest(tmp_path, capsys):
     source = tmp_path / "forecasts.csv"
     _write_forecasts(source)
@@ -265,8 +274,6 @@ def test_forecast_rejects_a_short_backtest_block_before_any_fit(tmp_path, monkey
         ("refit_every", 2.5),
         ("refit_every", True),
         ("window_width", 100.7),
-        ("seed", 1.5),
-        ("seed", False),
     ],
 )
 def test_run_config_rejects_non_integer_counts(field, value):
@@ -276,9 +283,9 @@ def test_run_config_rejects_non_integer_counts(field, value):
 
 def test_run_config_takes_numpy_integer_counts():
     cfg = RunConfig(input_path="panel.csv", oos=np.int64(40), refit_every=np.int32(2),
-                    window_width=np.int64(100), seed=np.int64(3))
-    assert (cfg.oos, cfg.refit_every, cfg.window_width, cfg.seed) == (40, 2, 100, 3)
-    assert all(type(v) is int for v in (cfg.oos, cfg.refit_every, cfg.window_width, cfg.seed))
+                    window_width=np.int64(100))
+    assert (cfg.oos, cfg.refit_every, cfg.window_width) == (40, 2, 100)
+    assert all(type(v) is int for v in (cfg.oos, cfg.refit_every, cfg.window_width))
 
 
 # -- the loader ---------------------------------------------------------------
@@ -591,8 +598,8 @@ def _portfolio_config(tmp_path, out):
     if not data.exists():
         assert cli.main(["simulate", "--dimension", "2", "--length", "130", "--seed", "4",
                          "--out", str(data)]) == 0
-    return RunConfig(input_path=str(data), tau=TAU, oos=12, tau_tilde=0.15, seed=3,
-                     out_dir=str(out), em=EMConfig(n_starts=1, max_iterations=2))
+    return RunConfig(input_path=str(data), tau=TAU, oos=12, tau_tilde=0.15,
+                     out_dir=str(out), em=EMConfig(n_starts=1, max_iterations=2, seed=3))
 
 
 def test_portfolio_run_is_deterministic_and_meets_its_constraints(tmp_path):
