@@ -70,7 +70,9 @@ class CaviarSpec:
     """Quantile recursion coefficients for one series.
 
     ``beta`` has two entries for the asymmetric-slope kind (positive part,
-    negative part) and one entry otherwise.
+    negative part) and one entry otherwise. ``coef`` is (omega, eta, *beta)
+    as a tuple of Python floats, derived once when the spec is built, so a
+    :func:`quantile_step` on float inputs stays off numpy scalars.
     """
 
     kind: str
@@ -93,6 +95,7 @@ class CaviarSpec:
         object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "eta", float(self.eta))
         object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "coef", (self.omega, self.eta, *beta.tolist()))
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,11 @@ class ESLink:
     gamma[0] + gamma[1] * (q_prev - y_prev) + gamma[2] * x_prev after a
     violation y_prev <= q_prev and carries over otherwise; ``x0`` seeds it.
     The gap q_prev - y_prev is then non-negative, so gamma >= 0 and x0 >= 0
-    keep x >= 0. ``factor`` is the multiplicative link's 1 + exp(gamma0),
-    derived once when the link is built (None for the autoregressive link).
+    keep x >= 0. Two values are derived once when the link is built:
+    ``factor``, the multiplicative link's 1 + exp(gamma0) (None for the
+    autoregressive link), and ``coef``, the natural coefficients
+    :func:`scale_path` takes: gamma0 for the multiplicative link, the gamma
+    vector as a tuple of Python floats for the autoregressive one.
     """
 
     kind: str
@@ -122,6 +128,7 @@ class ESLink:
             object.__setattr__(self, "gamma0", float(self.gamma0))
             object.__setattr__(self, "gamma", None)
             object.__setattr__(self, "factor", float(1.0 + np.exp(self.gamma0)))
+            object.__setattr__(self, "coef", self.gamma0)
         else:
             gamma = np.atleast_1d(np.asarray(self.gamma, dtype=float))
             if gamma.shape != (3,):
@@ -133,12 +140,7 @@ class ESLink:
             object.__setattr__(self, "gamma", gamma)
             object.__setattr__(self, "x0", float(self.x0))
             object.__setattr__(self, "factor", None)
-
-    @property
-    def coef(self):
-        """The natural coefficients :func:`scale_path` takes: gamma0 for the
-        multiplicative link, the gamma vector for the autoregressive one."""
-        return self.gamma0 if self.kind == MULT else self.gamma
+            object.__setattr__(self, "coef", tuple(gamma.tolist()))
 
 
 @dataclass(frozen=True)
@@ -253,14 +255,16 @@ def quantile_step(spec, q_prev, y_prev):
     steps from q rather than the path's radicand s, so it agrees within 2 ulp.
     """
     if spec.kind == SAV:
-        return spec.omega + spec.beta[0] * abs(y_prev) + spec.eta * q_prev
+        omega, eta, beta = spec.coef
+        return omega + beta * abs(y_prev) + eta * q_prev
     if spec.kind == AS:
-        pos, neg = spec.beta[0] * max(y_prev, 0.0), spec.beta[1] * max(-y_prev, 0.0)
-        return spec.omega + pos + neg + spec.eta * q_prev
-    rad = spec.omega + spec.beta[0] * (y_prev * y_prev) + spec.eta * (q_prev * q_prev)
+        omega, eta, beta1, beta2 = spec.coef
+        return omega + beta1 * max(y_prev, 0.0) + beta2 * max(-y_prev, 0.0) + eta * q_prev
+    omega, eta, beta = spec.coef
+    rad = omega + beta * (y_prev * y_prev) + eta * (q_prev * q_prev)
     if rad <= 0.0:
         raise PathError("negative radicand in indirect-GARCH step")
-    return -np.sqrt(rad)
+    return -math.sqrt(rad)
 
 
 def quantile_path(spec, y, q0):
@@ -268,7 +272,7 @@ def quantile_path(spec, y, q0):
     y = np.asarray(y, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ValidationError("returns must be a non-empty vector")
-    return filter_path(spec.kind, (spec.omega, spec.eta, *spec.beta), y, float(q0))[0]
+    return filter_path(spec.kind, spec.coef, y, float(q0))[0]
 
 
 def scale_path(kind, gamma, q, y, tau, x0=0.0, grad=False):
@@ -324,7 +328,7 @@ def risk_step(spec, link, q, y, x):
     """
     q_next = quantile_step(spec, q, y)
     if link.kind == AR and y <= q:
-        g1, g2, g3 = link.gamma
+        g1, g2, g3 = link.coef
         x = g1 + g2 * (q - y) + g3 * x
     return q_next, shortfall(link, q_next, x), x
 

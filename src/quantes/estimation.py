@@ -194,7 +194,7 @@ def _pack(specs, links):
     *beta), then its link block (gamma0, or log gamma for the AR link)."""
     rows = []
     for spec, link in zip(specs, links):
-        row = [spec.omega, spec.eta, *spec.beta]
+        row = list(spec.coef)
         if link.kind == dyn.MULT:
             row.append(link.gamma0)
         else:
@@ -444,13 +444,15 @@ def _lm_move(block, b, lo, hi, log_scale, y, cache, u, z):
     fall, then lam shrinks tenfold; otherwise it grows tenfold. With the
     E-step weights fixed every kept step is a generalized EM step (Lange
     1995, the EM-gradient algorithm). Stops after ``_LM_STEPS`` kept steps
-    or ``_LM_TRIES`` tries and returns the kept ``(b, paths, value)``
-    triples, first to last (empty when none was kept).
+    or ``_LM_TRIES`` tries and returns the Q-value at ``b`` (None when
+    ``block(b)`` is None) and the kept ``(b, paths, value)`` triples, first
+    to last (empty when none was kept).
     """
     paths = block(b)
     if paths is None:
-        return []
+        return None, []
     val, grad, h = _assemble(y, *paths[:2], cache, u, z, *paths[2:], metric=True)
+    start = val
     lam = 1e-3
     kept = []
     for _ in range(_LM_TRIES):
@@ -479,7 +481,7 @@ def _lm_move(block, b, lo, hi, log_scale, y, cache, u, z):
         kept.append((b, paths, val))
         if len(kept) == _LM_STEPS:
             break
-    return kept
+    return start, kept
 
 
 def _update_dynamics(y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, q, dl):
@@ -495,11 +497,16 @@ def _update_dynamics(y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, q, dl
     """
     nq = 4 if kind == dyn.AS else 3
     lo, hi = _bounds(kind, link_kind)
-    val = _assemble(y, q, dl, cache, u, z)[0]
-    steps = _lm_move(
+    # the quantile block re-derives (q, dl) at its start, so its starting
+    # value is the current one
+    val, steps = _lm_move(
         lambda b: _quantile_block(b, y, kind, q0, dl),
         theta[:, :nq], lo[:nq], hi[:nq], False, y, cache, u, z,
     )
+    if val is None:
+        # the block rejects its own start: a quantile q >= 0, which the AR
+        # link's scale allows
+        val = _assemble(y, q, dl, cache, u, z)[0]
     for b, _, _ in reversed(steps):
         cand = np.hstack((b, theta[:, nq:]))
         try:
@@ -510,7 +517,7 @@ def _update_dynamics(y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, q, dl
         if val_c >= val:
             theta, q, dl, val = cand, q_c, dl_c, val_c
             break
-    steps = _lm_move(
+    _, steps = _lm_move(
         lambda b: _link_block(b, y, link_kind, tau, x0s, q),
         theta[:, nq:], lo[nq:], hi[nq:], True, y, cache, u, z,
     )

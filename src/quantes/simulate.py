@@ -11,10 +11,15 @@ quantile path of the data and hit rates against it equal tau. The
 with a heavier-tailed multivariate t draw, giving a misspecified stress
 scenario; "none" zeroes the shock and returns the pure recursion path.
 
-Each period steps every asset through :func:`dynamics.risk_step`, the rule
-the estimator's paths and the forecasts follow, so the autoregressive
-offset moves on the previous period's violation (Taylor 2019, JBES 37)
-and starts from the link's ``x0``.
+Every step goes through :func:`dynamics.risk_step`, the rule the
+estimator's paths and the forecasts follow, so the autoregressive offset
+moves on the previous period's violation (Taylor 2019, JBES 37) and starts
+from the link's ``x0``. Once the shocks are drawn the assets share no
+state, so :func:`generate` steps one column at a time, every period of
+asset 0, then of asset 1, and so on. Each value is the same float
+operations in the same order as in a period-by-period loop over the
+assets, so the panels are the same; a failing run raises the error that
+loop would meet first (see :func:`generate`).
 
 Panels are reproducible across versions because the draw order is fixed:
 the generator, seeded with ``[seed, replication]``, is split as
@@ -191,43 +196,63 @@ def generate(scenario, replication=0):
     The draws follow the fixed order of the module docstring, so a
     (scenario, replication) pair gives the same panel in every version, and
     its first rows do not depend on T. All shocks are drawn before the
-    recursion runs; each asset then steps through :func:`dynamics.risk_step`
-    on plain floats.
+    recursion runs. Given the shocks the assets share no state, so each
+    asset then steps through its own column alone, period by period through
+    :func:`dynamics.risk_step`, on plain floats.
 
     Raises :class:`PathError` when a quantile leaves [-1e6, 0) or is NaN, or
     a scale is not positive; its ``index`` counts rows from the first
     burn-in row, and the message names the column and whether that row lies
-    in the burn-in. A bool or non-integral ``replication`` raises
+    in the burn-in. A failure in :func:`dynamics.risk_step` itself (an
+    indirect-GARCH radicand that is not positive) is re-raised as it is.
+    The error raised is the one a period-by-period loop over all assets
+    meets first: the earliest row, and within a row a ``risk_step`` failure
+    before a quantile failure before a scale failure, each in its lowest
+    column. A bool or non-integral ``replication`` raises
     :class:`ValidationError`.
     """
     params = scenario.params
     burn_in = scenario.burn_in
     rng = np.random.default_rng([scenario.seed, as_integer("replication", replication)])
 
-    # each row of shocks is overwritten by that period's returns
+    # each column of shocks is overwritten by that asset's returns
     y = _draw_shocks(scenario, rng, burn_in + scenario.T)
-    assets = tuple(zip(params.specs, params.links, scenario.tau.tolist()))
-    q = _initial_state(params).tolist()
-    x = [link.x0 for link in params.links]
-    es = [dyn.shortfall(link, qj, xj) for link, qj, xj in zip(params.links, q, x)]
-
-    row = None
-    for t in range(y.shape[0]):
-        if t:
-            for j, (spec, link, _) in enumerate(assets):
-                q[j], es[j], x[j] = dyn.risk_step(spec, link, q[j], row[j], x[j])
-        for j, qj in enumerate(q):
+    step = dyn.risk_step
+    # (row, stage, error) of the earliest failure, stage 0 for risk_step's
+    # own error, 1 for the quantile check and 2 for the scale check
+    first = None
+    columns = zip(params.specs, params.links, scenario.tau.tolist(),
+                  _initial_state(params).tolist())
+    for j, (spec, link, tau, q) in enumerate(columns):
+        x = link.x0
+        es = dyn.shortfall(link, q, x)
+        col = y[:, j].tolist()
+        # a later column can only fail first on or before the earliest row
+        stop = len(col) if first is None else first[0] + 1
+        failed = None
+        for t in range(stop):
+            if t:
+                try:
+                    q, es, x = step(spec, link, q, col[t - 1], x)
+                except PathError as exc:
+                    failed = (t, 0, exc)
+                    break
             # written so that a NaN quantile fails too
-            if not (abs(qj) <= _BLOWUP and qj < 0.0):
-                raise _path_error("quantile path left the valid region", j, t, burn_in)
-        row = y[t].tolist()
-        for j, (_, _, tau) in enumerate(assets):
-            delta = tau * (0.0 - es[j])
+            if not (abs(q) <= _BLOWUP and q < 0.0):
+                failed = (t, 1, _path_error("quantile path left the valid region",
+                                            j, t, burn_in))
+                break
+            delta = tau * (0.0 - es)
             if not delta > 0.0:
-                raise _path_error("scale path became non-positive", j, t, burn_in)
-            row[j] = q[j] + delta * row[j]
-        y[t] = row
-
+                failed = (t, 2, _path_error("scale path became non-positive", j, t, burn_in))
+                break
+            col[t] = q + delta * col[t]
+        if failed is None:
+            y[:, j] = col
+        elif first is None or failed[:2] < first[:2]:
+            first = failed
+    if first is not None:
+        raise first[2]
     return y[burn_in:]
 
 

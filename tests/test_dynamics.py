@@ -131,6 +131,33 @@ def test_quantile_step_matches_path():
             assert np.array_equal(steps, q[1:])
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [CaviarSpec(SAV, -0.2, 0.85, np.array([-0.1])),
+     CaviarSpec(AS, -0.2, 0.8, np.array([-0.1, 0.05])),
+     CaviarSpec(IG, np.float64(0.2), 0.7, [0.1])],
+    ids=[SAV, AS, IG],
+)
+def test_quantile_steps_on_floats_stay_floats(spec):
+    # the simulator steps on plain floats; a numpy scalar would slow every step
+    assert type(spec.coef) is tuple
+    assert all(type(c) is float for c in spec.coef)
+    assert spec.coef == (spec.omega, spec.eta, *spec.beta)
+    for y_prev in (-0.7, 0.4):
+        assert type(quantile_step(spec, -1.2, y_prev)) is float
+
+
+def test_ar_risk_steps_on_floats_stay_floats():
+    link = ESLink(AR, gamma=np.array([0.05, 0.12, 0.8]), x0=0.1)
+    assert type(link.coef) is tuple and all(type(g) is float for g in link.coef)
+    assert link.coef == tuple(link.gamma)
+    assert ESLink(MULT, gamma0=np.float64(-1.1)).coef == -1.1
+    spec = CaviarSpec(SAV, -0.2, 0.85, [-0.1])
+    # a violation (y <= q) moves the offset, and the next step carries it
+    for y_prev in (-1.5, 0.4):
+        assert all(type(v) is float for v in dyn.risk_step(spec, link, -1.2, y_prev, 0.1))
+
+
 def test_path_determinism(synthetic):
     spec = CaviarSpec(AS, -0.15, 0.88, [-0.05, 0.1])
     a = quantile_path(spec, synthetic, -2.0)
@@ -259,19 +286,20 @@ def test_risk_path_reproduces_the_simulated_ar_paths(kind, monkeypatch):
     truth = reference_params(kind, AR, 2)
     tau = np.array([0.1, 0.05])
     step = dyn.risk_step
-    steps = []
+    steps = {}  # id of the spec -> that asset's steps, in order
 
-    def recorded(*args):
-        steps.append(step(*args))
-        return steps[-1]
+    def recorded(spec, *args):
+        out = step(spec, *args)
+        steps.setdefault(id(spec), []).append(out)
+        return out
 
     monkeypatch.setattr(dyn, "risk_step", recorded)
     y = generate(SimScenario(params=truth, tau=tau, T=400, burn_in=0, seed=8), 0)
     q0 = simulate._initial_state(truth)
     for j, (spec, link) in enumerate(zip(truth.specs, truth.links)):
-        # the simulator steps the assets in turn from row 1 on
+        # the simulator steps each asset from row 1 on
         first = (q0[j], shortfall(link, q0[j], link.x0), link.x0)
-        q, es, x = np.array([first, *steps[j::2]]).T
+        q, es, x = np.array([first, *steps[id(spec)]]).T
         rp = risk_path(spec, link, y[:, j], q0[j], tau[j])
         if kind == IG:
             # each step is within 2 ulp, but the simulator carries q, not the

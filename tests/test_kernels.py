@@ -522,10 +522,13 @@ def test_one_lm_move_keeps_the_block_value_and_the_box(kind, link_kind):
                                    atol=1e-12 * np.abs(metric).max())
         eig = np.linalg.eigvalsh(metric)
         assert eig.min() >= -1e-10 * eig.max()
-        steps = est._lm_move(block, start[:, cols], lo[cols], hi[cols], log_scale, y, cache, u, z)
+        first, steps = est._lm_move(block, start[:, cols], lo[cols], hi[cols], log_scale,
+                                    y, cache, u, z)
         assert 1 <= len(steps) <= est._LM_STEPS
         values = [_block_value(block, y, cache, u, z, b)
                   for b in [start[:, cols], *(moved for moved, _, _ in steps)]]
+        # the starting value it hands back is the block's value at the start
+        assert first == values[0]
         assert np.all(np.diff(values) >= 0.0)
         for moved, moved_paths, value in steps:
             # each kept step carries its own paths and the Q-value there
@@ -534,6 +537,48 @@ def test_one_lm_move_keeps_the_block_value_and_the_box(kind, link_kind):
             after = start.copy()
             after[:, cols] = moved
             assert np.all(np.abs(after[:, 1]) <= est._ETA_BOUND)
+
+
+def _touching_zero_problem():
+    """SAV/AR problem whose asset-0 quantile path is >= 0 on many rows, which
+    the AR scale allows and the quantile block rejects."""
+    y = 0.3 * np.random.default_rng(5).standard_normal((300, 2))
+    tau = np.full(2, 0.1)
+    q0 = np.array([-0.1, -0.3])
+    x0s = np.full(2, 2.0)
+    theta = np.array([[0.02, 0.5, -0.1, *np.log([0.5, 0.1, 0.5])],
+                      [-0.05, 0.8, -0.2, *np.log([0.5, 0.1, 0.5])]])
+    q, dl = est._panel_paths(dyn.SAV, dyn.AR, theta, y, q0, x0s, tau)
+    cons = MALConstraints.from_levels(tau)
+    u, z = est.e_step(y, q, dl, np.eye(2), cons)
+    cache = est._SigmaCache(np.eye(2), cons)
+    return y, tau, q0, x0s, q, dl, u, z, cache, theta
+
+
+@pytest.mark.parametrize("case", ["negative", "touching-zero", "nothing-moves"])
+def test_update_dynamics_returns_the_q_value_of_its_paths(case, monkeypatch):
+    if case == "negative":
+        problem = _step_problem(dyn.SAV, dyn.AR)
+    else:
+        problem = _touching_zero_problem()
+    if case == "nothing-moves":
+        # no block can score its start, so the value is that of the given paths
+        monkeypatch.setattr(est, "_link_block", lambda *args: None)
+    y, tau, q0, x0s, q, dl, u, z, cache, theta = problem
+    start = est._assemble(y, q, dl, cache, u, z)[0]
+    # the touching problem starts where the quantile block cannot score itself
+    invalid = est._quantile_block(theta[:, :3], y, dyn.SAV, q0, dl) is None
+    assert invalid == (case != "negative")
+    new, q_new, dl_new, val = est._update_dynamics(
+        y, tau, q0, x0s, dyn.SAV, dyn.AR, cache, u, z, theta, q, dl
+    )
+    assert val == est._assemble(y, q_new, dl_new, cache, u, z)[0]
+    if case == "nothing-moves":
+        assert val == start and np.array_equal(new, theta)
+    else:
+        assert val > start
+    if invalid:
+        assert np.array_equal(new[:, :3], theta[:, :3])
 
 
 # -- one path evaluator ---------------------------------------------------------

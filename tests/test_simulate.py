@@ -5,7 +5,9 @@ fixed order, written out here rather than through ``mal_sample``: the
 generator is split by ``spawn(2)``, the first child draws every period's
 standard normals and the second every mixing draw. Every panel must match it
 byte for byte, and every failing scenario must fail at the same row, so it
-also pins the draw order and a panel stays the same across versions.
+also pins the draw order and a panel stays the same across versions. The
+simulator steps one asset's column at a time; the precedence tests below
+check that it still raises the error this loop meets first.
 """
 
 import itertools
@@ -48,7 +50,12 @@ def _draw_raw(scenario, cons, chol, rng, total):
 
 
 def reference_generate(scenario, replication=0):
-    """Simulate one replication; returns a (T, p) matrix after burn-in."""
+    """Simulate one replication; returns a (T, p) matrix after burn-in.
+
+    Each period steps every asset, then checks every quantile, then every
+    scale, and raises at the first failure it meets, naming its column as
+    :func:`simulate._path_error` does; a ``risk_step`` error propagates.
+    """
     params = scenario.params
     p = params.p
     tau = scenario.tau
@@ -67,12 +74,18 @@ def reference_generate(scenario, replication=0):
         if t > 0:
             for j, (spec, link) in enumerate(zip(params.specs, params.links)):
                 q[j], es[j], x[j] = dyn.risk_step(spec, link, q[j], y[t - 1, j], x[j])
-        if np.any(np.abs(q) > _BLOWUP) or np.any(q >= 0.0):
-            raise PathError("simulated quantile path left the valid region", index=t)
+        bad = np.flatnonzero(~((np.abs(q) <= _BLOWUP) & (q < 0.0)))
+        if bad.size:
+            raise simulate._path_error(
+                "quantile path left the valid region", bad[0], t, scenario.burn_in
+            )
 
         delta = tau * (0.0 - es)
-        if np.any(delta <= 0.0):
-            raise PathError("simulated scale path became non-positive", index=t)
+        bad = np.flatnonzero(~(delta > 0.0))
+        if bad.size:
+            raise simulate._path_error(
+                "scale path became non-positive", bad[0], t, scenario.burn_in
+            )
         y[t] = q + delta * raw[t]
 
     return y[scenario.burn_in :]
@@ -96,6 +109,32 @@ def _blowup_params(p=2, column=1):
     specs = list(truth.specs)
     specs[column] = dyn.CaviarSpec(dyn.SAV, -0.2, 1.05, [-0.1])
     return ParameterSet(specs=tuple(specs), links=truth.links, psi=truth.psi)
+
+
+def _error(gen, scenario):
+    """Type, index and message of the PathError that ``gen`` raises."""
+    with pytest.raises(PathError) as err:
+        gen(scenario)
+    return type(err.value), err.value.index, str(err.value)
+
+
+def _poisoned_step(period, poison):
+    """``dyn.risk_step`` whose step into ``period`` returns the (q, es) pair
+    ``poison[id(spec)]`` instead, or raises it if it is an exception, for the
+    specs it names; steps are counted per asset."""
+    step = dyn.risk_step
+    counts = {}
+
+    def poisoned(spec, link, q, y, x):
+        n = counts[id(spec)] = counts.get(id(spec), 0) + 1
+        if n == period and id(spec) in poison:
+            bad = poison[id(spec)]
+            if isinstance(bad, Exception):
+                raise bad
+            return (*bad, x)
+        return step(spec, link, q, y, x)
+
+    return poisoned
 
 
 @pytest.mark.parametrize(
@@ -132,6 +171,65 @@ def test_blowup_raises_at_the_reference_row(burn_in):
     assert 0 < got.value.index < 500
 
 
+def test_an_earlier_row_in_a_later_column_fails_first():
+    params = _blowup_params(p=2, column=0)
+    specs = (params.specs[0], dyn.CaviarSpec(dyn.SAV, -0.2, 1.2, [-0.1]))
+    both = ParameterSet(specs=specs, links=params.links, psi=params.psi)
+    tau = np.full(2, 0.1)
+    alone = _error(generate, SimScenario(params=params, tau=tau, T=500, burn_in=0, seed=3))
+    scenario = SimScenario(params=both, tau=tau, T=500, burn_in=0, seed=3)
+    got = _error(generate, scenario)
+    assert got == _error(reference_generate, scenario)
+    assert "column 1 " in got[2] and got[1] < alone[1]
+
+
+_RADICAND = PathError("negative radicand in indirect-GARCH step")
+
+
+@pytest.mark.parametrize(
+    "lower,higher,index,message",
+    [((-1.0, math.nan), (math.nan, -1.0), 5,
+      "quantile path left the valid region in column 1 "),
+     ((math.nan, -1.0), (-1.0, math.nan), 5,
+      "quantile path left the valid region in column 0 "),
+     ((math.nan, math.nan), _RADICAND, None, str(_RADICAND))],
+    ids=["scale-then-quantile", "quantile-then-scale", "quantile-then-risk-step"],
+)
+def test_on_one_row_risk_step_then_quantile_then_scale_fails_first(
+    monkeypatch, lower, higher, index, message
+):
+    # both assets fail in their step into row 5: asset 0 as ``lower``, asset 1
+    # as ``higher``
+    scenario = SimScenario(params=reference_params(p=2), tau=np.full(2, 0.1), T=20,
+                           burn_in=0, seed=1)
+    specs = scenario.params.specs
+    poison = {id(specs[0]): lower, id(specs[1]): higher}
+    errors = []
+    for gen in (reference_generate, generate):
+        monkeypatch.setattr(dyn, "risk_step", _poisoned_step(5, poison))
+        errors.append(_error(gen, scenario))
+    assert errors[1] == errors[0]
+    assert errors[1][1] == index and message in errors[1][2]
+
+
+@pytest.mark.parametrize("beta,radicand_first", [(0.2, True), (0.1, False)])
+def test_a_radicand_error_in_a_later_column_keeps_its_row_order(beta, radicand_first):
+    # asset 1's negative eta drives its radicand below zero in its step into
+    # row 43 (beta 0.2) or row 202 (beta 0.1); asset 0 leaves the valid
+    # region at row 94
+    params = _blowup_params(p=2, column=0)
+    specs = (params.specs[0], dyn.CaviarSpec(dyn.IG, 0.01, -0.5, [beta]))
+    scenario = SimScenario(params=ParameterSet(specs=specs, links=params.links,
+                                               psi=params.psi),
+                           tau=np.full(2, 0.1), T=500, burn_in=0, seed=3)
+    got = _error(generate, scenario)
+    assert got == _error(reference_generate, scenario)
+    if radicand_first:
+        assert got == (PathError, None, "negative radicand in indirect-GARCH step")
+    else:
+        assert got[1] == 94 and "column 0 " in got[2]
+
+
 @pytest.mark.parametrize("p", [3, 5])
 @pytest.mark.parametrize("family", ["normal", "student_t"])
 def test_a_shorter_panel_is_a_prefix_of_a_longer_one(family, p):
@@ -166,18 +264,11 @@ def test_path_errors_name_the_column_and_the_burn_in():
     ids=["nan-quantile", "nan-scale"],
 )
 def test_nan_paths_are_rejected(monkeypatch, q_next, es_next, what):
-    step = dyn.risk_step
-    calls = []
-
-    def poisoned(spec, link, q, y, x):
-        calls.append(None)
-        if len(calls) == 7:  # asset 0 of period 4 at p=2
-            return q_next, es_next, x
-        return step(spec, link, q, y, x)
-
-    monkeypatch.setattr(dyn, "risk_step", poisoned)
     scenario = SimScenario(params=reference_params(p=2), tau=np.full(2, 0.1), T=20,
                            burn_in=0, seed=1)
+    poison = {id(scenario.params.specs[0]): (q_next, es_next)}
+    # asset 0's step into period 4
+    monkeypatch.setattr(dyn, "risk_step", _poisoned_step(4, poison))
     with pytest.raises(PathError, match=f"{what} .* column 0 ") as err:
         generate(scenario)
     assert err.value.index == 4
