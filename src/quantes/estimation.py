@@ -14,9 +14,12 @@ metric, with exact gradients from forward sensitivity recursions.
 The dynamic coefficients are a (p, n) array with one row per asset, whose
 column blocks ``[:nq]`` and ``[nq:]`` are the quantile and link blocks;
 only :func:`_pack`, :func:`_unpack` and :func:`_bounds` know each column.
-The likelihood rows come from the density core in ``mal``, with the
-quadratic form floored at ``_M_FLOOR``; the expected complete-data
-objective (the Q-value) is computed only in :func:`_assemble`.
+One likelihood pass, :func:`_e_pass`, forms each row's quadratic form
+(floored at ``_M_FLOOR`` there alone) and Bessel term once, for both the
+row log-likelihoods, through the density core in ``mal``, and the E-step
+weights; each EM iteration ends with one pass, which gives its trace value
+and the next iteration's weights. The expected complete-data objective
+(the Q-value) is computed only in :func:`_assemble`.
 
 The scheme is a generalized EM (Dempster, Laird & Rubin 1977, JRSS-B 39):
 each block's move is only a proposal, kept when the Q-value at the current
@@ -41,7 +44,8 @@ from scipy import special
 from . import dynamics as dyn
 from .exceptions import NumericError, PathError, ValidationError
 from .linalg import nearest_pd_correlation
-from .mal import MALConstraints, _log_density_rows, _quad_form, _SigmaCache, as_integer, as_levels
+from .mal import (MALConstraints, _bessel_terms, _log_density_rows, _quad_form, _SigmaCache,
+                  as_integer, as_levels)
 
 __all__ = [
     "EMConfig",
@@ -260,14 +264,18 @@ def _panel_paths(kind, link_kind, theta, y, q0, x0s, tau):
 # -- likelihood machinery ----------------------------------------------------
 
 
-def _floored_m(v, cache):
-    """Quadratic form of the scaled residuals ``v``, floored at ``_M_FLOOR``."""
-    return np.maximum(_quad_form(v, cache), _M_FLOOR)
-
-
-def _loglik_rows(y, q, dl, cache):
-    v = (y - q) / dl
-    return _log_density_rows(v, _floored_m(v, cache), np.log(dl).sum(axis=1), cache)
+def _e_pass(v, log_scale, cache):
+    """Row log-likelihoods and E-step weights ``(rows, u, z)`` of the scaled
+    residuals ``v`` = (y - q) / delta with row sums ``log_scale`` of log delta,
+    from one quadratic form, floored at ``_M_FLOOR``, and one Bessel term."""
+    m = np.maximum(_quad_form(v, cache), _M_FLOOR)
+    bessel = _bessel_terms(m, cache)
+    rows = _log_density_rows(v, m, bessel, log_scale, cache)
+    s, log_kve = bessel
+    ratio = np.exp(np.log(special.kve(cache.nu + 1.0, s)) - log_kve)
+    u = np.sqrt(m / (2.0 + cache.skew)) * ratio
+    z = np.sqrt((2.0 + cache.skew) / m) * ratio - 2.0 * cache.nu / m
+    return rows, u, z
 
 
 def e_step(y, q, delta, psi, constraints):
@@ -276,23 +284,10 @@ def e_step(y, q, delta, psi, constraints):
     Row-aligned arrays of shape (T, p) (a single (p,) row is accepted);
     returns ``(u, z)`` with u_t = E[W_t | y_t] and z_t = E[1/W_t | y_t].
     """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    q = np.atleast_2d(np.asarray(q, dtype=float))
-    delta = np.atleast_2d(np.asarray(delta, dtype=float))
+    y, q, delta = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (y, q, delta))
     cache = _SigmaCache(psi, constraints)
-    return _weights((y - q) / delta, cache)
-
-
-def _weights(v, cache):
-    m = _floored_m(v, cache)
-    s = np.sqrt((2.0 + cache.skew) * m)
-    log_ratio = np.log(special.kve(cache.nu + 1.0, s)) - np.log(
-        special.kve(cache.nu, s)
-    )
-    ratio = np.exp(log_ratio)
-    u = np.sqrt(m / (2.0 + cache.skew)) * ratio
-    z = np.sqrt((2.0 + cache.skew) / m) * ratio - 2.0 * cache.nu / m
-    return u, z
+    # the rows are not returned, so their log-scale term is left out
+    return _e_pass((y - q) / delta, 0.0, cache)[1:]
 
 
 def _assemble(y, q, dl, cache, u, z, dq=None, ddl=None, metric=False):
@@ -354,7 +349,7 @@ def observed_loglik(params, y, tau, q0):
     cons = MALConstraints.from_levels(tau)
     q, dl = _paths(params.specs, params.links, y, np.asarray(q0, float), tau)
     cache = _SigmaCache(params.psi, cons)
-    return float(_loglik_rows(y, q, dl, cache).sum())
+    return float(_e_pass((y - q) / dl, np.log(dl).sum(axis=1), cache)[0].sum())
 
 
 def sigma_m_step(u_rows, u, z, constraints):
@@ -542,9 +537,7 @@ def dynamic_m_step(params, y, tau, q0, u, z):
     q0 = np.asarray(q0, dtype=float)
     kind = params.specs[0].kind
     link_kind = params.links[0].kind
-    x0s = np.array(
-        [link.x0 if link.kind == dyn.AR else 0.0 for link in params.links]
-    )
+    x0s = np.array([link.x0 if link.kind == dyn.AR else 0.0 for link in params.links])
     cons = MALConstraints.from_levels(tau)
     cache = _SigmaCache(params.psi, cons)
     theta = _pack(params.specs, params.links)
@@ -599,7 +592,7 @@ def _univariate_theta(y_j, tau_j, kind, link_kind, q0, x0, config, rng):
             q, dl = _panel_paths(kind, link_kind, theta, col, q0v, x0v, tau_v)
         except PathError:
             continue
-        val = -float(_loglik_rows(col, q, dl, cache).sum())
+        val = -float(_e_pass((col - q) / dl, np.log(dl).sum(axis=1), cache)[0].sum())
         if val < best_val:
             best_theta, best_val = theta, val
     if best_theta is None:
@@ -621,27 +614,28 @@ def _em_chain(y, tau, q0, x0s, theta0, psi0, kind, link_kind, config, callback, 
 
     q, dl = _panel_paths(kind, link_kind, theta, y, q0, x0s, tau)
     cache = _SigmaCache(psi, cons)
-    rows = _loglik_rows(y, q, dl, cache)
+    # each pass gives the trace its value and the next E-step its weights
+    rows, u, z = _e_pass((y - q) / dl, np.log(dl).sum(axis=1), cache)
     ll = float(rows.sum())
     trace = [ll]
     stop_reason = "max_iter"
     iterations = 0
     for it in range(1, config.max_iterations + 1):
         iterations = it
-        u, z = _weights((y - q) / dl, cache)
         theta, q, dl, val = _update_dynamics(
             y, tau, q0, x0s, kind, link_kind, cache, u, z, theta, q, dl
         )
+        v = (y - q) / dl
         if p > 1:
             try:
-                psi_cand = sigma_m_step((y - q) / dl, u, z, cons)
+                psi_cand = sigma_m_step(v, u, z, cons)
             except NumericError:
                 psi_cand = None
             if psi_cand is not None:
                 cache_cand = _SigmaCache(psi_cand, cons)
                 if _assemble(y, q, dl, cache_cand, u, z)[0] >= val:
                     psi, cache = psi_cand, cache_cand
-        rows = _loglik_rows(y, q, dl, cache)
+        rows, u, z = _e_pass(v, np.log(dl).sum(axis=1), cache)
         ll_new = float(rows.sum())
         trace.append(ll_new)
         if callback is not None:
@@ -710,12 +704,8 @@ def fit(y, tau, kind=dyn.SAV, link_kind=dyn.MULT, config=None, init=None, callba
 
     rng = np.random.default_rng(config.seed)
     q0 = np.array([dyn.initial_quantile(y[:, j], tau[j]) for j in range(p)])
-    x0s = np.array(
-        [
-            dyn.initial_es_offset(y[:, j], q0[j]) if link_kind == dyn.AR else 0.0
-            for j in range(p)
-        ]
-    )
+    x0s = np.array([dyn.initial_es_offset(y[:, j], q0[j]) if link_kind == dyn.AR else 0.0
+                    for j in range(p)])
 
     if init is not None:
         if init.p != p:

@@ -9,10 +9,12 @@ Psi mixing the coordinates.
 
 The density is evaluated in one place: :class:`_SigmaCache` derives the
 Sigma terms (inverse, log-determinant, Sigma^-1 xi, xi' Sigma^-1 xi, the
-Bessel order) and :func:`_log_density_rows` turns scaled residuals and their
-quadratic form into row log densities. :func:`mal_log_density`, the joint
-score ``scoring.s_mal`` and the EM likelihood in ``estimation`` all call the
-two; each applies its own policy at the pole m = 0.
+Bessel order), :func:`_bessel_terms` the Bessel term of a quadratic form,
+and :func:`_log_density_rows` turns scaled residuals, their quadratic form
+and its Bessel term into row log densities. :func:`mal_log_density`, the
+joint score ``scoring.s_mal`` and the EM's likelihood pass in ``estimation``
+(which also reads its E-step weights off the Bessel term) all call the
+three; each applies its own policy at the pole m = 0.
 
 The terms that depend only on (tau, psi) or on (Sigma, xi, nu) are memoised
 per process, keyed on the bytes of those arrays: :func:`_psi_terms` holds the
@@ -276,14 +278,21 @@ def _quad_form(v, cache):
     return np.einsum("ti,ij,tj->t", v, cache.inv, v)
 
 
-def _log_density_rows(v, m, log_scale, cache):
+def _bessel_terms(m, cache):
+    """``(s, log(K_nu(s) e^s))`` at the quadratic forms m: s = sqrt((2 + xi' Sigma^-1 xi) m)."""
+    s = np.sqrt((2.0 + cache.skew) * m)
+    return s, np.log(special.kve(cache.nu, s))
+
+
+def _log_density_rows(v, m, bessel, log_scale, cache):
     """Row log densities of the scaled residuals ``v`` = (y - mu) / delta.
 
     ``m`` is their quadratic form after the caller's policy at the pole
-    m = 0, and ``log_scale`` is the sum of log delta, per row or shared.
+    m = 0, ``bessel`` its :func:`_bessel_terms`, and ``log_scale`` the sum
+    of log delta, per row or shared.
     """
-    s = np.sqrt((2.0 + cache.skew) * m)
-    log_k = np.log(special.kve(cache.nu, s)) - s
+    s, log_kve = bessel
+    log_k = log_kve - s
     return (
         math.log(2.0)
         + v @ cache.lin
@@ -329,7 +338,7 @@ def mal_log_density(y, params):
         raise DegeneratePointError(
             "density evaluated exactly at the location point", index=int(bad[0])
         )
-    out = _log_density_rows(v, m, np.log(params.delta).sum(), cache)
+    out = _log_density_rows(v, m, _bessel_terms(m, cache), np.log(params.delta).sum(), cache)
     return float(out[0]) if one_point else out
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegeneratePointError, ValidationError
-from .mal import _log_density_rows, _quad_form, _sigma_cache, as_levels, fixed_skew
+from .mal import _bessel_terms, _log_density_rows, _quad_form, _sigma_cache, as_levels, fixed_skew
 
 __all__ = [
     "ForecastRecord",
@@ -115,7 +115,7 @@ def s_mal(record, sigma):
     m = _quad_form(w, cache)
     if m[0] <= 0.0:
         raise DegeneratePointError("score evaluated exactly at the forecast point")
-    row = _log_density_rows(w, m, np.log(delta).sum(), cache)[0]
+    row = _log_density_rows(w, m, _bessel_terms(m, cache), np.log(delta).sum(), cache)[0]
     # the density without its constants log 2 - (p/2) log(2 pi), negated
     return float(math.log(2.0) - 0.5 * p * math.log(2.0 * math.pi) - row)
 

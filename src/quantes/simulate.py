@@ -35,6 +35,7 @@ import math
 import os
 import time
 from collections import Counter
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -60,7 +61,12 @@ _BLOWUP = 1e6
 
 @dataclass(frozen=True)
 class SimScenario:
-    """A data-generating configuration for one study."""
+    """A data-generating configuration for one study.
+
+    ``error_family="none"`` with the AR link puts every row on the
+    violation boundary y = q, where a last-bit change in q flips the AR
+    offset's violation test: such panels are no fit or path-comparison input.
+    """
 
     params: object  # ParameterSet with the true recursion coefficients
     tau: np.ndarray
@@ -198,14 +204,15 @@ def generate(scenario, replication=0):
     its first rows do not depend on T. All shocks are drawn before the
     recursion runs. Given the shocks the assets share no state, so each
     asset then steps through its own column alone, period by period through
-    :func:`dynamics.risk_step`, on plain floats.
+    :func:`dynamics.risk_step`, on plain floats. ``error_family="none"``
+    with the AR link gives no fit input (see :class:`SimScenario`).
 
-    Raises :class:`PathError` when a quantile leaves [-1e6, 0) or is NaN, or
-    a scale is not positive; its ``index`` counts rows from the first
-    burn-in row, and the message names the column and whether that row lies
-    in the burn-in. A failure in :func:`dynamics.risk_step` itself (an
-    indirect-GARCH radicand that is not positive) is re-raised as it is.
-    The error raised is the one a period-by-period loop over all assets
+    Raises :class:`PathError` when a quantile leaves [-1e6, 0) or is NaN, a
+    scale is not positive, or :func:`dynamics.risk_step` itself fails (an
+    indirect-GARCH radicand that is not positive, whose message is kept);
+    its ``index`` counts rows from the first burn-in row, and the message
+    names the column and whether that row lies in the burn-in. The error
+    raised is the one a period-by-period loop over all assets
     meets first: the earliest row, and within a row a ``risk_step`` failure
     before a quantile failure before a scale failure, each in its lowest
     column. A bool or non-integral ``replication`` raises
@@ -235,7 +242,7 @@ def generate(scenario, replication=0):
                 try:
                     q, es, x = step(spec, link, q, col[t - 1], x)
                 except PathError as exc:
-                    failed = (t, 0, exc)
+                    failed = (t, 0, _path_error(f"step failed ({exc})", j, t, burn_in))
                     break
             # written so that a NaN quantile fails too
             if not (abs(q) <= _BLOWUP and q < 0.0):
@@ -309,15 +316,9 @@ def run_study(scenario, em_config=None, n_jobs=None, progress=None):
     results = [None] * scenario.B
     if n_jobs is None:
         n_jobs = os.cpu_count() or 1
-    if n_jobs > 1 and scenario.B > 1:
-        with ProcessPoolExecutor(max_workers=min(n_jobs, scenario.B)) as pool:
-            for rep, *out in pool.map(_study_worker, jobs):
-                results[rep] = out
-                if progress is not None:
-                    progress(rep, out[0] is not None)
-    else:
-        for job in jobs:
-            rep, *out = _study_worker(job)
+    parallel = n_jobs > 1 and scenario.B > 1
+    with ProcessPoolExecutor(min(n_jobs, scenario.B)) if parallel else nullcontext() as pool:
+        for rep, *out in (pool.map if parallel else map)(_study_worker, jobs):
             results[rep] = out
             if progress is not None:
                 progress(rep, out[0] is not None)

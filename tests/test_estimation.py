@@ -1,7 +1,9 @@
 import inspect
+import json
 
 import numpy as np
 import pytest
+from scipy import special
 
 from quantes import dynamics as dyn
 from quantes import estimation
@@ -11,7 +13,7 @@ from quantes.estimation import (
     FitResult,
     ParameterSet,
     _assemble,
-    _loglik_rows,
+    _e_pass,
     _panel_paths,
     dynamic_m_step,
     e_step,
@@ -20,7 +22,7 @@ from quantes.estimation import (
     q_function,
     sigma_m_step,
 )
-from quantes.exceptions import ValidationError
+from quantes.exceptions import PathError, ValidationError
 from quantes.mal import (
     MALConstraints,
     MALParams,
@@ -92,6 +94,39 @@ def test_e_step_p1_closed_forms():
     np.testing.assert_allclose(z, np.sqrt(a / b), rtol=1e-10)
 
 
+def test_e_step_is_the_weights_of_the_likelihood_pass():
+    # the weights written out on their own, as the E-step computed them
+    # before it shared the pass with the row log-likelihoods
+    params, y, tau = _sim_panel(T=300, seed=43)
+    cons = MALConstraints.from_levels(tau)
+    q0 = np.array([dyn.initial_quantile(y[:, j], tau[j]) for j in range(3)])
+    q, dl = estimation._paths(params.specs, params.links, y, q0, tau)
+    cache = _SigmaCache(params.psi, cons)
+    m = np.maximum(_quad_form((y - q) / dl, cache), _M_FLOOR)
+    s = np.sqrt((2.0 + cache.skew) * m)
+    ratio = np.exp(np.log(special.kve(cache.nu + 1.0, s)) - np.log(special.kve(cache.nu, s)))
+    u, z = e_step(y, q, dl, params.psi, cons)
+    assert np.array_equal(u, np.sqrt(m / (2.0 + cache.skew)) * ratio)
+    assert np.array_equal(z, np.sqrt((2.0 + cache.skew) / m) * ratio - 2.0 * cache.nu / m)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_each_em_iteration_evaluates_the_bessel_terms_once(n, monkeypatch):
+    # one likelihood pass before the loop and one per iteration, each with
+    # K_nu and K_nu+1: the trace's value and the next weights share them
+    params, y, tau = _sim_panel(T=300, seed=41)
+    q0 = np.array([dyn.initial_quantile(y[:, j], tau[j]) for j in range(3)])
+    theta = estimation._pack(params.specs, params.links)
+    kve, calls = special.kve, []
+    monkeypatch.setattr(special, "kve", lambda nu, s: calls.append(nu) or kve(nu, s))
+    state = estimation._em_chain(
+        y, tau, q0, np.zeros(3), theta, params.psi, dyn.SAV, dyn.MULT,
+        EMConfig(tol=0.0, max_iterations=n, n_starts=1), callback=None, start_index=0,
+    )
+    assert state["iterations"] == n and state["stop_reason"] == "max_iter"
+    assert len(calls) == 2 + 2 * n
+
+
 # -- complete-data objective --------------------------------------------------
 
 
@@ -148,8 +183,22 @@ def test_loglik_rows_equal_the_density_row_for_row(p):
     dl = np.tile(params.delta, (300, 1))
     cache = _SigmaCache(params.psi, params.constraints)
     assert _quad_form((y - q) / dl, cache).min() > _M_FLOOR
-    rows = _loglik_rows(y, q, dl, cache)
+    rows = _e_pass((y - q) / dl, np.log(dl).sum(axis=1), cache)[0]
     assert np.array_equal(rows, mal_log_density(y, params))
+
+
+def test_paths_name_the_asset_whose_path_fails():
+    params, y, tau = _sim_panel(T=300, seed=5)
+    q0 = np.array([dyn.initial_quantile(y[:, j], tau[j]) for j in range(3)])
+    specs = list(params.specs)
+    specs[1] = dyn.CaviarSpec(dyn.IG, 0.01, -0.5, [0.2])  # its radicand turns negative
+    with pytest.raises(PathError) as alone:
+        dyn.quantile_path(specs[1], y[:, 1], q0[1])
+    with pytest.raises(PathError) as err:
+        estimation._paths(tuple(specs), params.links, y, q0, tau)
+    assert str(err.value) == f"invalid path for asset 1: {alone.value}"
+    assert alone.value.index is not None
+    assert err.value.index == alone.value.index
 
 
 # -- M-steps ------------------------------------------------------------------
@@ -271,7 +320,7 @@ def test_chain_rows_are_the_rows_of_its_final_state(kind, link, monkeypatch):
     for a, state in chains:
         q, dl = _panel_paths(kind, link, state["theta"], a["y"], a["q0"], a["x0s"], a["tau"])
         cache = _SigmaCache(state["psi"], MALConstraints.from_levels(a["tau"]))
-        rows = _loglik_rows(a["y"], q, dl, cache)
+        rows = _e_pass((a["y"] - q) / dl, np.log(dl).sum(axis=1), cache)[0]
         assert np.all(rows == state["rows"])
         assert float(rows.sum()) == state["loglik"]
 
@@ -351,6 +400,19 @@ def test_one_level_is_shared_by_every_asset():
             dynamic_m_step(params, y, bad, q0, u, z)
         with pytest.raises(ValidationError, match="3 assets"):
             fit(y, bad, config=cfg)
+
+
+def test_an_ar_parameter_set_round_trips_through_its_dict():
+    # the fit.json of an AR fit: gamma as a list and the offset seed x0
+    params = reference_params(dyn.AS, dyn.AR, 3)
+    data = json.loads(json.dumps(params.to_dict()))
+    assert data["assets"][0]["gamma"] == [0.05, 0.12, 0.80] and "gamma0" not in data["assets"][0]
+    back = ParameterSet.from_dict(data)
+    assert back.to_dict() == data
+    for got, want in zip(back.links, params.links):
+        assert got.kind == dyn.AR and got.x0 == want.x0
+        assert np.array_equal(got.gamma, want.gamma)
+    assert np.array_equal(back.psi, params.psi)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import csv
 import datetime
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ import pytest
 from quantes import __version__, cli, dynamics, mal, pipeline
 from quantes.dynamics import initial_quantile, risk_path
 from quantes.estimation import EMConfig, ParameterSet
-from quantes.exceptions import NumericError, ValidationError
-from quantes.mal import MALConstraints, MALParams, assemble_sigma, linear_combine
+from quantes.exceptions import InfeasibleAllocationError, NumericError, ValidationError
+from quantes.mal import (
+    MALConstraints, MALParams, al_es, al_quantile, assemble_sigma, linear_combine,
+)
 from quantes.pipeline import RunConfig, load_returns, rolling_forecast, summary_stats
 from quantes.simulate import SimScenario, StudyResult, generate, reference_params, run_study
 
@@ -238,6 +241,30 @@ def test_degenerate_forecast_carries_the_previous_one(tmp_path, monkeypatch):
         assert np.array_equal(bundle.es[k], clean.es[k])
     assert np.array_equal(bundle.var[2], clean.var[1])
     assert np.array_equal(bundle.es[2], clean.es[1])
+
+
+def test_failed_refit_carries_the_previous_parameters(tmp_path, monkeypatch):
+    # refits at periods 0, 4 and 8; with the one at period 4 failing, the run
+    # is the run that refits at 0 and 8 only, warm-started from period 0
+    config = replace(_small_run(tmp_path), refit_every=4)
+    clean = rolling_forecast(replace(config, refit_every=8))
+    real, calls = pipeline.fit, []
+
+    def failing_second(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericError("all starts failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit", failing_second)
+    bundle = rolling_forecast(config)
+    assert len(calls) == 3
+    assert bundle.warnings == (f"t=104 ({bundle.dates[4]}): refit failed: all starts failed",)
+    assert bundle.manifest["n_refits"] == clean.manifest["n_refits"] == 2
+    assert bundle.psis[4] is bundle.psis[3] is bundle.psis[0]
+    assert bundle.sigmas[4] is bundle.sigmas[0]
+    assert np.array_equal(bundle.var, clean.var) and np.array_equal(bundle.es, clean.es)
+    assert all(np.array_equal(a, b) for a, b in zip(bundle.psis, clean.psis))
 
 
 def test_degenerate_first_forecast_still_raises(tmp_path, monkeypatch):
@@ -656,6 +683,38 @@ def test_portfolio_run_validates_each_psi_once(tmp_path, monkeypatch):
     distinct = len({psi.tobytes() for psi in bundle.psis})
     assert 1 < distinct < len(bundle.portfolio)
     assert len(calls) == distinct
+
+
+def test_infeasible_period_keeps_the_previous_weights(tmp_path, monkeypatch):
+    config = _portfolio_config(tmp_path, tmp_path / "reports")
+    clean = pipeline.portfolio_run(config)
+    real, calls = pipeline.smv_weights, []
+
+    def infeasible_fifth(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 5:
+            raise InfeasibleAllocationError("no feasible weights", residual=0.01)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "smv_weights", infeasible_fifth)
+    bundle = pipeline.portfolio_run(config)
+    assert clean.manifest["portfolio"]["infeasible_periods"] == 0
+    assert bundle.manifest["portfolio"]["infeasible_periods"] == 1
+    assert bundle.portfolio[:4] == clean.portfolio[:4]
+    row, before = bundle.portfolio[4], clean.portfolio[3]
+    assert row["feasible"] == 0
+    weights = np.array([row[f"w_{c}"] for c in bundle.columns])
+    assert np.array_equal(weights, [before[f"w_{c}"] for c in bundle.columns])
+    params_t = MALParams(mu=bundle.var[4], delta=bundle.tau * (0.0 - bundle.es[4]),
+                         psi=bundle.psis[4], tau=bundle.tau)
+    al = linear_combine(weights, params_t)
+    assert row["var"] == al_quantile(0.15, al.mu_star, al.tau_star, al.delta_star)
+    assert row["es"] == al_es(0.15, al.mu_star, al.tau_star, al.delta_star)
+    assert row["return"] == float(weights @ bundle.y[4])
+    message = (f"t={row['t']} ({row['date']}): allocation infeasible (residual 1.00e-02); "
+               "previous weights carried")
+    assert bundle.warnings == clean.warnings + (message,)
+    assert bundle.manifest["warnings"] == list(bundle.warnings)
 
 
 def test_portfolio_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):

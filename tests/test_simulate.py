@@ -54,7 +54,7 @@ def reference_generate(scenario, replication=0):
 
     Each period steps every asset, then checks every quantile, then every
     scale, and raises at the first failure it meets, naming its column as
-    :func:`simulate._path_error` does; a ``risk_step`` error propagates.
+    :func:`simulate._path_error` does, a ``risk_step`` error included.
     """
     params = scenario.params
     p = params.p
@@ -73,7 +73,12 @@ def reference_generate(scenario, replication=0):
     for t in range(total):
         if t > 0:
             for j, (spec, link) in enumerate(zip(params.specs, params.links)):
-                q[j], es[j], x[j] = dyn.risk_step(spec, link, q[j], y[t - 1, j], x[j])
+                try:
+                    q[j], es[j], x[j] = dyn.risk_step(spec, link, q[j], y[t - 1, j], x[j])
+                except PathError as exc:
+                    raise simulate._path_error(
+                        f"step failed ({exc})", j, t, scenario.burn_in
+                    ) from exc
         bad = np.flatnonzero(~((np.abs(q) <= _BLOWUP) & (q < 0.0)))
         if bad.size:
             raise simulate._path_error(
@@ -192,7 +197,7 @@ _RADICAND = PathError("negative radicand in indirect-GARCH step")
       "quantile path left the valid region in column 1 "),
      ((math.nan, -1.0), (-1.0, math.nan), 5,
       "quantile path left the valid region in column 0 "),
-     ((math.nan, math.nan), _RADICAND, None, str(_RADICAND))],
+     ((math.nan, math.nan), _RADICAND, 5, f"step failed ({_RADICAND}) in column 1 ")],
     ids=["scale-then-quantile", "quantile-then-scale", "quantile-then-risk-step"],
 )
 def test_on_one_row_risk_step_then_quantile_then_scale_fails_first(
@@ -225,7 +230,8 @@ def test_a_radicand_error_in_a_later_column_keeps_its_row_order(beta, radicand_f
     got = _error(generate, scenario)
     assert got == _error(reference_generate, scenario)
     if radicand_first:
-        assert got == (PathError, None, "negative radicand in indirect-GARCH step")
+        assert got[1] == 43
+        assert "step failed (negative radicand in indirect-GARCH step) in column 1 " in got[2]
     else:
         assert got[1] == 94 and "column 0 " in got[2]
 
