@@ -10,7 +10,9 @@ variance corrected comparison of two loss series.
 Critical values are held fixed at the conventional 5% points (3.84, 5.99,
 9.49 for the chi-square families, 1.96 two-sided and -1.645 one-sided for
 the normal ones) rather than recomputed, so reports are comparable across
-runs; p-values carry the continuous version of the same information.
+runs; p-values carry the continuous version of the same information. The
+lag count ``N_LAGS`` of the dynamic quantile and conditional shortfall tests
+is fixed with them, so 9.49 is the 5% point at every such report's df.
 
 All statistics use the convention 0 * log 0 = 0 where empty cells make a
 likelihood term vanish.
@@ -23,7 +25,7 @@ import numpy as np
 # chdtrc and ndtr: what scipy.stats' chi2.sf and norm.sf/cdf evaluate, unwrapped
 from scipy import special
 
-from .exceptions import ValidationError
+from .exceptions import NumericError, ValidationError
 from .mal import al_cdf
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
     "dm_test",
 ]
 
+N_LAGS = 4  # lagged hits of dq_test, autocorrelations of es_tests' conditional test
 CHI2_1 = 3.84
 CHI2_2 = 5.99
 CHI2_4 = 9.49
@@ -76,6 +79,15 @@ def _as_hits(hits):
 
 def _xlogy(x, y):
     return 0.0 if x == 0.0 else x * math.log(y)
+
+
+def _acf(x, n_lags):
+    """Sample autocorrelations at lags 1..n_lags about the sample mean."""
+    x = x - x.mean()
+    denom = float(x @ x)
+    if denom <= 0.0:
+        raise NumericError("zero variance in autocorrelation input")
+    return np.array([float(x[k:] @ x[:-k]) / denom for k in range(1, n_lags + 1)])
 
 
 def lr_uc(hits, tau):
@@ -142,24 +154,24 @@ def lr_cc(hits, tau):
     )
 
 
-def dq_test(hits, tau, n_lags=4):
+def dq_test(hits, tau):
     """Dynamic quantile regression test on lagged violations.
 
-    Regresses the demeaned hit on a constant and ``n_lags`` lagged hit
+    Regresses the demeaned hit on a constant and ``N_LAGS`` lagged hit
     indicators and applies a Wald test to the lag coefficients alone. The
     regressor set is deliberately limited to lagged hits so the chi-square
-    reference with ``n_lags`` degrees of freedom applies.
+    reference with ``N_LAGS`` degrees of freedom applies.
     """
     hits = _as_hits(hits)
     tau = float(tau)
     n = hits.size
-    if n <= n_lags + 4:
+    if n <= N_LAGS + 4:
         raise ValidationError("series too short for the lag structure")
 
-    dep = hits[n_lags:] - tau
-    cols = [np.ones(n - n_lags)]
-    for k in range(1, n_lags + 1):
-        cols.append(hits[n_lags - k : n - k])
+    dep = hits[N_LAGS:] - tau
+    cols = [np.ones(n - N_LAGS)]
+    for k in range(1, N_LAGS + 1):
+        cols.append(hits[N_LAGS - k : n - k])
     x = np.column_stack(cols)
     xtx = x.T @ x
     if np.linalg.matrix_rank(xtx) < x.shape[1]:
@@ -168,7 +180,7 @@ def dq_test(hits, tau, n_lags=4):
             critical_value=CHI2_4,
             p_value=0.0,
             reject=True,
-            df=n_lags,
+            df=N_LAGS,
             degenerate=True,
         )
     xtx_inv = np.linalg.inv(xtx)
@@ -179,13 +191,13 @@ def dq_test(hits, tau, n_lags=4):
     return TestReport(
         statistic=stat,
         critical_value=CHI2_4,
-        p_value=float(special.chdtrc(n_lags, stat)),
+        p_value=float(special.chdtrc(N_LAGS, stat)),
         reject=stat > CHI2_4,
-        df=n_lags,
+        df=N_LAGS,
     )
 
 
-def es_tests(y, var, scale, tau, n_lags=4):
+def es_tests(y, var, scale, tau):
     """Cumulative-violation shortfall tests for one asset.
 
     The probability integral transform u_t comes from the fitted
@@ -193,7 +205,7 @@ def es_tests(y, var, scale, tau, n_lags=4):
     ``scale``. The unconditional statistic compares the mean cumulative
     violation against its null value tau/2 using the exact null standard
     deviation sqrt(tau(1/3 - tau/4)); the conditional statistic is a
-    Box-Pierce sum over the first ``n_lags`` autocorrelations of the
+    Box-Pierce sum over the first ``N_LAGS`` autocorrelations of the
     cumulative violations. Returns ``(unconditional, conditional)``.
     """
     y = np.asarray(y, dtype=float)
@@ -202,7 +214,7 @@ def es_tests(y, var, scale, tau, n_lags=4):
     tau = float(tau)
     if y.ndim != 1 or y.shape != var.shape or y.shape != scale.shape:
         raise ValidationError("y, var and scale must be aligned vectors")
-    if y.size <= n_lags:
+    if y.size <= N_LAGS:
         raise ValidationError("series too short for the lag structure")
     low_power = tau * y.size < 5.0
 
@@ -220,28 +232,27 @@ def es_tests(y, var, scale, tau, n_lags=4):
     )
 
     centered = h - h.mean()
-    denom = float(centered @ centered)
-    if denom <= 0.0:
+    if float(centered @ centered) <= 0.0:  # _acf raises on zero variance
         c_report = TestReport(
             statistic=math.inf,
             critical_value=CHI2_4,
             p_value=0.0,
             reject=True,
-            df=n_lags,
+            df=N_LAGS,
             degenerate=True,
             low_power=low_power,
         )
         return u_report, c_report
     acf_sq = 0.0
-    for k in range(1, n_lags + 1):
-        acf_sq += (float(centered[k:] @ centered[:-k]) / denom) ** 2
+    for rho in _acf(h, N_LAGS).tolist():
+        acf_sq += rho**2  # float pow in lag order; numpy's rho * rho can differ by 1 ulp
     c_stat = t * acf_sq
     c_report = TestReport(
         statistic=c_stat,
         critical_value=CHI2_4,
-        p_value=float(special.chdtrc(n_lags, c_stat)),
+        p_value=float(special.chdtrc(N_LAGS, c_stat)),
         reject=c_stat > CHI2_4,
-        df=n_lags,
+        df=N_LAGS,
         low_power=low_power,
     )
     return u_report, c_report

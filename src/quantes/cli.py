@@ -55,33 +55,9 @@ def _str_list(text):
     return [v.strip() for v in str(text).split(",") if v.strip()]
 
 
-_CASTERS = {
-    "input": str,
-    "columns": _str_list,
-    "tau": _float_list,
-    "kind": str,
-    "link": str,
-    "window": str,
-    "window_width": int,
-    "oos": int,
-    "refit_every": int,
-    "tau_tilde": float,
-    "out": str,
-    "seed": int,
-    "n_starts": int,
-    "tol": float,
-    "max_iterations": int,
-    "forecasts": str,
-    "length": int,
-    "dimension": int,
-    "family": str,
-    "df": float,
-    "replication": int,
-}
-
-
-def _read_config_file(path):
-    """key = value lines; # comments; keys match the long flag names."""
+def _read_config_file(path, casters):
+    """key = value lines; # comments; keys match the long flag names, and
+    ``casters`` maps each key to the type its flag declares."""
     out = {}
     try:
         text = Path(path).read_text()
@@ -95,10 +71,10 @@ def _read_config_file(path):
             raise ValidationError(f"{path}: line {lineno}: expected key = value")
         key, value = (side.strip() for side in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _CASTERS:
+        if key not in casters:
             raise ValidationError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
-            out[key] = _CASTERS[key](value)
+            out[key] = casters[key](value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValidationError(f"{path}: line {lineno}: {exc}") from None
     return out
@@ -106,41 +82,48 @@ def _read_config_file(path):
 
 @functools.cache
 def _build_parser():
+    """The parser, and the caster of each key a config file may set: the type
+    its flag declares, ``str`` when it declares none. ``--config`` itself is
+    no such key."""
     parser = argparse.ArgumentParser(
         prog="quantes",
         description="Joint quantile and expected shortfall forecasting.",
     )
     parser.add_argument("--version", action="version", version=f"quantes {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    casters = {}
+
+    def option(group, *flags, **kwargs):
+        action = group.add_argument(*flags, **kwargs)
+        casters[action.dest] = action.type or str
 
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--config", help="key=value file; explicit flags override")
-    data.add_argument("--input", help="delimited return file with a date column")
-    data.add_argument("--columns", type=_str_list, help="comma list of asset columns")
-    data.add_argument(
-        "--tau", type=_float_list, help="levels in (0, 1): one shared or one per asset"
-    )
+    option(data, "--input", help="delimited return file with a date column")
+    option(data, "--columns", type=_str_list, help="comma list of asset columns")
+    option(data, "--tau", type=_float_list,
+           help="levels in (0, 1): one shared or one per asset")
 
     model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--kind", choices=sorted(dyn.KINDS), help="quantile recursion")
-    model.add_argument("--link", choices=sorted(dyn.LINKS), help="shortfall link")
-    model.add_argument("--seed", type=int, help="seed for every stochastic stage")
-    model.add_argument("--n-starts", type=int, dest="n_starts")
-    model.add_argument("--tol", type=float, help="EM stopping tolerance")
-    model.add_argument("--max-iterations", type=int, dest="max_iterations")
+    option(model, "--kind", choices=sorted(dyn.KINDS), help="quantile recursion")
+    option(model, "--link", choices=sorted(dyn.LINKS), help="shortfall link")
+    option(model, "--seed", type=int, help="seed for every stochastic stage")
+    option(model, "--n-starts", type=int, dest="n_starts")
+    option(model, "--tol", type=float, help="EM stopping tolerance")
+    option(model, "--max-iterations", type=int, dest="max_iterations")
 
     run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--window", choices=("rolling", "expanding"))
-    run.add_argument("--window-width", type=int, dest="window_width")
-    run.add_argument("--oos", type=int, help="out-of-sample length")
-    run.add_argument("--refit-every", type=int, dest="refit_every")
-    run.add_argument("--out", help="report directory")
+    option(run, "--window", choices=("rolling", "expanding"))
+    option(run, "--window-width", type=int, dest="window_width")
+    option(run, "--oos", type=int, help="out-of-sample length")
+    option(run, "--refit-every", type=int, dest="refit_every")
+    option(run, "--out", help="report directory")
 
     p_stats = sub.add_parser("stats", parents=[data], help="summary statistics")
-    p_stats.add_argument("--out", help="optional directory for CSV output")
+    option(p_stats, "--out", help="optional directory for CSV output")
 
     p_fit = sub.add_parser("fit", parents=[data, model], help="one full-sample fit")
-    p_fit.add_argument("--out", help="optional directory for fit.json")
+    option(p_fit, "--out", help="optional directory for fit.json")
 
     sub.add_parser(
         "forecast", parents=[data, model, run], help="rolling out-of-sample forecasts"
@@ -149,26 +132,26 @@ def _build_parser():
     p_back = sub.add_parser(
         "backtest", parents=[data], help="re-score an emitted forecast table"
     )
-    p_back.add_argument("--forecasts", help="forecasts.csv from a previous run")
-    p_back.add_argument("--out", help="report directory")
+    option(p_back, "--forecasts", help="forecasts.csv from a previous run")
+    option(p_back, "--out", help="report directory")
 
     p_port = sub.add_parser(
         "portfolio", parents=[data, model, run], help="forecasts plus allocation track"
     )
-    p_port.add_argument("--tau-tilde", type=float, dest="tau_tilde")
+    option(p_port, "--tau-tilde", type=float, dest="tau_tilde")
 
     p_sim = sub.add_parser(
         "simulate", parents=[model], help="write a synthetic panel from stock truths"
     )
     p_sim.add_argument("--config", help="key=value file; explicit flags override")
-    p_sim.add_argument("--tau", type=_float_list)
-    p_sim.add_argument("--length", type=int, help="rows to generate")
-    p_sim.add_argument("--dimension", type=int, help="number of assets")
-    p_sim.add_argument("--family", choices=("normal", "student_t", "none"))
-    p_sim.add_argument("--df", type=float)
-    p_sim.add_argument("--replication", type=int)
-    p_sim.add_argument("--out", help="output CSV path")
-    return parser
+    option(p_sim, "--tau", type=_float_list)
+    option(p_sim, "--length", type=int, help="rows to generate")
+    option(p_sim, "--dimension", type=int, help="number of assets")
+    option(p_sim, "--family", choices=("normal", "student_t", "none"))
+    option(p_sim, "--df", type=float)
+    option(p_sim, "--replication", type=int)
+    option(p_sim, "--out", help="output CSV path")
+    return parser, casters
 
 
 def _merge(args, key, fallback=None):
@@ -390,11 +373,11 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, casters = _build_parser()
     args = parser.parse_args(argv)
     try:
         args._file_config = (
-            _read_config_file(args.config) if getattr(args, "config", None) else {}
+            _read_config_file(args.config, casters) if getattr(args, "config", None) else {}
         )
         return _DISPATCH[args.command](args, sys.stdout)
     except ValidationError as exc:

@@ -343,29 +343,34 @@ def one_step_forecast(spec, link, q_last, y_last, x_last=0.0):
     return risk_step(spec, link, q_last, y_last, x_last)[:2]
 
 
-def initial_quantile(y, tau, frac=0.1, min_obs=50):
-    """Empirical tau-quantile of the leading segment of the sample: the
-    order statistics around (n - 1) tau from one partition, blended as
-    ``np.quantile``'s linear method blends them, so equal to it bit for bit."""
+def _seed_segment(y):
+    """The leading segment that seeds a path's initial state: the first
+    ceil(0.1 n) values, but at least 50 and at most all n."""
     y = np.asarray(y, dtype=float)
-    n = min(y.size, max(int(np.ceil(frac * y.size)), min_obs))
+    return y[: min(y.size, max(math.ceil(0.1 * y.size), 50))]
+
+
+def initial_quantile(y, tau):
+    """Empirical tau-quantile of the seed segment: the order statistics
+    around (n - 1) tau from one partition, blended as ``np.quantile``'s
+    linear method blends them, so equal to it bit for bit."""
+    head = _seed_segment(y)
     if not 0.0 <= tau <= 1.0:
         raise ValidationError("tau must lie in [0, 1]")
+    n = head.size
     v = (n - 1) * float(tau)
     # at the top numpy blends the maximum with itself, at weight v - (-1)
     lo, hi = (int(v), int(v) + 1) if v < n - 1 else (-1, -1)
-    part = np.partition(y[:n], (lo, hi, n - 1))
+    part = np.partition(head, (lo, hi, n - 1))
     if np.isnan(part[-1]):
         return float(part[-1])
     a, b, g = float(part[lo]), float(part[hi]), v - lo
     return a + (b - a) * g if g < 0.5 else b - (b - a) * (1.0 - g)
 
 
-def initial_es_offset(y, q0, frac=0.1, min_obs=50):
-    """Mean exceedance below ``q0`` over the leading segment, floored at 0."""
-    y = np.asarray(y, dtype=float)
-    n = min(y.size, max(int(np.ceil(frac * y.size)), min_obs))
-    head = y[:n]
+def initial_es_offset(y, q0):
+    """Mean exceedance below ``q0`` over the seed segment, floored at 0."""
+    head = _seed_segment(y)
     exceed = q0 - head[head < q0]
     if exceed.size == 0:
         return 0.0

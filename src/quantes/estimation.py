@@ -171,7 +171,6 @@ class FitResult:
     iterations: int
     stop_reason: str
     start_index: int
-    paths: tuple
 
     @property
     def converged(self):
@@ -752,12 +751,8 @@ def fit(y, tau, kind=dyn.SAV, link_kind=dyn.MULT, config=None, init=None, callba
 
     k, state = best
     specs, links = _unpack(state["theta"], kind, link_kind, x0s)
-    params = ParameterSet(specs=specs, links=links, psi=state["psi"])
-    paths = tuple(
-        dyn.risk_path(specs[j], links[j], y[:, j], q0[j], tau[j]) for j in range(p)
-    )
     return FitResult(
-        params=params,
+        params=ParameterSet(specs=specs, links=links, psi=state["psi"]),
         tau=tau,
         q0=q0,
         loglik=state["loglik"],
@@ -765,5 +760,4 @@ def fit(y, tau, kind=dyn.SAV, link_kind=dyn.MULT, config=None, init=None, callba
         iterations=state["iterations"],
         stop_reason=state["stop_reason"],
         start_index=k,
-        paths=paths,
     )

@@ -44,7 +44,6 @@ class InfeasibleAllocationError(NumericError):
     tolerances, the larger of its level and budget errors.
     """
 
-    def __init__(self, message, weights=None, residual=None):
+    def __init__(self, message, residual=None):
         super().__init__(message)
-        self.weights = weights
         self.residual = residual

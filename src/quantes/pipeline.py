@@ -25,7 +25,7 @@ import scipy
 
 from . import __version__
 from . import dynamics as dyn
-from .backtests import dq_test, es_tests, lr_cc, lr_uc
+from .backtests import N_LAGS, _acf, dq_test, es_tests, lr_cc, lr_uc
 from .estimation import EMConfig, ParameterSet, fit
 from .exceptions import InfeasibleAllocationError, NumericError, ValidationError
 from .mal import (
@@ -48,7 +48,7 @@ EXPANDING = "expanding"
 WINDOWS = (ROLLING, EXPANDING)
 
 _FLOAT_FMT = "%.10g"
-_MIN_OOS = 9  # dq_test's 4 lagged hits need more than 4 + 4 periods
+_MIN_OOS = N_LAGS + 5  # dq_test's N_LAGS lagged hits need more than N_LAGS + 4 periods
 
 
 @dataclass(frozen=True)
@@ -302,14 +302,6 @@ def _cell(path, lineno, column, text):
 
 
 # -- summary statistics -------------------------------------------------------
-
-
-def _acf(x, n_lags):
-    x = x - x.mean()
-    denom = float(x @ x)
-    if denom <= 0.0:
-        raise NumericError("zero variance in autocorrelation input")
-    return np.array([float(x[k:] @ x[:-k]) / denom for k in range(1, n_lags + 1)])
 
 
 def summary_stats(values):

@@ -289,19 +289,19 @@ def _study_worker(args):
     try:
         data = generate(scenario, rep)
     except (PathError, NumericError):
-        return rep, None, 0, 0.0, None
+        return None, 0, 0.0, None
     # every replication fits with its own deterministic random-start stream
     cfg = replace(em_config, seed=em_config.seed * 100003 + 1000 + rep)
     start = time.perf_counter()
     try:
         res = fit(data, scenario.tau, kind=kind, link_kind=link_kind, config=cfg)
     except (PathError, NumericError):
-        return rep, None, 0, time.perf_counter() - start, None
+        return None, 0, time.perf_counter() - start, None
     secs = time.perf_counter() - start
-    return rep, _truth_map(res.params), res.iterations, secs, res.stop_reason
+    return _truth_map(res.params), res.iterations, secs, res.stop_reason
 
 
-def run_study(scenario, em_config=None, n_jobs=None, progress=None):
+def run_study(scenario, em_config=None, n_jobs=None):
     """Generate-and-refit over ``scenario.B`` replications.
 
     ``n_jobs`` worker processes (default: CPU count); results are
@@ -313,15 +313,11 @@ def run_study(scenario, em_config=None, n_jobs=None, progress=None):
     kind = scenario.params.specs[0].kind
     link_kind = scenario.params.links[0].kind
     jobs = [(scenario, rep, em_config, kind, link_kind) for rep in range(scenario.B)]
-    results = [None] * scenario.B
     if n_jobs is None:
         n_jobs = os.cpu_count() or 1
     parallel = n_jobs > 1 and scenario.B > 1
     with ProcessPoolExecutor(min(n_jobs, scenario.B)) if parallel else nullcontext() as pool:
-        for rep, *out in (pool.map if parallel else map)(_study_worker, jobs):
-            results[rep] = out
-            if progress is not None:
-                progress(rep, out[0] is not None)
+        results = list((pool.map if parallel else map)(_study_worker, jobs))
 
     truths = _truth_map(scenario.params)
     ok = [r for r in results if r[0] is not None]

@@ -323,7 +323,7 @@ def test_initial_state_helpers():
     y = rng.normal(size=1000)
     q0 = initial_quantile(y, 0.1)
     assert q0 == pytest.approx(np.quantile(y[:100], 0.1))
-    # short series fall back to min_obs capped at the sample size
+    # short series fall back to 50 values capped at the sample size
     q0_short = initial_quantile(y[:30], 0.1)
     assert q0_short == pytest.approx(np.quantile(y[:30], 0.1))
     x0 = initial_es_offset(y, q0)
@@ -332,16 +332,17 @@ def test_initial_state_helpers():
     assert initial_es_offset(y, y.min() - 1.0) == 0.0
 
 
-@pytest.mark.parametrize("n", [1, 2, 49, 50, 51, 120])
+@pytest.mark.parametrize("n", [1, 2, 49, 50, 51, 120, 600])
 def test_initial_quantile_equals_numpy(n):
     rng = np.random.default_rng(n)
     samples = [rng.normal(size=n), rng.integers(-2, 3, size=n).astype(float)]
+    head = min(n, max(int(np.ceil(0.1 * n)), 50))  # the seed segment
     for y in samples:
         for tau in (1e-9, 0.01, 0.1, 0.5, 0.999999):
-            assert initial_quantile(y, tau, frac=1.0, min_obs=0) == np.quantile(y, tau)
+            assert initial_quantile(y, tau) == np.quantile(y[:head], tau)
     y = samples[0].copy()
-    y[n // 2] = np.nan
-    assert np.isnan(initial_quantile(y, 0.1, frac=1.0, min_obs=0))
+    y[head // 2] = np.nan
+    assert np.isnan(initial_quantile(y, 0.1))
     with pytest.raises(ValidationError):
         initial_quantile(y, 1.5)
 

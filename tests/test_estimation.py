@@ -356,7 +356,8 @@ def test_fit_in_sample_hit_rates():
     _, y, tau = _sim_panel(T=1000, seed=41)
     result = fit(y, tau, config=EMConfig(n_starts=1, seed=0))
     for j in range(3):
-        rate = float(np.mean(y[:, j] <= result.paths[j].quantile))
+        q = dyn.quantile_path(result.params.specs[j], y[:, j], result.q0[j])
+        rate = float(np.mean(y[:, j] <= q))
         assert abs(rate - 0.1) < 0.03
 
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special
 
 from quantes import __version__, cli, dynamics, mal, pipeline
 from quantes.dynamics import initial_quantile, risk_path
@@ -82,6 +83,21 @@ def test_fit_rejects_em_settings_that_cannot_run_with_exit_2(tmp_path, capsys, o
     assert cli.main(["simulate", "--dimension", "2", "--length", "150", "--out", str(data)]) == 0
     assert cli.main(["fit", "--input", str(data), option, value]) == 2
     assert capsys.readouterr().err.startswith(f"error: {option[2:].replace('-', '_')} must be")
+
+
+def test_every_chi_square_report_uses_the_5pct_point_of_its_own_df(tmp_path):
+    source = tmp_path / "forecasts.csv"
+    _write_forecasts(source, p=3, T=200)
+    table = load_returns(source)
+    panels = [table.values[:, k::3] for k in range(3)]  # y, var, es by asset
+    bundle = pipeline.evaluate_forecasts(table.dates, ("a1", "a2", "a3"),
+                                         np.array([TAU, 0.05, 0.2]), *panels)
+    tests = {"lr_uc", "lr_cc", "dq", "c_es"}
+    rows = [r for r in bundle.backtests if r["test"] in tests]
+    assert len(rows) == 3 * len(tests)
+    for row in rows:
+        assert abs(row["critical_value"] - special.chdtri(row["df"], 0.05)) < 0.01, row
+        assert row["reject"] == (row["statistic"] > row["critical_value"])
 
 
 def test_backtest_reads_tau_from_manifest(tmp_path, capsys):
@@ -241,6 +257,31 @@ def test_degenerate_forecast_carries_the_previous_one(tmp_path, monkeypatch):
         assert np.array_equal(bundle.es[k], clean.es[k])
     assert np.array_equal(bundle.var[2], clean.var[1])
     assert np.array_equal(bundle.es[2], clean.es[1])
+
+
+@pytest.mark.parametrize(
+    "window,width,expected",
+    [
+        ("expanding", None, [(0, 100), (0, 103), (0, 106), (0, 109)]),
+        ("rolling", 95, [(5, 100), (8, 103), (11, 106), (14, 109)]),
+        ("rolling", None, [(0, 100), (3, 103), (6, 106), (9, 109)]),
+    ],
+)
+def test_refits_see_the_rows_of_their_window_policy(tmp_path, monkeypatch, window, width,
+                                                    expected):
+    config = replace(_small_run(tmp_path), refit_every=3, window=window, window_width=width)
+    y = load_returns(config.input_path).values
+    real, seen = pipeline.fit, []
+
+    def recording(window_rows, *args, **kwargs):
+        seen.append(window_rows)
+        return real(window_rows, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit", recording)
+    rolling_forecast(config)
+    assert len(seen) == len(expected)  # refits at periods 0, 3, 6 and 9 of 10
+    for rows, (lo, hi) in zip(seen, expected):
+        assert np.array_equal(rows, y[lo:hi])
 
 
 def test_failed_refit_carries_the_previous_parameters(tmp_path, monkeypatch):
@@ -535,6 +576,73 @@ def test_cli_config_file_sets_options_and_explicit_flags_win(tmp_path, monkeypat
     assert seen == [
         RunConfig(input_path="panel.csv", oos=30, refit_every=7, em=EMConfig(n_starts=3))
     ]
+
+
+def _forecast_with_config(tmp_path, monkeypatch, text):
+    """Run ``forecast`` on a config file holding ``text``; return the exit code,
+    the file's path and the RunConfigs the rolling engine received."""
+    conf = tmp_path / "run.conf"
+    conf.write_text(text)
+    seen = []
+
+    def stop(config):
+        seen.append(config)
+        raise ValidationError("stopped")
+
+    monkeypatch.setattr(cli, "rolling_forecast", stop)
+    code = cli.main(["forecast", "--config", str(conf), "--input", "panel.csv"])
+    return code, conf, seen
+
+
+_INT_KEYS = ("window_width", "oos", "refit_every", "seed", "n_starts", "max_iterations",
+             "length", "dimension", "replication")
+_FLOAT_KEYS = ("tau_tilde", "tol", "df")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("oos = 40\nbogus = 1\n", "line 2: unknown key 'bogus'"),
+        ("oos = x\n", "line 1: invalid literal for int() with base 10: 'x'"),
+        ("tau = 0.1,a\n", "line 1: bad number list '0.1,a'"),
+        ("config = other.conf\n", "line 1: unknown key 'config'"),
+        ("help = 1\n", "line 1: unknown key 'help'"),
+        ("version = 1\n", "line 1: unknown key 'version'"),
+        ("oos\n", "line 1: expected key = value"),
+        *((f"{k} = x\n", "line 1: invalid literal for int() with base 10: 'x'")
+          for k in _INT_KEYS),
+        *((f"{k} = x\n", "line 1: could not convert string to float: 'x'")
+          for k in _FLOAT_KEYS),
+    ],
+)
+def test_cli_config_file_rejects_a_bad_line_with_exit_2(tmp_path, monkeypatch, capsys,
+                                                       text, message):
+    code, conf, seen = _forecast_with_config(tmp_path, monkeypatch, text)
+    assert code == 2 and seen == []
+    assert capsys.readouterr().err == f"error: {conf}: {message}\n"
+
+
+def test_cli_config_file_takes_every_flag_and_ignores_other_subcommands_keys(
+        tmp_path, monkeypatch, capsys):
+    text = (
+        "input = other.csv\ncolumns = a, b\ntau = 0.05,0.1\nkind = as\nlink = ar\n"
+        "window = expanding\nwindow-width = 300\noos = 40\nrefit_every = 7\n"
+        "tau_tilde = 0.15\nout = there\nseed = 3\nn_starts = 2\ntol = 1e-5\n"
+        "max_iterations = 9\n"
+        # keys of the backtest and simulate subcommands: accepted, unused here
+        "forecasts = f.csv\nlength = 10\ndimension = 2\nfamily = none\ndf = 4\n"
+        "replication = 1\n"
+    )
+    code, _, seen = _forecast_with_config(tmp_path, monkeypatch, text)
+    assert code == 2
+    assert capsys.readouterr().err == "error: stopped\n"
+    assert seen == [RunConfig(
+        input_path="panel.csv", tau=[0.05, 0.1], columns=("a", "b"), kind="as",
+        link_kind="ar", window="expanding", window_width=300, oos=40, refit_every=7,
+        tau_tilde=0.15, out_dir="there",
+        em=EMConfig(n_starts=2, tol=1e-5, max_iterations=9, seed=3),
+    )]
+    assert type(seen[0].tau_tilde) is float and type(seen[0].em.tol) is float
 
 
 @pytest.mark.parametrize("header", ["date,a,b", 'date,"a",b'], ids=["c-reader", "per-row"])

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from quantes.exceptions import InfeasibleAllocationError, ValidationError
+from quantes.dynamics import initial_quantile, risk_path
+from quantes.exceptions import InfeasibleAllocationError, NumericError, ValidationError
 from quantes.mal import MALParams, al_es, linear_combine
-from quantes.portfolio import AllocationResult, portfolio_risk, smv_weights
+from quantes.portfolio import AllocationResult, performance_stats, portfolio_risk, smv_weights
+from quantes.simulate import SimScenario, generate, reference_params
 
 LEVEL_TOL = 1e-6  # the allocator's own level tolerance
 BUDGET_TOL = 1e-10
@@ -291,3 +293,67 @@ def test_rejects_level_outside_range(tau_tilde):
 def test_rejects_initial_weights_of_wrong_shape():
     with pytest.raises(ValidationError):
         smv_weights(_random_params(np.random.default_rng(0), 3), 0.2, b_init=np.ones(2))
+
+
+# -- the portfolio level law against data ----------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind,link,seed", [("sav", "mult", 1), ("as", "ar", 2), ("ig", "mult", 3)]
+)
+def test_portfolio_level_law_is_calibrated_at_the_truth(kind, link, seed):
+    # at the true paths, the allocated portfolio's return falls below its
+    # var with probability tau~: pins linear_combine plus smv_weights
+    # against simulated data rather than against their own algebra
+    p, tau, T = 3, np.full(3, 0.1), 2000
+    params = reference_params(kind, link, p)
+    y = generate(SimScenario(params=params, tau=tau, T=T, seed=seed))
+    paths = [
+        risk_path(params.specs[j], params.links[j], y[:, j],
+                  initial_quantile(y[:, j], tau[j]), tau[j])
+        for j in range(p)
+    ]
+    q = np.column_stack([path.quantile for path in paths])
+    delta = np.column_stack([path.delta for path in paths])
+    for tau_tilde in (0.10, 0.15, 0.20):
+        weights, hits = np.full(p, 1.0 / p), []
+        for t in range(100, T):
+            law = MALParams(mu=q[t], delta=delta[t], psi=params.psi, tau=tau)
+            alloc = smv_weights(law, tau_tilde, b_init=weights)  # raises if infeasible
+            weights = alloc.weights
+            hits.append(float(weights @ y[t]) <= alloc.var)
+        n = len(hits)
+        z = (sum(hits) - n * tau_tilde) / np.sqrt(n * tau_tilde * (1.0 - tau_tilde))
+        assert abs(z) <= 3.0, (tau_tilde, sum(hits) / n)
+
+
+# -- performance summary ------------------------------------------------------
+
+
+def test_performance_stats_sharpe_and_concentration():
+    returns = np.array([0.01, -0.02, 0.03, 0.005])
+    weights = np.array([[0.5, 0.5, 0.0], [1.5, -0.5, 0.0], [0.2, 0.3, 0.5], [0.0, 0.0, 2.0]])
+    sharpe, hhi = performance_stats(returns, weights)
+    assert sharpe == float(returns.mean()) / float(returns.std(ddof=1))
+    # each row normalized by its absolute sum, so the short leg counts
+    rows = [0.5**2 + 0.5**2, 0.75**2 + 0.25**2, 0.2**2 + 0.3**2 + 0.5**2, 1.0]
+    assert hhi == pytest.approx(np.mean(rows), abs=1e-15)
+    assert 0.0 < hhi <= 1.0
+    # a single weight row applies to every period
+    assert performance_stats(returns, [0.25, 0.25, 0.5])[1] == pytest.approx(0.375)
+
+
+@pytest.mark.parametrize(
+    "returns,weights,error",
+    [
+        ([0.01], [[1.0]], NumericError),
+        ([0.25, 0.25, 0.25], [[1.0]], NumericError),
+        ([[0.01, 0.02], [0.0, 0.01]], [[1.0]], ValidationError),
+        ([], [[1.0]], ValidationError),
+        ([0.01, -0.02], [[0.5, 0.5], [0.0, 0.0]], ValidationError),
+    ],
+    ids=["one-period", "constant", "2-d-returns", "empty", "all-zero-row"],
+)
+def test_performance_stats_rejects_what_it_cannot_summarize(returns, weights, error):
+    with pytest.raises(error):
+        performance_stats(returns, weights)
