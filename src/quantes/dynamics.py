@@ -8,13 +8,17 @@ Paths are plain arrays indexed like the input series: entry t is the
 one-step forecast made with information through t-1, with entry 0 pinned
 to the supplied initial state.
 
-Every quantile recursion is a first-order linear filter (in q for the two
-slope kinds, in q^2 for indirect GARCH), and so is each derivative of the
-path with respect to a coefficient; :func:`filter_path` runs them through
-``scipy.signal.lfilter``. The shortfall offset only changes after
-violations, so its recursion is a filter over those indices alone.
-:func:`risk_step` takes the same rules one period at a time, for the
-forecast and the simulator.
+Every quantile recursion is a first-order linear recursion
+s_t = c_t + eta s_{t-1} (in q for the two slope kinds, in q^2 for indirect
+GARCH), and so is each derivative of the path with respect to a
+coefficient. :func:`_recurse` solves one as a bidiagonal system with a
+single LAPACK ``dgttrs`` call, every column of a Jacobian at once. Each row
+costs one product and one sum, rounded as a Python loop rounds them, so a
+path equals the loop bit for bit; that holds while the LAPACK build does
+not fuse the two into one multiply-add, and tests/test_kernels.py guards
+it. The shortfall offset only changes after violations, so its recursion
+runs over those indices alone. :func:`risk_step` takes the same rules one
+period at a time, for the forecast and the simulator.
 
 This module is the one path evaluator: :func:`filter_path` gives a quantile
 path and :func:`scale_path` the MAL scale delta = tau (0 - es) of either
@@ -27,9 +31,10 @@ arguments, so paths are reproducible bit for bit.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dgttrs
 
 from .exceptions import PathError, ValidationError
 
@@ -153,13 +158,9 @@ class RiskPath:
     x: np.ndarray = None
 
 
-_UNIT = (1.0,)  # numerator of every filter: the input enters undelayed
-
-
-def _regressors(kind, y):
-    """Lagged-return inputs of the recursion, one per beta: entry t-1
-    drives step t."""
-    prev = y[:-1]
+def _regressors(kind, prev):
+    """Inputs of the recursion, one per beta, from the lagged returns
+    ``prev``: the return of period t-1 drives step t."""
     if kind == SAV:
         return (np.abs(prev),)
     if kind == AS:
@@ -167,29 +168,92 @@ def _regressors(kind, y):
     return (prev * prev,)
 
 
+@lru_cache(maxsize=32)
+def _unit_factor(m):
+    """The fixed part of the m-row factorization that :func:`_recurse`
+    hands to ``dgttrs``, read-only: the zero multipliers of the lower
+    factor and the zero second superdiagonal of the upper one (one buffer),
+    the upper factor's unit diagonal, and identity pivots."""
+    zeros, ones = np.zeros(m - 1), np.ones(m)
+    pivots = np.arange(1, m + 1, dtype=np.int32)
+    for a in (zeros, ones, pivots):
+        a.flags.writeable = False
+    return zeros, ones, zeros[1:], pivots
+
+
+def _recurse(rev, eta):
+    """Solve s_t = c_t + eta s_{t-1} down axis 0 of the drive c, given as
+    ``rev``: its rows in reverse time order, 1-D or (rows, k) in Fortran
+    order. Returns s in the same reversed layout.
+
+    One LAPACK ``dgttrs`` call on a hand-built factorization: the identity
+    as lower factor, then the unit upper-bidiagonal factor with
+    superdiagonal -eta, whose back substitution runs the recursion from the
+    last row (the first period) up. Row t computes
+    (c_t - (-eta) s_{t-1} - 0 s_{t-2}) / 1: one product and one sum,
+    rounded as a loop rounds them, then an exact subtraction and division.
+    So s equals the loop bit for bit while the LAPACK build does not fuse
+    the product into the sum (tests/test_kernels.py checks it). A path
+    that overflows cannot reach back: every row up to one past its first
+    non-finite row equals the loop's, and the rows after it are non-finite
+    too. A non-finite drive row would reach back, through the identity
+    pass, to the first period, so its column is solved again: the rows
+    before it alone, that row as c_t + eta s_{t-1}, and NaN after it.
+    """
+    m = rev.shape[0]
+    if m < 3:
+        # the wrapper rejects fewer than 3 rows: pad zero rows at the late end
+        pad = np.zeros((3 - m,) + rev.shape[1:])
+        return _recurse(np.concatenate((pad, rev)), eta)[3 - m :]
+    zeros, ones, zeros2, pivots = _unit_factor(m)
+    du = np.empty(m - 1)
+    du.fill(-eta)
+    s = dgttrs(zeros, ones, du, zeros2, pivots, rev)[0]
+    # each column's first-period row is its drive's unless a later row
+    # reached back
+    first = s[-1]
+    if (math.isfinite(first) if s.ndim == 1 else np.isfinite(first).all()):
+        return s
+    for c, out in zip(rev.reshape(m, -1).T, s.reshape(m, -1).T):
+        bad = np.flatnonzero(~np.isfinite(c))
+        if bad.size:
+            i = bad[-1]  # the column's first non-finite drive row in time
+            out[i + 1 :] = _recurse(c[i + 1 :], eta)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[i] = c[i] + eta * out[i + 1] if i + 1 < m else c[i]
+            out[:i] = np.nan
+    return s
+
+
 def filter_path(kind, coef, y, q0, jacobian=False):
     """Quantile path of one recursion along ``y`` and optionally its Jacobian.
 
-    ``coef`` is (omega, eta, *beta). Each kind is the linear filter
+    ``coef`` is (omega, eta, *beta). Each kind is the linear recursion
     s_t = omega + eta s_{t-1} + beta'r_{t-1} with s = q (SAV, AS) or s = q^2
-    and q = -sqrt(s) (IG). The derivative of s with respect to each
-    coefficient is the same filter driven by 1, s_{t-1} or a regressor
-    column, so the whole Jacobian is a single ``lfilter`` call.
+    and q = -sqrt(s) (IG), solved by :func:`_recurse`. The derivative of s
+    with respect to each coefficient is the same recursion driven by 1,
+    s_{t-1} or a regressor column, so the whole Jacobian is one more solve
+    with one column per coefficient.
 
-    Returns ``(q, dq)`` with dq of shape (T, len(coef)) and row 0 zero, or
-    None without ``jacobian``. Raises :class:`PathError` carrying the first
-    index with a non-positive IG radicand or a non-finite quantile.
+    Returns ``(q, dq)``: q a C-contiguous array, and dq of shape
+    (T, len(coef)) with row 0 zero, or None without ``jacobian``. dq is the
+    solver's Fortran-order buffer seen with its rows put back in time
+    order, so a caller that stacks it copies it once. Raises
+    :class:`PathError` carrying the first index with a non-positive IG
+    radicand or a non-finite quantile.
     """
     omega, eta = coef[0], coef[1]
-    reg = _regressors(kind, y)
-    ar = (1.0, -eta)
-    # the filter's first output is its first input, so the state seeds row 0
-    s = np.empty(y.size)
-    s[0] = q0 * q0 if kind == IG else q0
-    s[1:] = omega
+    # the drives are built in the solver's reverse time order: row i holds
+    # period T-1-i, so the lagged returns run y[T-2], ..., y[0]
+    reg = _regressors(kind, y[-2::-1])
+    # the recursion's first row is its first input, so the state seeds it
+    rev = np.empty(y.size)
+    rev[-1] = q0 * q0 if kind == IG else q0
+    rev[:-1] = omega
     for beta, r in zip(coef[2:], reg):
-        s[1:] += beta * r
-    s = lfilter(_UNIT, ar, s)
+        rev[:-1] += beta * r
+    srev = _recurse(rev, eta)
+    s = srev[::-1]
     if kind == IG:
         bad = np.flatnonzero(s[1:] <= 0.0)
         if bad.size:
@@ -200,18 +264,21 @@ def filter_path(kind, coef, y, q0, jacobian=False):
         q[0] = q0
         q[1:] = -np.sqrt(s[1:])
     else:
-        q = s
+        q = s.copy()
     finite = np.isfinite(q)
     if not finite.all():
         raise PathError("quantile path diverged", index=int(np.argmin(finite)))
     if not jacobian:
         return q, None
-    drive = np.zeros((y.size, 2 + len(reg)))
-    drive[1:, 0] = 1.0
-    drive[1:, 1] = s[:-1]
+    # one row per coefficient, so drive.T is the Fortran-order (T, n) drive
+    # that dgttrs takes without a transposing copy
+    drive = np.empty((2 + len(reg), y.size))
+    drive[:, -1] = 0.0
+    drive[0, :-1] = 1.0
+    drive[1, :-1] = srev[1:]
     for i, r in enumerate(reg, start=2):
-        drive[1:, i] = r
-    dq = lfilter(_UNIT, ar, drive, axis=0)
+        drive[i, :-1] = r
+    dq = _recurse(drive.T, eta)[::-1]
     if kind == IG:
         # q = -sqrt(s), so dq = ds / (2 q)
         dq[1:] /= 2.0 * q[1:, None]
@@ -223,28 +290,35 @@ def ar_offset(gamma, q, y, x0, grad=False):
 
     After a violation y_{t-1} <= q_{t-1} the offset becomes
     g1 + g2 (q_{t-1} - y_{t-1}) + g3 x_{t-1}; otherwise it carries over
-    (Taylor 2019). So the recursion is one first-order filter over the
-    violations, forward-filled in between. Under ``grad`` also returns dx
-    of shape (T, 3), the derivative with respect to (g1, g2, g3); else
-    None. The violation indicator is treated as locally constant in the
-    parameters (it changes on a measure-zero set).
+    (Taylor 2019). So the offset is one first-order recursion over the
+    violations (:func:`_recurse`), forward-filled in between. Under
+    ``grad`` also returns dx of shape (T, 3), the derivative with respect
+    to (g1, g2, g3); else None. The violation indicator is treated as
+    locally constant in the parameters (it changes on a measure-zero set).
     """
-    hit = np.flatnonzero(y[:-1] <= q[:-1])
-    gap = q[hit] - y[hit]
+    # the latest violation first, in the solver's reverse order
+    back = np.flatnonzero(y[:-1] <= q[:-1])[::-1]
+    gap = q[back] - y[back]
     g1, g2, g3 = gamma
-    ar = (1.0, -g3)
-    # the filter's first output is its first input, so x0 seeds row 0
-    xv = lfilter(_UNIT, ar, np.concatenate(([x0], g1 + g2 * gap)))
-    # slot[t]: how many violations happened before t, i.e. the row of xv in force
+    # the recursion's first row is its first input, so x0 seeds it
+    rev = np.empty(back.size + 1)
+    rev[-1] = x0
+    rev[:-1] = g1 + g2 * gap
+    xrev = _recurse(rev, g3)
+    # slot[t]: how many violations happened before t, i.e. the row in force
+    # counted from the first period
     slot = np.zeros(y.size, dtype=np.intp)
-    slot[hit + 1] = np.arange(1, hit.size + 1)
+    slot[back + 1] = np.arange(back.size, 0, -1)
     np.maximum.accumulate(slot, out=slot)
-    x = xv[slot]
+    x = xrev[::-1][slot]
     if not grad:
         return x, None
-    drive = np.zeros((hit.size + 1, 3))
-    drive[1:] = np.column_stack((np.ones(hit.size), gap, xv[:-1]))
-    return x, lfilter(_UNIT, ar, drive, axis=0)[slot]
+    drive = np.empty((3, back.size + 1))
+    drive[:, -1] = 0.0
+    drive[0, :-1] = 1.0
+    drive[1, :-1] = gap
+    drive[2, :-1] = xrev[1:]
+    return x, _recurse(drive.T, g3)[::-1][slot]
 
 
 def quantile_step(spec, q_prev, y_prev):
@@ -285,7 +359,7 @@ def scale_path(kind, gamma, q, y, tau, x0=0.0, grad=False):
     ``x0``. Returns ``(delta, x, ddelta)``: x is None for the multiplicative
     link, and ``ddelta`` is the (T, len(gamma)) derivative with respect to
     gamma under ``grad``, else None. Raises :class:`PathError` carrying the
-    first index with a non-positive scale.
+    first index with a non-finite or non-positive scale.
     """
     if kind == MULT:
         g = math.exp(min(gamma, 60.0))
@@ -293,10 +367,12 @@ def scale_path(kind, gamma, q, y, tau, x0=0.0, grad=False):
     else:
         x, dx = ar_offset(gamma, q, y, x0, grad)
         delta = -tau * (q - x)
-    positive = delta > 0.0
-    if not positive.all():
+    # an offset that overflowed leaves delta = +inf, which is no scale either
+    ok = np.isfinite(delta) & (delta > 0.0)
+    if not ok.all():
         raise PathError(
-            "shortfall path implies a non-positive scale", index=int(np.argmin(positive))
+            "shortfall path implies a non-finite or non-positive scale",
+            index=int(np.argmin(ok)),
         )
     if not grad:
         return delta, x, None

@@ -412,8 +412,6 @@ def _link_block(b, y, link_kind, tau, x0s, q):
             )
         except PathError:
             return None
-    if not np.all(np.isfinite(dl)):
-        return None
     if link_kind == dyn.AR:
         # chain rule through the log-parameterization; an offset near the
         # overflow threshold can carry it past

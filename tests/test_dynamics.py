@@ -232,6 +232,19 @@ def test_risk_path_non_positive_scale_raises_with_index(link):
     assert err.value.index == 1
 
 
+def test_risk_path_overflowing_offset_raises_at_its_first_row():
+    # every row a violation and g3 = 50: the offset passes the float range
+    # at row 183, where the scale would become +inf and the shortfall -inf
+    spec = CaviarSpec(SAV, -0.05, 0.5, [0.0])
+    link = ESLink(AR, gamma=[0.1, 0.5, 50.0], x0=0.1)
+    y = np.full(400, -1.0)
+    x, _ = ar_offset(link.gamma, quantile_path(spec, y, -0.5), y, link.x0)
+    assert np.all(np.isfinite(x[:183])) and np.isposinf(x[183])
+    with pytest.raises(PathError, match="non-finite or non-positive") as err:
+        risk_path(spec, link, y, q0=-0.5, tau=0.1)
+    assert err.value.index == 183
+
+
 def test_risk_path_bundles_consistently(synthetic):
     spec = CaviarSpec(SAV, -0.2, 0.85, [-0.1])
     link = ESLink(AR, gamma=[0.05, 0.12, 0.8], x0=0.3)

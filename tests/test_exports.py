@@ -1,4 +1,5 @@
-"""Every name a module exports has a caller elsewhere in the package or a test.
+"""Every name a module exports has a caller elsewhere in the package or a test,
+and the package loads no scipy subpackage it does not use.
 
 A caller is a use in code (a name or an attribute read), not an import or a
 mention in a docstring; the package ``__init__`` only re-exports, so it
@@ -7,6 +8,9 @@ counts as neither.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +47,22 @@ def test_every_exported_name_has_a_caller_or_a_test(module):
     exported = importlib.import_module(f"quantes.{module}").__all__
     orphans = [name for name in exported if name not in callers | TEST_USES]
     assert orphans == []
+
+
+def test_importing_the_cli_leaves_heavy_scipy_subpackages_unloaded():
+    # scipy.signal pulls scipy.stats in and took about 40% of the memory of
+    # `import quantes.cli`; the paths need scipy.linalg.lapack alone
+    code = (
+        "import sys, quantes.cli; "
+        "print(' '.join(m for m in ('scipy.signal', 'scipy.stats', 'scipy.optimize', "
+        "'scipy.sparse') if m in sys.modules))"
+    )
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == []

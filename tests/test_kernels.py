@@ -1,9 +1,13 @@
-"""Filter kernels against the explicit time loops they replaced, and the
+"""Path kernels against the explicit time loops they replaced, and the
 analytic block gradients against central differences.
 
 The ``_ref_*`` functions below are the per-period recursions, kept as the
-reference: the lfilter paths, the violation-indexed offset and the einsum
-Q-function must reproduce them on seeded inputs.
+reference: the paths and Jacobians of the bidiagonal solve, the
+violation-indexed offset and the einsum Q-function must reproduce them on
+seeded inputs. The solve rounds each row as a loop does, one product and one
+sum, only while the LAPACK build does not fuse them into one multiply-add;
+the exact comparisons of the solver against a float loop below are the
+guard.
 """
 
 import math
@@ -25,6 +29,14 @@ _LOG_FLOOR = math.log(1e-10)
 
 
 # -- reference loops ----------------------------------------------------------
+
+
+def _ref_recursion_loop(c, eta):
+    # s_t = c_t + eta s_{t-1} with s_0 = c_0, on Python floats
+    s = [float(c[0])]
+    for v in c[1:].tolist():
+        s.append(v + eta * s[-1])
+    return np.array(s)
 
 
 def _ref_sav_loop(omega, eta, beta1, y, q0):
@@ -220,6 +232,87 @@ def _ref_path(kind, coef, y, q0):
     q_loop = loop(*coef, y, q0) if loop else _ref_ig_loop(*coef, y, q0)[0]
     np.testing.assert_allclose(q_loop, q, rtol=RTOL, atol=0.0)
     return q, dq
+
+
+# -- the recursion solver ------------------------------------------------------
+
+
+def _solve(c, eta):
+    """``dyn._recurse`` on a (n, k) drive in time order: reversed, 1-D for
+    one column and Fortran order for more, as the kernels call it."""
+    rev = c[::-1, 0].copy() if c.shape[1] == 1 else np.asfortranarray(c[::-1])
+    return dyn._recurse(rev, eta)[::-1].reshape(c.shape)
+
+
+def _first(mask):
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else -1
+
+
+@pytest.mark.parametrize("cols", (1, 4))
+@pytest.mark.parametrize("eta", (-1.2, -0.5, 0.5, 0.999, 1.5))
+@pytest.mark.parametrize("n", (1, 2, 3, 50, 1000))
+def test_recursion_solver_equals_a_float_loop_bit_for_bit(n, eta, cols):
+    rng = np.random.default_rng([n, cols, int(1000 * eta) % 997])
+    # columns on different scales, as a Jacobian's are
+    c = rng.standard_normal((n, cols)) * 10.0 ** rng.integers(-3, 4, size=cols)
+    s = _solve(c, eta)
+    for j in range(cols):
+        np.testing.assert_array_equal(s[:, j], _ref_recursion_loop(c[:, j], eta))
+
+
+@pytest.mark.parametrize("cols", (1, 4))
+@pytest.mark.parametrize("eta", (-3.0, -1.2, 1.5, 2.0))
+def test_recursion_solver_overflows_where_the_loop_does(eta, cols):
+    rng = np.random.default_rng([cols, int(10 * eta) % 97])
+    n = 300
+    c = rng.uniform(0.5, 1.0, (n, cols)) * 10.0 ** rng.uniform(200.0, 305.0, (n, cols))
+    # positive drives, but for mixed signs in column 1
+    if cols > 1:
+        c[:, 1] *= np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    s = _solve(c, eta)
+    for j in range(cols):
+        ref = _ref_recursion_loop(c[:, j], eta)
+        k = _first(~np.isfinite(ref))
+        assert k >= 0
+        assert _first(~np.isfinite(s[:, j])) == k
+        # rows up to one past the first overflow are the loop's, the rest
+        # stay non-finite
+        np.testing.assert_array_equal(s[: k + 2, j], ref[: k + 2])
+        assert not np.isfinite(s[k:, j]).any()
+        assert _first(s[:, j] <= 0.0) == _first(ref <= 0.0)
+
+
+@pytest.mark.parametrize("cols", (1, 4))
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+@pytest.mark.parametrize("row", (0, 1, 40, 99))
+def test_recursion_solver_stops_at_a_non_finite_drive_row(row, bad, cols):
+    # the rows up to it are the loop's and NaN follows; the identity pass
+    # alone would carry it back to the first period
+    rng = np.random.default_rng([row, 5])
+    c = rng.standard_normal((100, cols))
+    c[row, 0] = bad
+    if cols > 1:
+        c[min(row + 7, 99), 2] = bad
+    s = _solve(c, 0.9)
+    for j in range(cols):
+        ref = _ref_recursion_loop(c[:, j], 0.9)
+        k = _first(~np.isfinite(c[:, j]))
+        stop = c.shape[0] if k < 0 else k + 1
+        np.testing.assert_array_equal(s[:stop, j], ref[:stop])
+        assert np.isnan(s[stop:, j]).all()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_non_finite_return_fails_the_path_where_the_loop_does(kind, bad):
+    # a return drives the next row, so that row is the first bad one
+    rng = np.random.default_rng([KINDS.index(kind), 11])
+    y = _series(rng, T=300)
+    y[100] = bad
+    with pytest.raises(PathError) as info:
+        dyn.filter_path(kind, _coefs(kind, rng), y, -1.5)
+    assert info.value.index == 101
 
 
 # -- seeded inputs ------------------------------------------------------------
