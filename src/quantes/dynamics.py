@@ -249,9 +249,12 @@ def filter_path(kind, coef, y, q0, jacobian=False):
     # the recursion's first row is its first input, so the state seeds it
     rev = np.empty(y.size)
     rev[-1] = q0 * q0 if kind == IG else q0
-    rev[:-1] = omega
-    for beta, r in zip(coef[2:], reg):
-        rev[:-1] += beta * r
+    # omega + beta'r in place, summed left to right (the first sum commuted)
+    steps = rev[:-1]
+    np.multiply(coef[2], reg[0], out=steps)
+    steps += omega
+    for beta, r in zip(coef[3:], reg[1:]):
+        steps += beta * r
     srev = _recurse(rev, eta)
     s = srev[::-1]
     if kind == IG:
@@ -437,8 +440,9 @@ def initial_quantile(y, tau):
     v = (n - 1) * float(tau)
     # at the top numpy blends the maximum with itself, at weight v - (-1)
     lo, hi = (int(v), int(v) + 1) if v < n - 1 else (-1, -1)
-    part = np.partition(head, (lo, hi, n - 1))
-    if np.isnan(part[-1]):
+    part = head.copy()
+    part.partition((lo, hi, n - 1))
+    if math.isnan(part[-1]):
         return float(part[-1])
     a, b, g = float(part[lo]), float(part[hi]), v - lo
     return a + (b - a) * g if g < 0.5 else b - (b - a) * (1.0 - g)

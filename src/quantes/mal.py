@@ -373,7 +373,7 @@ def linear_combine(b, params):
     if not np.any(b != 0.0):
         raise ValidationError("weight vector must be non-zero")
     d_xi = params.delta * params.constraints.xi_tilde
-    a = params.sigma() * np.outer(params.delta, params.delta)
+    a = params.sigma() * (params.delta[:, None] * params.delta)
     return _combined(float(b @ params.mu), float(b @ d_xi), float(b @ a @ b))
 
 
@@ -381,7 +381,7 @@ def _combined(mu_star, g, v):
     """The law of b'Y from mu_star = b'mu, g = b'D xi and v = b'D Sigma D b."""
     if v <= 0.0:
         raise ValidationError("weight vector has zero variance under the parameters")
-    root = np.sqrt(2.0 * v + g * g)
+    root = math.sqrt(2.0 * v + g * g)
     return ALParams(mu_star=mu_star, tau_star=0.5 * (1.0 - g / root), delta_star=v / (2.0 * root))
 
 

@@ -20,6 +20,12 @@ optimal t is the smallest non-negative root of
 
 and the weights are the minimum-scale point of that plane: one p x p
 solve with two right-hand sides and no iteration. tau~ = 1/2 gives t = 0.
+The solve is one direct LAPACK ``dgesv`` call, the routine that
+``np.linalg.solve`` wraps: a rebalancing step costs a few microseconds of
+arithmetic, and numpy's wrapper costs several times that, so the step runs
+on the bare call and on plain Python floats. Up to p = 5 the two give the
+same bits; from p = 6 up they can differ in the last bit, because numpy and
+scipy each bundle their own OpenBLAS build.
 
 Feasibility is exact. The lowest level a budget-line portfolio reaches is
 L = 1/2 (1 - sqrt(c / (c + 2))) with c = gamma when beta > 0 (attained at
@@ -35,9 +41,11 @@ moves from the minimum-scale portfolio A^-1 1 / alpha towards the supplied
 initial weights until the scale reaches it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from .exceptions import InfeasibleAllocationError, NumericError, ValidationError
 from .mal import ALParams, _combined, al_mean, linear_combine
@@ -69,7 +77,7 @@ class AllocationResult:
 
 def _level(g, v):
     """Level of a portfolio with skew g = s'b and scale v = b'Ab."""
-    return 0.5 * (1.0 - g / np.sqrt(2.0 * v + g * g + 1e-300))
+    return 0.5 * (1.0 - g / math.sqrt(2.0 * v + g * g + 1e-300))
 
 
 def _parallel_skew_weights(a_matrix, skew_vec, tau_tilde, b_mv, alpha, b0):
@@ -95,14 +103,30 @@ def _parallel_skew_weights(a_matrix, skew_vec, tau_tilde, b_mv, alpha, b0):
     return b_mv + np.sqrt((target - 1.0 / alpha) / float(u @ a_matrix @ u)) * u
 
 
+def _solve_pair(a_matrix, rhs):
+    """A^-1 r for both rows r of ``rhs``, from one LU factorization of A
+    (LAPACK ``dgesv``); the solutions come back as rows."""
+    _, _, x, info = dgesv(a_matrix, rhs.T)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return x.T
+
+
 def _allocate(a_matrix, skew_vec, tau_tilde, b_init):
-    """Weights b with their skew s'b and scale b'Ab, or raise if infeasible."""
+    """Weights b with their skew s'b and scale b'Ab, or raise if infeasible.
+
+    Raises ``np.linalg.LinAlgError`` when A is exactly singular, as
+    ``np.linalg.solve`` would.
+    """
     p = a_matrix.shape[0]
-    ones = np.ones(p)
     b0 = np.full(p, 1.0 / p) if b_init is None else np.asarray(b_init, dtype=float)
     if b0.shape != (p,):
         raise ValidationError("initial weights dimension does not match")
-    z, w = np.linalg.solve(a_matrix, np.column_stack([ones, skew_vec])).T
+    rhs = np.empty((2, p))
+    rhs[0] = 1.0
+    rhs[1] = skew_vec
+    ones = rhs[0]
+    z, w = _solve_pair(a_matrix, rhs)
     alpha, beta, gamma = float(ones @ z), float(ones @ w), float(skew_vec @ w)
     b_mv = z / alpha
     # A^-1 (s - (beta / alpha) 1), the direction that moves s'b along the
@@ -115,10 +139,10 @@ def _allocate(a_matrix, skew_vec, tau_tilde, b_init):
     else:
         k = 1.0 - 2.0 * tau_tilde
         c = gamma if beta > 0.0 else d / alpha
-        lowest = 0.5 * (1.0 - np.sqrt(c / (c + 2.0)))
+        lowest = 0.5 * (1.0 - math.sqrt(c / (c + 2.0)))
         # smallest non-negative root, rationalized so that k = 0 gives t = 0;
         # den <= 0 only at tau_tilde == lowest when the bound is not attained
-        root = np.sqrt(max(8.0 * d * ((1.0 - k * k) * gamma - 2.0 * k * k), 0.0))
+        root = math.sqrt(max(8.0 * d * ((1.0 - k * k) * gamma - 2.0 * k * k), 0.0))
         den = 4.0 * k * beta + root
         if tau_tilde < lowest or den <= 0.0:
             raise InfeasibleAllocationError(
@@ -168,7 +192,7 @@ def smv_weights(params, tau_tilde, b_init=None, seed=0):
         al = linear_combine(b, params)
     else:
         # A and s exactly as linear_combine forms them, so al is its result
-        a_matrix = params.sigma() * np.outer(params.delta, params.delta)
+        a_matrix = params.sigma() * (params.delta[:, None] * params.delta)
         skew_vec = params.delta * params.constraints.xi_tilde
         b, g, obj = _allocate(a_matrix, skew_vec, tau_tilde, b_init)
         al = _combined(float(b @ params.mu), g, obj)

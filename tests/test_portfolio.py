@@ -12,7 +12,9 @@ from scipy import optimize
 from quantes.dynamics import initial_quantile, risk_path
 from quantes.exceptions import InfeasibleAllocationError, NumericError, ValidationError
 from quantes.mal import MALParams, al_es, linear_combine
-from quantes.portfolio import AllocationResult, performance_stats, portfolio_risk, smv_weights
+from quantes.portfolio import (
+    AllocationResult, _allocate, _solve_pair, performance_stats, portfolio_risk, smv_weights,
+)
 from quantes.simulate import SimScenario, generate, reference_params
 
 LEVEL_TOL = 1e-6  # the allocator's own level tolerance
@@ -293,6 +295,57 @@ def test_rejects_level_outside_range(tau_tilde):
 def test_rejects_initial_weights_of_wrong_shape():
     with pytest.raises(ValidationError):
         smv_weights(_random_params(np.random.default_rng(0), 3), 0.2, b_init=np.ones(2))
+
+
+def _solve_cases(p, n, seed):
+    """Random D Sigma D with the right-hand sides 1 and D xi~ as rows."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        params = _random_params(rng, p)
+        a_matrix = params.sigma() * (params.delta[:, None] * params.delta)
+        yield a_matrix, np.array([np.ones(p), params.delta * params.constraints.xi_tilde])
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_solve_equals_numpy_solve_bit_for_bit(p):
+    for a_matrix, rhs in _solve_cases(p, 500, 40 + p):
+        want = np.linalg.solve(a_matrix, rhs.T).T
+        assert np.array_equal(_solve_pair(a_matrix, rhs), want)
+
+
+@pytest.mark.parametrize("p", range(6, 13))
+def test_solve_agrees_with_numpy_solve_in_the_last_bits(p):
+    # numpy and scipy each bundle their own OpenBLAS (0.3.31 and 0.3.30 in
+    # the builds this was measured on); from p = 6 up their dgesv kernels
+    # round many systems differently, by a few units in the last place
+    for a_matrix, rhs in _solve_cases(p, 200, 40 + p):
+        want = np.linalg.solve(a_matrix, rhs.T).T
+        got = _solve_pair(a_matrix, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_singular_scale_matrix_raises_linalg_error():
+    a_matrix = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.5, 1.0, 4.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a_matrix, np.ones(3))
+    with pytest.raises(np.linalg.LinAlgError):
+        _allocate(a_matrix, np.array([1.0, 2.0, 0.5]), 0.15, None)
+
+
+@pytest.mark.parametrize(
+    "params, tau_tilde",
+    [
+        (MALParams(mu=[0.3], delta=[1.5], psi=[[1.0]], tau=[0.1]), 0.1),
+        (_random_params(np.random.default_rng(5), 3), 0.3),
+        (_equal_params(3), 0.15),
+    ],
+    ids=["one-asset", "closed-form", "equal-skews"],
+)
+def test_risk_summary_is_plain_floats(params, tau_tilde):
+    result = smv_weights(params, tau_tilde)
+    for x in (result.var, result.es, result.objective, result.tau_star_achieved,
+              result.al.mu_star, result.al.tau_star, result.al.delta_star):
+        assert type(x) is float
 
 
 # -- the portfolio level law against data ----------------------------------
