@@ -330,35 +330,31 @@ def _cmd_backtest(args, stream):
         "tau": bundle.tau.tolist(),
         "versions": _versions(),
     }
-    _emit(bundle, _merge(args, "out", "reports"), stream)
+    _emit(bundle, _merge(args, "out", RunConfig.out_dir), stream)
     n_reject = sum(r["reject"] for r in bundle.backtests)
     print(f"{len(bundle.backtests)} tests, {n_reject} rejections", file=stream)
     return 0
 
 
 def _cmd_simulate(args, stream):
-    kind = _merge(args, "kind", dyn.SAV)
-    link = _merge(args, "link", dyn.MULT)
-    p = int(_merge(args, "dimension", 3))
-    length = int(_merge(args, "length", 1500))
-    tau = as_levels(_merge(args, "tau", 0.1), p)
-    family = _merge(args, "family", "normal")
-    scenario = SimScenario(
-        params=reference_params(kind, link, p),
-        tau=tau,
-        T=length,
-        error_family=family,
-        df=float(_merge(args, "df", 5.0)),
-        seed=int(_merge(args, "seed", 0)),
+    params = reference_params(
+        **_given(args, {"kind": "kind", "link": "link_kind", "dimension": "p"})
     )
-    y = generate(scenario, int(_merge(args, "replication", 0)))
+    scenario = SimScenario(
+        params,
+        as_levels(_merge(args, "tau", RunConfig.tau), params.p),
+        _merge(args, "length", 1500),
+        **_given(args, {"family": "error_family", "df": "df", "seed": "seed"}),
+    )
+    y = generate(scenario, **_given(args, {"replication": "replication"}))
     out = Path(_merge(args, "out", "simulated.csv"))
     if out.parent != Path("."):
         out.parent.mkdir(parents=True, exist_ok=True)
     day = datetime.date(2000, 1, 7)
-    dates = [(day + datetime.timedelta(days=7 * t)).isoformat() for t in range(length)]
-    write_panel(dates, y, wide=(out, ["date"] + [f"asset{j + 1}" for j in range(p)]))
-    print(f"wrote {out} ({length} rows, {p} assets, {family})", file=stream)
+    dates = [(day + datetime.timedelta(days=7 * t)).isoformat() for t in range(scenario.T)]
+    write_panel(dates, y, wide=(out, ["date"] + [f"asset{j + 1}" for j in range(params.p)]))
+    print(f"wrote {out} ({scenario.T} rows, {params.p} assets, {scenario.error_family})",
+          file=stream)
     return 0
 
 

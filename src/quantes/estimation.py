@@ -79,8 +79,8 @@ class EMConfig:
     (0 runs every start to the cap), ``max_iterations`` caps the iterations
     of a start, and ``seed`` drives every random draw. The step budget of a
     block is a module constant. A bool or non-integral count or seed, a
-    count below 1, or a negative or non-finite ``tol`` raises
-    :class:`ValidationError`.
+    count below 1, a negative seed, or a negative or non-finite ``tol``
+    raises :class:`ValidationError`.
     """
 
     tol: float = 1e-5
@@ -89,11 +89,8 @@ class EMConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("max_iterations", "n_starts", "seed"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        for name in ("max_iterations", "n_starts"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be at least 1")
+        for name, low in (("max_iterations", 1), ("n_starts", 1), ("seed", 0)):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name), low))
         if not 0.0 <= self.tol < math.inf:
             raise ValidationError(f"tol must be finite and >= 0, got {self.tol!r}")
 

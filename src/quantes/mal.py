@@ -63,11 +63,15 @@ __all__ = [
 ]
 
 
-def as_integer(name, value):
-    """``value`` as an ``int``; a bool or a non-integral number raises."""
+def as_integer(name, value, low):
+    """``value`` as an ``int`` of at least ``low``; a bool, a non-integral
+    number or a smaller value raises :class:`ValidationError`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if value < low:
+        raise ValidationError(f"{name} must be at least {low}, got {value}")
+    return value
 
 
 def as_levels(tau, p=None):
@@ -352,9 +356,7 @@ def mal_sample(params, n, seed):
     Cholesky factor of Sigma, and the second the n values of W. Each child
     fills its rows in order, so row i of a sample does not depend on ``n``.
     """
-    n = as_integer("n", n)
-    if n <= 0:
-        raise ValidationError("sample size must be positive")
+    n = as_integer("n", n, 1)
     z_rng, w_rng = np.random.default_rng(seed).spawn(2)
     z = z_rng.standard_normal((n, params.p)) @ cholesky_with_jitter(params.sigma()).T
     w = w_rng.exponential(1.0, n)[:, None]

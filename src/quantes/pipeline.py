@@ -71,16 +71,10 @@ class RunConfig:
     def __post_init__(self):
         if self.window not in WINDOWS:
             raise ValidationError(f"unknown window policy {self.window!r}")
-        for name in ("oos", "refit_every", "window_width"):
+        for name, low in (("oos", _MIN_OOS), ("refit_every", 1), ("window_width", 2)):
             value = getattr(self, name)
             if value is not None or name != "window_width":
-                object.__setattr__(self, name, as_integer(name, value))
-        if self.oos < _MIN_OOS:
-            raise ValidationError(f"out-of-sample length must be at least {_MIN_OOS}")
-        if self.refit_every < 1:
-            raise ValidationError("refit cadence must be positive")
-        if self.window_width is not None and self.window_width < 2:
-            raise ValidationError("rolling window width must exceed 1")
+                object.__setattr__(self, name, as_integer(name, value, low))
         if self.kind not in dyn.KINDS or self.link_kind not in dyn.LINKS:
             raise ValidationError("unknown recursion or link kind")
         if self.tau_tilde is not None and not 0.0 < float(self.tau_tilde) <= 0.5:
@@ -196,6 +190,8 @@ def _picked_fields(path, header, columns):
         seen.add(name)
     if columns is None:
         return list(range(1, len(header)))
+    if not columns:
+        raise ValidationError(f"{path}: the column pick is empty")
     missing = [c for c in columns if c not in names]
     if missing:
         raise ValidationError(f"{path}: columns not in header: {', '.join(missing)}")

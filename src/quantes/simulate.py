@@ -84,10 +84,8 @@ class SimScenario:
             raise ValidationError("df must be finite")
         if self.error_family == "student_t" and self.df <= 2.0:
             raise ValidationError("student_t requires df > 2")
-        for name in ("T", "burn_in", "B", "seed"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        if self.T <= 0 or self.burn_in < 0 or self.B <= 0:
-            raise ValidationError("T and B must be positive, burn_in non-negative")
+        for name, low in (("T", 1), ("burn_in", 0), ("B", 1), ("seed", 0)):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name), low))
         object.__setattr__(self, "tau", as_levels(self.tau))
         if self.params.p != self.tau.size:
             raise ValidationError("parameter set and tau dimensions disagree")
@@ -128,8 +126,7 @@ def reference_params(kind=dyn.SAV, link_kind=dyn.MULT, p=3):
     modulo 3 and switch the correlation to the geometric profile
     0.5 ** |i - j|, which is positive definite at every p.
     """
-    if p < 1:
-        raise ValidationError("dimension must be positive")
+    p = as_integer("p", p, 1)
     if kind not in dyn.KINDS or link_kind not in dyn.LINKS:
         raise ValidationError("unknown recursion or link kind")
     specs = []
@@ -215,12 +212,12 @@ def generate(scenario, replication=0):
     raised is the one a period-by-period loop over all assets
     meets first: the earliest row, and within a row a ``risk_step`` failure
     before a quantile failure before a scale failure, each in its lowest
-    column. A bool or non-integral ``replication`` raises
+    column. A bool, non-integral or negative ``replication`` raises
     :class:`ValidationError`.
     """
     params = scenario.params
     burn_in = scenario.burn_in
-    rng = np.random.default_rng([scenario.seed, as_integer("replication", replication)])
+    rng = np.random.default_rng([scenario.seed, as_integer("replication", replication, 0)])
 
     # each column of shocks is overwritten by that asset's returns
     y = _draw_shocks(scenario, rng, burn_in + scenario.T)
@@ -304,7 +301,7 @@ def _study_worker(args):
 def run_study(scenario, em_config=None, n_jobs=None):
     """Generate-and-refit over ``scenario.B`` replications.
 
-    ``n_jobs`` worker processes (default: CPU count); results are
+    ``n_jobs`` (at least 1) worker processes (default: CPU count); results are
     aggregated in replication order so the outcome does not depend on
     scheduling. Replications whose generation or fit fails are counted in
     ``n_failed`` and excluded from the metrics.
@@ -313,8 +310,7 @@ def run_study(scenario, em_config=None, n_jobs=None):
     kind = scenario.params.specs[0].kind
     link_kind = scenario.params.links[0].kind
     jobs = [(scenario, rep, em_config, kind, link_kind) for rep in range(scenario.B)]
-    if n_jobs is None:
-        n_jobs = os.cpu_count() or 1
+    n_jobs = (os.cpu_count() or 1) if n_jobs is None else as_integer("n_jobs", n_jobs, 1)
     parallel = n_jobs > 1 and scenario.B > 1
     with ProcessPoolExecutor(min(n_jobs, scenario.B)) if parallel else nullcontext() as pool:
         results = list((pool.map if parallel else map)(_study_worker, jobs))

@@ -440,6 +440,8 @@ def test_em_config_rejects_non_integer_counts(field, value):
         ("n_starts", 0, "n_starts must be at least 1"),
         ("n_starts", -2, "n_starts must be at least 1"),
         ("max_iterations", 0, "max_iterations must be at least 1"),
+        ("seed", -3, "seed must be at least 0, got -3"),
+        ("seed", np.int64(-1), "seed must be at least 0, got -1"),
         ("tol", -1e-5, "tol must be finite and >= 0"),
         ("tol", float("nan"), "tol must be finite and >= 0"),
         ("tol", float("inf"), "tol must be finite and >= 0"),

@@ -404,6 +404,14 @@ def test_sample_rejects_a_non_integer_size(n):
         mal_sample(params, n, seed=9)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_sample_rejects_a_size_below_1(n):
+    params = MALParams(mu=[0.0], delta=[1.0], psi=[[1.0]], tau=[0.3])
+    with pytest.raises(ValidationError) as err:
+        mal_sample(params, n, seed=9)
+    assert str(err.value) == f"n must be at least 1, got {n}"
+
+
 def test_sample_mean_matches_theory():
     params = MALParams(
         mu=[0.1, -0.2], delta=[0.7, 1.2], psi=[[1, -0.4], [-0.4, 1]], tau=[0.2, 0.7]

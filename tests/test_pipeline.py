@@ -77,7 +77,7 @@ def test_forecast_rejects_tau_of_wrong_length(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("option,value", [("--n-starts", "0"), ("--max-iterations", "0"),
-                                          ("--tol", "-1"), ("--tol", "nan")])
+                                          ("--tol", "-1"), ("--tol", "nan"), ("--seed", "-3")])
 def test_fit_rejects_em_settings_that_cannot_run_with_exit_2(tmp_path, capsys, option, value):
     data = tmp_path / "panel.csv"
     assert cli.main(["simulate", "--dimension", "2", "--length", "150", "--out", str(data)]) == 0
@@ -326,7 +326,7 @@ def test_forecast_rejects_a_short_backtest_block_before_any_fit(tmp_path, monkey
     code = cli.main(["forecast", "--input", str(data), "--oos", "4", "--n-starts", "1",
                      "--out", str(tmp_path / "reports")])
     assert code == 2
-    assert "out-of-sample length must be at least 9" in capsys.readouterr().err
+    assert "oos must be at least 9, got 4" in capsys.readouterr().err
     assert not (tmp_path / "reports").exists()
     with pytest.raises(ValidationError, match="at least 9"):
         RunConfig(input_path=str(data), oos=8)
@@ -347,6 +347,18 @@ def test_forecast_rejects_a_short_backtest_block_before_any_fit(tmp_path, monkey
 def test_run_config_rejects_non_integer_counts(field, value):
     with pytest.raises(ValidationError, match=f"{field} must be an integer"):
         RunConfig(input_path="panel.csv", **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field,value,low",
+    [("oos", 8, 9), ("oos", -40, 9), ("refit_every", 0, 1), ("refit_every", -2, 1),
+     ("window_width", 1, 2), ("window_width", np.int64(0), 2)],
+)
+def test_run_config_rejects_counts_below_their_floor(field, value, low):
+    with pytest.raises(ValidationError) as err:
+        RunConfig(input_path="panel.csv", **{field: value})
+    assert str(err.value) == f"{field} must be at least {low}, got {int(value)}"
+    assert getattr(RunConfig(input_path="panel.csv", **{field: low}), field) == low
 
 
 def test_run_config_takes_numpy_integer_counts():
@@ -655,6 +667,24 @@ def test_loader_rejects_a_repeated_column_pick(tmp_path, header):
         assert str(err.value) == f"{path}: column {columns[-1]!r} picked twice"
 
 
+@pytest.mark.parametrize("header", ["date,a,b", 'date,"a",b'], ids=["c-reader", "per-row"])
+@pytest.mark.parametrize("columns", [[], ()])
+def test_loader_rejects_an_empty_column_pick(tmp_path, header, columns):
+    path = tmp_path / "panel.csv"
+    path.write_text(f"{header}\n2001-01-02,1,2\n2001-01-03,3,4\n")
+    with pytest.raises(ValidationError) as err:
+        load_returns(path, columns)
+    assert str(err.value) == f"{path}: the column pick is empty"
+
+
+@pytest.mark.parametrize("command", ["stats", "fit", "forecast"])
+def test_cli_rejects_an_empty_column_pick_with_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "panel.csv"
+    path.write_text("date,a,b\n2001-01-02,1,2\n2001-01-03,3,4\n")
+    assert cli.main([command, "--input", str(path), "--columns", ""]) == 2
+    assert capsys.readouterr().err == f"error: {path}: the column pick is empty\n"
+
+
 @pytest.mark.parametrize("command", ["stats", "fit", "forecast"])
 def test_cli_rejects_a_repeated_column_pick_with_exit_2(tmp_path, capsys, command):
     path = tmp_path / "panel.csv"
@@ -723,6 +753,39 @@ def test_simulate_file_matches_the_per_row_writer(tmp_path, capsys, p, kind, fam
                              T=length, error_family=family, seed=3), 2)
     reference_simulate_file(tmp_path / "ref.csv", y, length, p)
     assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_simulate_defaults_are_the_library_defaults(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate"]) == 0, capsys.readouterr().err
+    y = generate(SimScenario(reference_params(), tau=mal.as_levels(RunConfig.tau, 3), T=1500), 0)
+    day = datetime.date(2000, 1, 7)
+    dates = [(day + datetime.timedelta(days=7 * t)).isoformat() for t in range(1500)]
+    pipeline.write_panel(dates, y, wide=(tmp_path / "ref.csv",
+                                         ["date", "asset1", "asset2", "asset3"]))
+    assert (tmp_path / "simulated.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    config = tmp_path / "sim.cfg"
+    config.write_text("kind = sav\nlink = mult\ndimension = 3\nlength = 1500\ntau = 0.1\n"
+                      "family = normal\ndf = 5\nseed = 0\nreplication = 0\n"
+                      "out = from_config.csv\n")
+    assert cli.main(["simulate", "--config", str(config)]) == 0, capsys.readouterr().err
+    assert (tmp_path / "from_config.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "option,value,message",
+    [("--seed", "-1", "seed must be at least 0, got -1"),
+     ("--replication", "-1", "replication must be at least 0, got -1"),
+     ("--dimension", "-2", "p must be at least 1, got -2"),
+     ("--length", "0", "T must be at least 1, got 0")],
+)
+def test_simulate_rejects_counts_below_their_floor_with_exit_2(tmp_path, capsys, option,
+                                                                value, message):
+    out = tmp_path / "panel.csv"
+    # a later --length wins over the first
+    assert cli.main(["simulate", "--length", "50", option, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # -- portfolio ----------------------------------------------------------------

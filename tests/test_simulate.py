@@ -303,6 +303,50 @@ def test_scenario_rejects_non_integer_counts(field, value):
         SimScenario(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("T", 0), ("T", -5), ("burn_in", -1), ("B", 0), ("seed", -1), ("seed", np.int64(-2))],
+)
+def test_scenario_rejects_counts_below_their_floor(field, value):
+    low = {"T": 1, "burn_in": 0, "B": 1, "seed": 0}[field]
+    kwargs = {"params": reference_params(p=2), "tau": np.full(2, 0.1), "T": 50}
+    kwargs[field] = value
+    with pytest.raises(ValidationError) as err:
+        SimScenario(**kwargs)
+    assert str(err.value) == f"{field} must be at least {low}, got {int(value)}"
+    kwargs[field] = low
+    assert getattr(SimScenario(**kwargs), field) == low
+
+
+@pytest.mark.parametrize(
+    "p,message",
+    [(0, "p must be at least 1, got 0"), (-2, "p must be at least 1, got -2"),
+     (True, "p must be an integer, got True"), (2.5, "p must be an integer, got 2.5"),
+     (2.0, "p must be an integer, got 2.0")],
+)
+def test_reference_params_rejects_a_bad_dimension(p, message):
+    with pytest.raises(ValidationError) as err:
+        reference_params(p=p)
+    assert str(err.value) == message
+    assert reference_params(p=np.int64(2)).p == 2
+
+
+@pytest.mark.parametrize(
+    "n_jobs,message",
+    [(0, "n_jobs must be at least 1, got 0"), (-1, "n_jobs must be at least 1, got -1"),
+     (1.5, "n_jobs must be an integer, got 1.5"), (True, "n_jobs must be an integer, got True")],
+)
+def test_run_study_rejects_a_bad_worker_count(monkeypatch, n_jobs, message):
+    def no_run(*args):
+        raise AssertionError("a replication ran with a bad worker count")
+
+    monkeypatch.setattr(simulate, "_study_worker", no_run)
+    scenario = SimScenario(params=reference_params(p=2), tau=np.full(2, 0.1), T=50, B=2)
+    with pytest.raises(ValidationError) as err:
+        simulate.run_study(scenario, n_jobs=n_jobs)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("family", ["student_t", "normal"])
 @pytest.mark.parametrize("df", [math.inf, math.nan])
 def test_scenario_rejects_non_finite_df(family, df):
@@ -327,3 +371,10 @@ def test_generate_rejects_a_non_integer_replication(replication):
     with pytest.raises(ValidationError, match="replication must be an integer"):
         generate(scenario, replication)
 
+
+@pytest.mark.parametrize("replication", [-1, np.int64(-7)])
+def test_generate_rejects_a_negative_replication(replication):
+    scenario = SimScenario(params=reference_params(p=2), tau=np.full(2, 0.1), T=50)
+    with pytest.raises(ValidationError) as err:
+        generate(scenario, replication)
+    assert str(err.value) == f"replication must be at least 0, got {int(replication)}"
