@@ -4,9 +4,10 @@ Subcommands cover the whole workflow: ``stats`` summarizes a return file,
 ``fit`` estimates the joint model once on the full sample, ``forecast`` runs
 the rolling out-of-sample exercise, ``backtest`` re-scores a previously
 emitted forecast table, ``portfolio`` adds the allocation track, and
-``simulate`` writes synthetic panels from the stock truth set. A key=value
-config file can hold any flag; explicit flags win. Exit codes: 0 success,
-2 validation problem, 3 numeric failure.
+``simulate`` writes synthetic panels from the stock truth set. Each
+subcommand declares only the options it reads. A key=value config file can
+hold the flag of any subcommand; each reads its own keys, and explicit flags
+win. Exit codes: 0 success, 2 validation problem, 3 numeric failure.
 """
 
 import argparse
@@ -44,20 +45,70 @@ from .pipeline import (
 from .simulate import SimScenario, generate, reference_params
 
 
+def _str_list(text):
+    """The stripped fields of a comma list; a blank value has none, and a
+    blank field among others is rejected."""
+    fields = [v.strip() for v in text.split(",")]
+    if fields == [""]:
+        return []
+    if "" in fields:
+        raise argparse.ArgumentTypeError(f"blank field in {text!r}")
+    return fields
+
+
 def _float_list(text):
     try:
-        return [float(v) for v in str(text).split(",") if v.strip()]
+        return [float(v) for v in _str_list(text)]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad number list {text!r}") from None
 
 
-def _str_list(text):
-    return [v.strip() for v in str(text).split(",") if v.strip()]
+# Every option a subcommand may declare besides --config and --out: the
+# keyword arguments of its flag, by dest.
+_OPTIONS = {
+    "input": {"help": "delimited return file with a date column"},
+    "forecasts": {"help": "forecasts.csv from a previous run"},
+    "columns": {"type": _str_list, "help": "comma list of asset columns"},
+    "tau": {"type": _float_list, "help": "levels in (0, 1): one shared or one per asset"},
+    "kind": {"choices": sorted(dyn.KINDS), "help": "quantile recursion"},
+    "link": {"choices": sorted(dyn.LINKS), "help": "shortfall link"},
+    "seed": {"type": int, "help": "seed for every stochastic stage"},
+    "n_starts": {"type": int},
+    "tol": {"type": float, "help": "EM stopping tolerance"},
+    "max_iterations": {"type": int},
+    "window": {"choices": ("rolling", "expanding")},
+    "window_width": {"type": int},
+    "oos": {"type": int, "help": "out-of-sample length"},
+    "refit_every": {"type": int},
+    "tau_tilde": {"type": float},
+    "length": {"type": int, "help": "rows to generate"},
+    "dimension": {"type": int, "help": "number of assets"},
+    "family": {"choices": ("normal", "student_t", "none")},
+    "df": {"type": float},
+    "replication": {"type": int},
+}
+# The type a config-file key takes: its flag's, ``str`` when it declares none.
+# A file may hold the key of any subcommand; each reads only its own.
+_CASTERS = {"out": str, **{key: kw.get("type", str) for key, kw in _OPTIONS.items()}}
+
+_FIT = ("input", "columns", "tau", "kind", "link", "seed", "n_starts", "tol", "max_iterations")
+_RUN = _FIT + ("window", "window_width", "oos", "refit_every")
+# Each subcommand: its help, what its --out names, and the other options its
+# handler reads. It declares no option it does not read.
+_COMMANDS = {
+    "stats": ("summary statistics", "optional directory for CSV output", ("input", "columns")),
+    "fit": ("one full-sample fit", "optional directory for fit.json", _FIT),
+    "forecast": ("rolling out-of-sample forecasts", "report directory", _RUN),
+    "backtest": ("re-score an emitted forecast table", "report directory", ("forecasts", "tau")),
+    "portfolio": ("forecasts plus allocation track", "report directory", _RUN + ("tau_tilde",)),
+    "simulate": ("write a synthetic panel from stock truths", "output CSV path",
+                 ("kind", "link", "seed", "tau", "length", "dimension", "family", "df",
+                  "replication")),
+}
 
 
-def _read_config_file(path, casters):
-    """key = value lines; # comments; keys match the long flag names, and
-    ``casters`` maps each key to the type its flag declares."""
+def _read_config_file(path):
+    """key = value lines; # comments; keys match the long flag names."""
     out = {}
     try:
         text = Path(path).read_text()
@@ -71,10 +122,10 @@ def _read_config_file(path, casters):
             raise ValidationError(f"{path}: line {lineno}: expected key = value")
         key, value = (side.strip() for side in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in casters:
+        if key not in _CASTERS:
             raise ValidationError(f"{path}: line {lineno}: unknown key {key!r}")
         try:
-            out[key] = casters[key](value)
+            out[key] = _CASTERS[key](value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValidationError(f"{path}: line {lineno}: {exc}") from None
     return out
@@ -82,84 +133,26 @@ def _read_config_file(path, casters):
 
 @functools.cache
 def _build_parser():
-    """The parser, and the caster of each key a config file may set: the type
-    its flag declares, ``str`` when it declares none. ``--config`` itself is
-    no such key."""
     parser = argparse.ArgumentParser(
         prog="quantes",
         description="Joint quantile and expected shortfall forecasting.",
     )
     parser.add_argument("--version", action="version", version=f"quantes {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    casters = {}
-
-    def option(group, *flags, **kwargs):
-        action = group.add_argument(*flags, **kwargs)
-        casters[action.dest] = action.type or str
-
-    data = argparse.ArgumentParser(add_help=False)
-    data.add_argument("--config", help="key=value file; explicit flags override")
-    option(data, "--input", help="delimited return file with a date column")
-    option(data, "--columns", type=_str_list, help="comma list of asset columns")
-    option(data, "--tau", type=_float_list,
-           help="levels in (0, 1): one shared or one per asset")
-
-    model = argparse.ArgumentParser(add_help=False)
-    option(model, "--kind", choices=sorted(dyn.KINDS), help="quantile recursion")
-    option(model, "--link", choices=sorted(dyn.LINKS), help="shortfall link")
-    option(model, "--seed", type=int, help="seed for every stochastic stage")
-    option(model, "--n-starts", type=int, dest="n_starts")
-    option(model, "--tol", type=float, help="EM stopping tolerance")
-    option(model, "--max-iterations", type=int, dest="max_iterations")
-
-    run = argparse.ArgumentParser(add_help=False)
-    option(run, "--window", choices=("rolling", "expanding"))
-    option(run, "--window-width", type=int, dest="window_width")
-    option(run, "--oos", type=int, help="out-of-sample length")
-    option(run, "--refit-every", type=int, dest="refit_every")
-    option(run, "--out", help="report directory")
-
-    p_stats = sub.add_parser("stats", parents=[data], help="summary statistics")
-    option(p_stats, "--out", help="optional directory for CSV output")
-
-    p_fit = sub.add_parser("fit", parents=[data, model], help="one full-sample fit")
-    option(p_fit, "--out", help="optional directory for fit.json")
-
-    sub.add_parser(
-        "forecast", parents=[data, model, run], help="rolling out-of-sample forecasts"
-    )
-
-    p_back = sub.add_parser(
-        "backtest", parents=[data], help="re-score an emitted forecast table"
-    )
-    option(p_back, "--forecasts", help="forecasts.csv from a previous run")
-    option(p_back, "--out", help="report directory")
-
-    p_port = sub.add_parser(
-        "portfolio", parents=[data, model, run], help="forecasts plus allocation track"
-    )
-    option(p_port, "--tau-tilde", type=float, dest="tau_tilde")
-
-    p_sim = sub.add_parser(
-        "simulate", parents=[model], help="write a synthetic panel from stock truths"
-    )
-    p_sim.add_argument("--config", help="key=value file; explicit flags override")
-    option(p_sim, "--tau", type=_float_list)
-    option(p_sim, "--length", type=int, help="rows to generate")
-    option(p_sim, "--dimension", type=int, help="number of assets")
-    option(p_sim, "--family", choices=("normal", "student_t", "none"))
-    option(p_sim, "--df", type=float)
-    option(p_sim, "--replication", type=int)
-    option(p_sim, "--out", help="output CSV path")
-    return parser, casters
+    for command, (summary, out_help, keys) in _COMMANDS.items():
+        p_cmd = sub.add_parser(command, help=summary)
+        p_cmd.add_argument("--config", help="key=value file; explicit flags override")
+        for key in keys:
+            p_cmd.add_argument("--" + key.replace("_", "-"), **_OPTIONS[key])
+        p_cmd.add_argument("--out", help=out_help)
+    return parser
 
 
 def _merge(args, key, fallback=None):
-    """Explicit flag, else config-file value, else fallback."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    return args._file_config.get(key, fallback)
+    """Explicit flag, else config-file value, else fallback. ``key`` must be
+    an option of the subcommand: any other raises AttributeError."""
+    val = getattr(args, key)
+    return fallback if val is None else val
 
 
 def _require(args, key):
@@ -170,8 +163,10 @@ def _require(args, key):
 
 
 def _given(args, fields):
-    """``{field: value}`` for each ``{option: field}`` set by flag or config file."""
-    return {f: v for key, f in fields.items() if (v := _merge(args, key)) is not None}
+    """``{field: value}`` for each ``{option: field}`` the subcommand declares
+    and a flag or the config file sets."""
+    return {f: v for key, f in fields.items()
+            if hasattr(args, key) and (v := _merge(args, key)) is not None}
 
 
 _EM_FIELDS = {k: k for k in ("n_starts", "tol", "max_iterations", "seed")}
@@ -306,9 +301,7 @@ def _cmd_portfolio(args, stream):
 
 def _cmd_backtest(args, stream):
     """Slice the panels out of a wide forecast table and re-run the battery."""
-    path = _merge(args, "forecasts") or _merge(args, "input")
-    if path is None:
-        raise ValidationError("missing required option --forecasts")
+    path = _require(args, "forecasts")
     table = load_returns(path)
     prefixes = tuple(c[2:] for c in table.columns if c.startswith("y_"))
     if not prefixes:
@@ -369,12 +362,12 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    parser, casters = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        args._file_config = (
-            _read_config_file(args.config, casters) if getattr(args, "config", None) else {}
-        )
+        declared = vars(args)
+        for key, value in (_read_config_file(args.config) if args.config else {}).items():
+            if key in declared and declared[key] is None:
+                declared[key] = value
         return _DISPATCH[args.command](args, sys.stdout)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -590,11 +590,9 @@ def test_cli_config_file_sets_options_and_explicit_flags_win(tmp_path, monkeypat
     ]
 
 
-def _forecast_with_config(tmp_path, monkeypatch, text):
-    """Run ``forecast`` on a config file holding ``text``; return the exit code,
-    the file's path and the RunConfigs the rolling engine received."""
-    conf = tmp_path / "run.conf"
-    conf.write_text(text)
+def _stop_before_the_run(monkeypatch):
+    """Make ``forecast`` and ``portfolio`` exit 2 with "stopped" before any
+    fit; return the list that collects the RunConfigs they were given."""
     seen = []
 
     def stop(config):
@@ -602,7 +600,17 @@ def _forecast_with_config(tmp_path, monkeypatch, text):
         raise ValidationError("stopped")
 
     monkeypatch.setattr(cli, "rolling_forecast", stop)
-    code = cli.main(["forecast", "--config", str(conf), "--input", "panel.csv"])
+    monkeypatch.setattr(cli, "portfolio_run", stop)
+    return seen
+
+
+def _forecast_with_config(tmp_path, monkeypatch, text, command="forecast"):
+    """Run ``command`` on a config file holding ``text``; return the exit code,
+    the file's path and the RunConfigs the rolling engine received."""
+    conf = tmp_path / "run.conf"
+    conf.write_text(text)
+    seen = _stop_before_the_run(monkeypatch)
+    code = cli.main([command, "--config", str(conf), "--input", "panel.csv"])
     return code, conf, seen
 
 
@@ -621,6 +629,8 @@ _FLOAT_KEYS = ("tau_tilde", "tol", "df")
         ("help = 1\n", "line 1: unknown key 'help'"),
         ("version = 1\n", "line 1: unknown key 'version'"),
         ("oos\n", "line 1: expected key = value"),
+        ("columns = asset1,,asset3\n", "line 1: blank field in 'asset1,,asset3'"),
+        ("tau = 0.1,\n", "line 1: blank field in '0.1,'"),
         *((f"{k} = x\n", "line 1: invalid literal for int() with base 10: 'x'")
           for k in _INT_KEYS),
         *((f"{k} = x\n", "line 1: could not convert string to float: 'x'")
@@ -639,22 +649,28 @@ def test_cli_config_file_takes_every_flag_and_ignores_other_subcommands_keys(
     text = (
         "input = other.csv\ncolumns = a, b\ntau = 0.05,0.1\nkind = as\nlink = ar\n"
         "window = expanding\nwindow-width = 300\noos = 40\nrefit_every = 7\n"
-        "tau_tilde = 0.15\nout = there\nseed = 3\nn_starts = 2\ntol = 1e-5\n"
-        "max_iterations = 9\n"
-        # keys of the backtest and simulate subcommands: accepted, unused here
-        "forecasts = f.csv\nlength = 10\ndimension = 2\nfamily = none\ndf = 4\n"
-        "replication = 1\n"
+        "out = there\nseed = 3\nn_starts = 2\ntol = 1e-5\nmax_iterations = 9\n"
+        # keys of the portfolio, backtest and simulate subcommands: accepted, unused here
+        "tau_tilde = 0.15\nforecasts = f.csv\nlength = 10\ndimension = 2\nfamily = none\n"
+        "df = 4\nreplication = 1\n"
     )
     code, _, seen = _forecast_with_config(tmp_path, monkeypatch, text)
     assert code == 2
     assert capsys.readouterr().err == "error: stopped\n"
-    assert seen == [RunConfig(
+    expected = RunConfig(
         input_path="panel.csv", tau=[0.05, 0.1], columns=("a", "b"), kind="as",
         link_kind="ar", window="expanding", window_width=300, oos=40, refit_every=7,
-        tau_tilde=0.15, out_dir="there",
+        tau_tilde=None, out_dir="there",
         em=EMConfig(n_starts=2, tol=1e-5, max_iterations=9, seed=3),
-    )]
-    assert type(seen[0].tau_tilde) is float and type(seen[0].em.tol) is float
+    )
+    assert seen == [expected]
+    assert type(seen[0].em.tol) is float
+    # portfolio declares --tau-tilde, so it takes the key
+    code, _, seen = _forecast_with_config(tmp_path, monkeypatch, text, "portfolio")
+    assert code == 2
+    assert capsys.readouterr().err == "error: stopped\n"
+    assert seen == [replace(expected, tau_tilde=0.15)]
+    assert type(seen[0].tau_tilde) is float
 
 
 @pytest.mark.parametrize("header", ["date,a,b", 'date,"a",b'], ids=["c-reader", "per-row"])
@@ -691,6 +707,88 @@ def test_cli_rejects_a_repeated_column_pick_with_exit_2(tmp_path, capsys, comman
     path.write_text("date,a,b\n2001-01-02,1,2\n2001-01-03,3,4\n")
     assert cli.main([command, "--input", str(path), "--columns", "a,a"]) == 2
     assert capsys.readouterr().err == f"error: {path}: column 'a' picked twice\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["stats", "--columns", "a,,b"], ["fit", "--columns", "a,b,"], ["fit", "--tau", "0.1,,0.05"],
+     ["forecast", "--tau", ",0.1"], ["backtest", "--tau", "0.1, ,0.2"],
+     ["simulate", "--tau", "0.1,,0.2"]],
+)
+def test_cli_rejects_a_blank_list_field_with_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[1]}: blank field in {argv[2]!r}" in capsys.readouterr().err
+
+
+# The arguments of a minimal valid run of each subcommand in a folder set up
+# by _minimal_run_folder; forecast and portfolio stop before their first fit.
+_MINIMAL_RUNS = {
+    "stats": ["--input", "panel.csv"],
+    "fit": ["--input", "panel.csv", "--n-starts", "1", "--max-iterations", "1"],
+    "forecast": ["--input", "panel.csv"],
+    "backtest": ["--forecasts", "forecasts.csv", "--tau", str(TAU)],
+    "portfolio": ["--input", "panel.csv", "--tau-tilde", "0.15"],
+    "simulate": ["--length", "20"],
+}
+
+
+def _minimal_run_folder(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["simulate", "--dimension", "2", "--length", "150", "--out",
+                     "panel.csv"]) == 0
+    _write_forecasts(tmp_path / "forecasts.csv")
+
+
+@pytest.mark.parametrize(
+    "command,option,value",
+    [("stats", "--tau", "0.7,0.2"), ("backtest", "--columns", "a1"),
+     ("backtest", "--input", "nothere.csv"), ("simulate", "--n-starts", "7"),
+     ("simulate", "--tol", "3"), ("simulate", "--max-iterations", "2")],
+)
+def test_cli_rejects_an_option_the_subcommand_does_not_read(tmp_path, monkeypatch, capsys,
+                                                           command, option, value):
+    _minimal_run_folder(tmp_path, monkeypatch)
+    assert cli.main([command, *_MINIMAL_RUNS[command]]) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, *_MINIMAL_RUNS[command], option, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_MINIMAL_RUNS))
+def test_each_subcommand_reads_exactly_the_options_it_declares(tmp_path, monkeypatch, capsys,
+                                                                command):
+    _minimal_run_folder(tmp_path, monkeypatch)
+    read, namespaces = set(), []
+    merge = cli._merge
+
+    def spy(args, key, fallback=None):
+        namespaces.append(args)
+        read.add(key)
+        return merge(args, key, fallback)
+
+    monkeypatch.setattr(cli, "_merge", spy)
+    seen = _stop_before_the_run(monkeypatch)
+    code = cli.main([command, *_MINIMAL_RUNS[command]])
+    if command in ("forecast", "portfolio"):
+        assert code == 2 and len(seen) == 1, capsys.readouterr().err
+    else:
+        assert code == 0, capsys.readouterr().err
+    # the namespace holds one dest per declared option
+    declared = {key for key in vars(namespaces[0]) if not key.startswith("_")}
+    assert read == declared - {"command", "config"}
+
+
+def test_backtest_takes_its_file_from_forecasts_alone(tmp_path, capsys):
+    source = tmp_path / "forecasts.csv"
+    _write_forecasts(source)
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"input = {source}\ntau = 0.1\n")
+    assert cli.main(["backtest", "--config", str(conf), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == "error: missing required option --forecasts\n"
 
 
 def test_backtest_rejects_a_repeated_column_with_exit_2(tmp_path, capsys):
