@@ -18,7 +18,7 @@ path equals the loop bit for bit; that holds while the LAPACK build does
 not fuse the two into one multiply-add, and tests/test_kernels.py guards
 it. The shortfall offset only changes after violations, so its recursion
 runs over those indices alone. :func:`risk_step` takes the same rules one
-period at a time, for the forecast and the simulator.
+period at a time for the forecast; the simulator writes them out inline.
 
 This module is the one path evaluator: :func:`filter_path` gives a quantile
 path and :func:`scale_path` the MAL scale delta = tau (0 - es) of either
@@ -405,6 +405,9 @@ def risk_step(spec, link, q, y, x):
     ``x`` is the autoregressive offset and passes through the
     multiplicative link unchanged.
     """
+    # simulate._step_column repeats this rule operation for operation;
+    # tests/test_simulate.py::test_generate_is_the_per_period_loop_byte_for_byte
+    # pins the two byte for byte through reference_generate, which steps here
     q_next = quantile_step(spec, q, y)
     if link.kind == AR and y <= q:
         g1, g2, g3 = link.coef

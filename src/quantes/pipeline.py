@@ -27,7 +27,7 @@ from . import __version__
 from . import dynamics as dyn
 from .backtests import N_LAGS, _acf, dq_test, es_tests, lr_cc, lr_uc
 from .estimation import EMConfig, ParameterSet, fit
-from .exceptions import InfeasibleAllocationError, NumericError, ValidationError
+from .exceptions import InfeasibleAllocationError, NumericError, PathError, ValidationError
 from .mal import (
     MALConstraints,
     MALParams,
@@ -351,9 +351,11 @@ def _forecast_state(config, table):
 
     Returns (var, es, sigmas, psis, warnings, n_refits) with (oos, p)
     forecast panels. Fit failures after the first window fall back to the
-    previous parameter set, and degenerate forecasts after the first period
-    to the previous forecast, each with a warning; the first window must fit
-    and the first forecast must be valid. Sigma is assembled once per refit.
+    previous parameter set, and degenerate forecasts or failed paths after
+    the first period to the previous forecast, each with a warning that
+    names the period (and the asset of a failed path); the first window must
+    fit and the first forecast must be valid. Sigma is assembled once per
+    refit.
     """
     y = table.values
     T, p = y.shape
@@ -391,25 +393,24 @@ def _forecast_state(config, table):
                 if params is None:
                     raise
                 warnings.append(f"t={t} ({table.dates[t]}): refit failed: {exc}")
-        for j in range(p):
-            yj = window[:, j]
-            q0 = dyn.initial_quantile(yj, tau[j])
-            path = dyn.risk_path(params.specs[j], params.links[j], yj, q0, tau[j])
-            x_last = path.x[-1] if path.x is not None else 0.0
-            var[k, j], es[k, j] = dyn.one_step_forecast(
-                params.specs[j], params.links[j], path.quantile[-1], yj[-1], x_last
-            )
         try:
+            for j in range(p):
+                yj = window[:, j]
+                q0 = dyn.initial_quantile(yj, tau[j])
+                path = dyn.risk_path(params.specs[j], params.links[j], yj, q0, tau[j])
+                x_last = path.x[-1] if path.x is not None else 0.0
+                var[k, j], es[k, j] = dyn.one_step_forecast(
+                    params.specs[j], params.links[j], path.quantile[-1], yj[-1], x_last
+                )
             check_forecasts(y[t], var[k], es[k])
-        except ValidationError as exc:
+        except (PathError, ValidationError) as exc:
+            what = (f"path failed for asset {table.columns[j]}"
+                    if isinstance(exc, PathError) else "degenerate forecast")
             if k == 0:
-                raise NumericError(
-                    f"degenerate forecast at t={t} ({table.dates[t]}): {exc}"
-                ) from exc
+                raise NumericError(f"{what} at t={t} ({table.dates[t]}): {exc}") from exc
             var[k], es[k] = var[k - 1], es[k - 1]
             warnings.append(
-                f"t={t} ({table.dates[t]}): degenerate forecast ({exc}); "
-                "previous forecast carried"
+                f"t={t} ({table.dates[t]}): {what} ({exc}); previous forecast carried"
             )
         sigmas.append(sigma)
         psis.append(params.psi)

@@ -11,15 +11,16 @@ quantile path of the data and hit rates against it equal tau. The
 with a heavier-tailed multivariate t draw, giving a misspecified stress
 scenario; "none" zeroes the shock and returns the pure recursion path.
 
-Every step goes through :func:`dynamics.risk_step`, the rule the
-estimator's paths and the forecasts follow, so the autoregressive offset
-moves on the previous period's violation (Taylor 2019, JBES 37) and starts
-from the link's ``x0``. Once the shocks are drawn the assets share no
-state, so :func:`generate` steps one column at a time, every period of
-asset 0, then of asset 1, and so on. Each value is the same float
-operations in the same order as in a period-by-period loop over the
-assets, so the panels are the same; a failing run raises the error that
-loop would meet first (see :func:`generate`).
+Every step follows the rule of :func:`dynamics.risk_step`, which the
+estimator's paths and the forecasts follow too, so the autoregressive
+offset moves on the previous period's violation (Taylor 2019, JBES 37) and
+starts from the link's ``x0``. Once the shocks are drawn the assets share
+no state, so :func:`generate` steps one column at a time, every period of
+asset 0, then of asset 1, and so on, each column in one loop that writes
+the rule out on local floats. Each value is the same float operations in
+the same order as in a period-by-period loop over the assets through
+``risk_step``, so the panels are the same; a failing run raises the error
+that loop would meet first (see :func:`generate`).
 
 Panels are reproducible across versions because the draw order is fixed:
 the generator, seeded with ``[seed, replication]``, is split as
@@ -32,6 +33,7 @@ pins this order against a per-period reference loop.
 """
 
 import math
+import numbers
 import os
 import time
 from collections import Counter
@@ -80,8 +82,11 @@ class SimScenario:
     def __post_init__(self):
         if self.error_family not in FAMILIES:
             raise ValidationError(f"unknown error family {self.error_family!r}")
+        if isinstance(self.df, bool) or not isinstance(self.df, numbers.Real):
+            raise ValidationError(f"df must be a real number, got {self.df!r}")
         if not math.isfinite(self.df):
             raise ValidationError("df must be finite")
+        object.__setattr__(self, "df", float(self.df))
         if self.error_family == "student_t" and self.df <= 2.0:
             raise ValidationError("student_t requires df > 2")
         for name, low in (("T", 1), ("burn_in", 0), ("B", 1), ("seed", 0)):
@@ -193,6 +198,56 @@ def _path_error(what, column, t, burn_in):
     )
 
 
+def _step_column(spec, link, tau, q, col, stop):
+    """Step one asset through rows 0, ..., stop - 1 of ``col``, its list of
+    shocks, overwriting each with that row's return; ``q`` is the asset's
+    initial quantile and ``tau`` its level.
+
+    The period rule of :func:`dynamics.risk_step` is written out here on
+    local floats, operation for operation, so no row costs a Python call
+    and the column equals a loop over ``risk_step`` byte for byte
+    (``tests/test_simulate.py::test_generate_is_the_per_period_loop_byte_for_byte``
+    pins the two). Returns None, or (row, stage, what) for the first
+    failure: stage 0 for a non-positive indirect-GARCH radicand, 1 for a
+    quantile outside [-1e6, 0) or NaN, 2 for a scale that is not positive.
+    """
+    sav, ig = spec.kind == dyn.SAV, spec.kind == dyn.IG
+    omega, eta, beta1 = spec.coef[:3]
+    beta2 = spec.coef[-1]
+    mult = link.kind == dyn.MULT
+    factor = link.factor
+    g1, g2, g3 = (0.0, 0.0, 0.0) if mult else link.coef
+    x = link.x0
+    es = factor * q if mult else q - x
+    for t in range(stop):
+        if t:
+            if sav:
+                q_next = omega + beta1 * abs(y) + eta * q
+            elif ig:
+                rad = omega + beta1 * (y * y) + eta * (q * q)
+                if rad <= 0.0:
+                    return t, 0, "step failed (negative radicand in indirect-GARCH step)"
+                q_next = -math.sqrt(rad)
+            else:
+                q_next = (omega + beta1 * (0.0 if 0.0 > y else y)
+                          + beta2 * (0.0 if 0.0 > -y else -y) + eta * q)
+            if mult:
+                es = factor * q_next
+            else:
+                if y <= q:
+                    x = g1 + g2 * (q - y) + g3 * x
+                es = q_next - x
+            q = q_next
+        # written so that a NaN quantile fails too
+        if not (abs(q) <= _BLOWUP and q < 0.0):
+            return t, 1, "quantile path left the valid region"
+        delta = tau * (0.0 - es)
+        if not delta > 0.0:
+            return t, 2, "scale path became non-positive"
+        y = col[t] = q + delta * col[t]
+    return None
+
+
 def generate(scenario, replication=0):
     """Simulate one replication; returns a (T, p) matrix after burn-in.
 
@@ -200,64 +255,43 @@ def generate(scenario, replication=0):
     (scenario, replication) pair gives the same panel in every version, and
     its first rows do not depend on T. All shocks are drawn before the
     recursion runs. Given the shocks the assets share no state, so each
-    asset then steps through its own column alone, period by period through
-    :func:`dynamics.risk_step`, on plain floats. ``error_family="none"``
-    with the AR link gives no fit input (see :class:`SimScenario`).
+    asset then steps through its own column alone, period by period in
+    one loop on plain floats (:func:`_step_column`), by the rule of
+    :func:`dynamics.risk_step`. ``error_family="none"`` with the AR link
+    gives no fit input (see :class:`SimScenario`).
 
-    Raises :class:`PathError` when a quantile leaves [-1e6, 0) or is NaN, a
-    scale is not positive, or :func:`dynamics.risk_step` itself fails (an
-    indirect-GARCH radicand that is not positive, whose message is kept);
-    its ``index`` counts rows from the first burn-in row, and the message
-    names the column and whether that row lies in the burn-in. The error
-    raised is the one a period-by-period loop over all assets
-    meets first: the earliest row, and within a row a ``risk_step`` failure
-    before a quantile failure before a scale failure, each in its lowest
-    column. A bool, non-integral or negative ``replication`` raises
+    Raises :class:`PathError` when an indirect-GARCH radicand is not
+    positive, a quantile leaves [-1e6, 0) or is NaN, or a scale is not
+    positive; its ``index`` counts rows from the first burn-in row, and the
+    message names the column and whether that row lies in the burn-in. The
+    error raised is the one a period-by-period loop over all assets meets
+    first: the earliest row, and within a row a radicand failure before a
+    quantile failure before a scale failure, each in its lowest column. A
+    bool, non-integral or negative ``replication`` raises
     :class:`ValidationError`.
     """
     params = scenario.params
-    burn_in = scenario.burn_in
     rng = np.random.default_rng([scenario.seed, as_integer("replication", replication, 0)])
 
     # each column of shocks is overwritten by that asset's returns
-    y = _draw_shocks(scenario, rng, burn_in + scenario.T)
-    step = dyn.risk_step
-    # (row, stage, error) of the earliest failure, stage 0 for risk_step's
-    # own error, 1 for the quantile check and 2 for the scale check
+    y = _draw_shocks(scenario, rng, scenario.burn_in + scenario.T)
+    # (row, stage, what, column) of the earliest failure
     first = None
     columns = zip(params.specs, params.links, scenario.tau.tolist(),
                   _initial_state(params).tolist())
     for j, (spec, link, tau, q) in enumerate(columns):
-        x = link.x0
-        es = dyn.shortfall(link, q, x)
         col = y[:, j].tolist()
         # a later column can only fail first on or before the earliest row
-        stop = len(col) if first is None else first[0] + 1
-        failed = None
-        for t in range(stop):
-            if t:
-                try:
-                    q, es, x = step(spec, link, q, col[t - 1], x)
-                except PathError as exc:
-                    failed = (t, 0, _path_error(f"step failed ({exc})", j, t, burn_in))
-                    break
-            # written so that a NaN quantile fails too
-            if not (abs(q) <= _BLOWUP and q < 0.0):
-                failed = (t, 1, _path_error("quantile path left the valid region",
-                                            j, t, burn_in))
-                break
-            delta = tau * (0.0 - es)
-            if not delta > 0.0:
-                failed = (t, 2, _path_error("scale path became non-positive", j, t, burn_in))
-                break
-            col[t] = q + delta * col[t]
+        failed = _step_column(spec, link, tau, q, col,
+                              len(col) if first is None else first[0] + 1)
         if failed is None:
             y[:, j] = col
         elif first is None or failed[:2] < first[:2]:
-            first = failed
+            first = (*failed, j)
     if first is not None:
-        raise first[2]
-    return y[burn_in:]
+        t, _, what, j = first
+        raise _path_error(what, j, t, scenario.burn_in)
+    return y[scenario.burn_in:]
 
 
 def _truth_map(params):
@@ -304,18 +338,27 @@ def run_study(scenario, em_config=None, n_jobs=None):
     ``n_jobs`` (at least 1) worker processes (default: CPU count); results are
     aggregated in replication order so the outcome does not depend on
     scheduling. Replications whose generation or fit fails are counted in
-    ``n_failed`` and excluded from the metrics.
+    ``n_failed`` and excluded from the metrics. Every asset is fitted with
+    one recursion and one link kind, so a scenario whose assets mix kinds
+    raises :class:`ValidationError` naming the first asset, counted from 1
+    as in the estimate names, that differs from asset 1.
     """
     em_config = em_config or EMConfig()
-    kind = scenario.params.specs[0].kind
-    link_kind = scenario.params.links[0].kind
+    params = scenario.params
+    kind, link_kind = params.specs[0].kind, params.links[0].kind
+    for j, (spec, link) in enumerate(zip(params.specs, params.links), start=1):
+        if (spec.kind, link.kind) != (kind, link_kind):
+            raise ValidationError(
+                f"run_study fits one recursion and link for every asset: asset {j} is "
+                f"{spec.kind}/{link.kind}, asset 1 is {kind}/{link_kind}"
+            )
     jobs = [(scenario, rep, em_config, kind, link_kind) for rep in range(scenario.B)]
     n_jobs = (os.cpu_count() or 1) if n_jobs is None else as_integer("n_jobs", n_jobs, 1)
     parallel = n_jobs > 1 and scenario.B > 1
     with ProcessPoolExecutor(min(n_jobs, scenario.B)) if parallel else nullcontext() as pool:
         results = list((pool.map if parallel else map)(_study_worker, jobs))
 
-    truths = _truth_map(scenario.params)
+    truths = _truth_map(params)
     ok = [r for r in results if r[0] is not None]
     if not ok:
         raise NumericError("every replication failed")

@@ -295,24 +295,18 @@ def test_one_step_forecast_continues_the_ar_path(kind):
 
 
 @pytest.mark.parametrize("kind", [SAV, AS, IG])
-def test_risk_path_reproduces_the_simulated_ar_paths(kind, monkeypatch):
+def test_risk_path_reproduces_the_simulated_ar_paths(kind):
     truth = reference_params(kind, AR, 2)
     tau = np.array([0.1, 0.05])
-    step = dyn.risk_step
-    steps = {}  # id of the spec -> that asset's steps, in order
-
-    def recorded(spec, *args):
-        out = step(spec, *args)
-        steps.setdefault(id(spec), []).append(out)
-        return out
-
-    monkeypatch.setattr(dyn, "risk_step", recorded)
     y = generate(SimScenario(params=truth, tau=tau, T=400, burn_in=0, seed=8), 0)
-    q0 = simulate._initial_state(truth)
+    q0 = simulate._initial_state(truth).tolist()
     for j, (spec, link) in enumerate(zip(truth.specs, truth.links)):
-        # the simulator steps each asset from row 1 on
-        first = (q0[j], shortfall(link, q0[j], link.x0), link.x0)
-        q, es, x = np.array([first, *steps[id(spec)]]).T
+        # the simulator's steps, replayed through risk_step along the panel
+        # from each asset's initial state, row 1 on
+        steps = [(q0[j], shortfall(link, q0[j], link.x0), link.x0)]
+        for y_prev in y[:-1, j].tolist():
+            steps.append(dyn.risk_step(spec, link, steps[-1][0], y_prev, steps[-1][2]))
+        q, es, x = np.array(steps).T
         rp = risk_path(spec, link, y[:, j], q0[j], tau[j])
         if kind == IG:
             # each step is within 2 ulp, but the simulator carries q, not the

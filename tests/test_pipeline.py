@@ -11,7 +11,9 @@ from scipy import special
 from quantes import __version__, cli, dynamics, mal, pipeline
 from quantes.dynamics import initial_quantile, risk_path
 from quantes.estimation import EMConfig, ParameterSet
-from quantes.exceptions import InfeasibleAllocationError, NumericError, ValidationError
+from quantes.exceptions import (
+    InfeasibleAllocationError, NumericError, PathError, ValidationError,
+)
 from quantes.mal import (
     MALConstraints, MALParams, al_es, al_quantile, assemble_sigma, linear_combine,
 )
@@ -313,6 +315,64 @@ def test_degenerate_first_forecast_still_raises(tmp_path, monkeypatch):
     _spoil_call(monkeypatch, bad_call=1)
     with pytest.raises(NumericError, match=r"degenerate forecast at t=100"):
         rolling_forecast(config)
+
+
+_RADICAND = "non-positive radicand in indirect-GARCH path"
+
+
+def _fail_path(monkeypatch, bad_call):
+    """Make the ``bad_call``-th forecast path raise the error of a non-positive
+    indirect-GARCH radicand."""
+    real = dynamics.risk_path
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == bad_call:
+            raise PathError(_RADICAND, index=1)
+        return real(*args)
+
+    monkeypatch.setattr(dynamics, "risk_path", failing)
+
+
+def test_a_failed_path_carries_the_previous_forecast(tmp_path, monkeypatch):
+    config = _small_run(tmp_path)
+    clean = rolling_forecast(config)
+    _fail_path(monkeypatch, bad_call=2 * 2 + 2)  # period 2, second asset
+    bundle = rolling_forecast(config)
+    assert bundle.warnings == (
+        f"t=102 ({bundle.dates[2]}): path failed for asset asset2 ({_RADICAND}); "
+        "previous forecast carried",
+    )
+    assert bundle.manifest["warnings"] == list(bundle.warnings)
+    for k in (0, 1, *range(3, 10)):
+        assert np.array_equal(bundle.var[k], clean.var[k])
+        assert np.array_equal(bundle.es[k], clean.es[k])
+    assert np.array_equal(bundle.var[2], clean.var[1])
+    assert np.array_equal(bundle.es[2], clean.es[1])
+
+
+def test_a_failed_first_path_names_the_asset_and_the_date(tmp_path, monkeypatch):
+    # a fit whose second asset is an indirect-GARCH recursion with a negative
+    # eta: its radicand turns negative in row 1 of every window
+    data = tmp_path / "panel.csv"
+    assert cli.main(["simulate", "--kind", "ig", "--dimension", "2", "--length", "110",
+                     "--out", str(data)]) == 0
+    config = RunConfig(input_path=str(data), tau=TAU, oos=10, refit_every=10, kind="ig",
+                       em=EMConfig(n_starts=1, max_iterations=2))
+    real = pipeline.fit
+
+    def broken_second_asset(*args, **kwargs):
+        result = real(*args, **kwargs)
+        specs = (result.params.specs[0], dynamics.CaviarSpec("ig", 0.01, -0.5, [0.2]))
+        return replace(result, params=replace(result.params, specs=specs))
+
+    monkeypatch.setattr(pipeline, "fit", broken_second_asset)
+    with pytest.raises(NumericError) as err:
+        rolling_forecast(config)
+    date = load_returns(data).dates[100]
+    assert str(err.value) == f"path failed for asset asset2 at t=100 ({date}): {_RADICAND}"
+    assert type(err.value.__cause__) is PathError and err.value.__cause__.index == 1
 
 
 def test_forecast_rejects_a_short_backtest_block_before_any_fit(tmp_path, monkeypatch, capsys):

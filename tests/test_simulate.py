@@ -5,13 +5,16 @@ fixed order, written out here rather than through ``mal_sample``: the
 generator is split by ``spawn(2)``, the first child draws every period's
 standard normals and the second every mixing draw. Every panel must match it
 byte for byte, and every failing scenario must fail at the same row, so it
-also pins the draw order and a panel stays the same across versions. The
+also pins the draw order and a panel stays the same across versions. It
+steps through ``dynamics.risk_step``, which the simulator writes out inline
+in ``simulate._step_column``, so it also pins that copy to the rule. The
 simulator steps one asset's column at a time; the precedence tests below
 check that it still raises the error this loop meets first.
 """
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,6 +145,29 @@ def _poisoned_step(period, poison):
     return poisoned
 
 
+_RADICAND = PathError("negative radicand in indirect-GARCH step")
+# what ``simulate._step_column`` reports for a failure at each stage
+_WHAT = {0: f"step failed ({_RADICAND})", 1: "quantile path left the valid region",
+         2: "scale path became non-positive"}
+
+
+def _chosen_failures(failures):
+    """``simulate._step_column`` that steps each column as usual, then reports
+    the failure at (row, stage) ``failures[id(spec)]`` for the specs it names;
+    the row must lie inside the rows it was asked to step."""
+    step_column = simulate._step_column
+
+    def chosen(spec, link, tau, q, col, stop):
+        found = step_column(spec, link, tau, q, col, stop)
+        if id(spec) not in failures:
+            return found
+        row, stage = failures[id(spec)]
+        assert found is None and row < stop
+        return row, stage, _WHAT[stage]
+
+    return chosen
+
+
 @pytest.mark.parametrize(
     "kind,link,family", list(itertools.product(dyn.KINDS, dyn.LINKS, FAMILIES))
 )
@@ -162,6 +188,17 @@ def test_generate_is_the_per_period_loop_byte_for_byte(kind, link, family):
         failed += isinstance(got, tuple)
     # the comparison is of panels, not only of matching failures
     assert failed < 8
+
+
+@pytest.mark.parametrize("kind,link", list(itertools.product(dyn.KINDS, dyn.LINKS)))
+def test_a_long_panel_is_the_per_period_loop_byte_for_byte(kind, link):
+    # thousands of steps per asset, so AR offsets and IG radicands are
+    # compared far down their recursions
+    scenario = SimScenario(params=reference_params(kind, link, 3), tau=np.full(3, 0.1),
+                           T=2000, burn_in=200, seed=13)
+    got = generate(scenario, 1)
+    assert got.tobytes() == reference_generate(scenario, 1).tobytes()
+    assert got.shape == (2000, 3)
 
 
 @pytest.mark.parametrize("burn_in", [0, 50])
@@ -188,33 +225,41 @@ def test_an_earlier_row_in_a_later_column_fails_first():
     assert "column 1 " in got[2] and got[1] < alone[1]
 
 
-_RADICAND = PathError("negative radicand in indirect-GARCH step")
-
-
 @pytest.mark.parametrize(
     "lower,higher,index,message",
-    [((-1.0, math.nan), (math.nan, -1.0), 5,
+    [(((-1.0, math.nan), 2), ((math.nan, -1.0), 1), 5,
       "quantile path left the valid region in column 1 "),
-     ((math.nan, -1.0), (-1.0, math.nan), 5,
+     (((math.nan, -1.0), 1), ((-1.0, math.nan), 2), 5,
       "quantile path left the valid region in column 0 "),
-     ((math.nan, math.nan), _RADICAND, 5, f"step failed ({_RADICAND}) in column 1 ")],
+     (((math.nan, math.nan), 1), (_RADICAND, 0), 5, f"step failed ({_RADICAND}) in column 1 ")],
     ids=["scale-then-quantile", "quantile-then-scale", "quantile-then-risk-step"],
 )
 def test_on_one_row_risk_step_then_quantile_then_scale_fails_first(
     monkeypatch, lower, higher, index, message
 ):
     # both assets fail in their step into row 5: asset 0 as ``lower``, asset 1
-    # as ``higher``
+    # as ``higher``, each a (poison, stage) pair. The reference meets the
+    # poisoned ``risk_step``; the simulator's column helper reports the stage
+    # that poison fails at
     scenario = SimScenario(params=reference_params(p=2), tau=np.full(2, 0.1), T=20,
                            burn_in=0, seed=1)
     specs = scenario.params.specs
-    poison = {id(specs[0]): lower, id(specs[1]): higher}
-    errors = []
-    for gen in (reference_generate, generate):
-        monkeypatch.setattr(dyn, "risk_step", _poisoned_step(5, poison))
-        errors.append(_error(gen, scenario))
+    poison = {id(spec): bad for spec, (bad, _) in zip(specs, (lower, higher))}
+    monkeypatch.setattr(dyn, "risk_step", _poisoned_step(5, poison))
+    stages = {id(spec): (5, stage) for spec, (_, stage) in zip(specs, (lower, higher))}
+    monkeypatch.setattr(simulate, "_step_column", _chosen_failures(stages))
+    errors = [_error(gen, scenario) for gen in (reference_generate, generate)]
     assert errors[1] == errors[0]
     assert errors[1][1] == index and message in errors[1][2]
+
+
+def test_a_zero_radicand_fails_the_step_as_risk_step_does():
+    # -sqrt(0) would be -0.0, which the quantile check also rejects, but at
+    # the next stage: the step itself must fail first
+    spec, link = dyn.CaviarSpec(dyn.IG, 0.0, 0.0, [0.0]), dyn.ESLink(dyn.MULT, gamma0=-1.1)
+    with pytest.raises(PathError, match=str(_RADICAND)):
+        dyn.risk_step(spec, link, -1.0, 0.3, 0.0)
+    assert simulate._step_column(spec, link, 0.1, -1.0, [0.3] * 5, 5) == (1, 0, _WHAT[0])
 
 
 @pytest.mark.parametrize("beta,radicand_first", [(0.2, True), (0.1, False)])
@@ -265,19 +310,38 @@ def test_path_errors_name_the_column_and_the_burn_in():
 
 
 @pytest.mark.parametrize(
-    "q_next,es_next,what",
-    [(math.nan, -1.0, "quantile path"), (-1.0, math.nan, "scale path")],
-    ids=["nan-quantile", "nan-scale"],
+    "what,index", [("quantile path", 4), ("scale path", 0)], ids=["nan-quantile", "nan-scale"]
 )
-def test_nan_paths_are_rejected(monkeypatch, q_next, es_next, what):
+def test_nan_paths_are_rejected(monkeypatch, what, index):
     scenario = SimScenario(params=reference_params(p=2), tau=np.full(2, 0.1), T=20,
                            burn_in=0, seed=1)
-    poison = {id(scenario.params.specs[0]): (q_next, es_next)}
-    # asset 0's step into period 4
-    monkeypatch.setattr(dyn, "risk_step", _poisoned_step(4, poison))
+    spec, link = scenario.params.specs[0], scenario.params.links[0]
+    step_column = simulate._step_column
+    if what == "quantile path":
+        # a NaN shock in asset 0's row 3 makes its step into row 4 NaN
+        draw = simulate._draw_shocks
+
+        def nan_shock(*args):
+            e = draw(*args)
+            e[3, 0] = math.nan
+            return e
+
+        monkeypatch.setattr(simulate, "_draw_shocks", nan_shock)
+    else:
+        # no real input makes a scale NaN before its quantile: a NaN level or
+        # link factor does, from row 0 on
+        nan_factor = SimpleNamespace(kind=dyn.MULT, factor=math.nan, coef=link.coef, x0=0.0)
+        for tau, bad_link in ((math.nan, link), (0.1, nan_factor)):
+            assert step_column(spec, bad_link, tau, -1.0, [0.5] * 20, 20) == (
+                0, 2, "scale path became non-positive")
+
+        def nan_level(spec_j, link_j, tau, *rest):
+            return step_column(spec_j, link_j, math.nan if spec_j is spec else tau, *rest)
+
+        monkeypatch.setattr(simulate, "_step_column", nan_level)
     with pytest.raises(PathError, match=f"{what} .* column 0 ") as err:
         generate(scenario)
-    assert err.value.index == 4
+    assert err.value.index == index
 
 
 @pytest.mark.parametrize(
@@ -347,12 +411,42 @@ def test_run_study_rejects_a_bad_worker_count(monkeypatch, n_jobs, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "specs,links,message",
+    [((dyn.SAV, dyn.IG), (dyn.MULT, dyn.MULT), "asset 2 is ig/mult, asset 1 is sav/mult"),
+     ((dyn.AS, dyn.AS, dyn.SAV), (dyn.MULT, dyn.AR, dyn.MULT),
+      "asset 2 is as/ar, asset 1 is as/mult")],
+)
+def test_run_study_rejects_a_scenario_that_mixes_kinds(monkeypatch, specs, links, message):
+    # run_study fits every asset with asset 1's kinds, so a mixed truth would
+    # be scored against estimates of another model
+    def no_run(*args):
+        raise AssertionError("a replication ran for a mixed scenario")
+
+    monkeypatch.setattr(simulate, "_study_worker", no_run)
+    p = len(specs)
+    truth = [reference_params(kind, link, p) for kind, link in zip(specs, links)]
+    params = ParameterSet(specs=[t.specs[j] for j, t in enumerate(truth)],
+                          links=[t.links[j] for j, t in enumerate(truth)], psi=truth[0].psi)
+    scenario = SimScenario(params=params, tau=np.full(p, 0.1), T=50, B=1)
+    with pytest.raises(ValidationError) as err:
+        simulate.run_study(scenario, n_jobs=1)
+    assert str(err.value) == f"run_study fits one recursion and link for every asset: {message}"
+
+
 @pytest.mark.parametrize("family", ["student_t", "normal"])
-@pytest.mark.parametrize("df", [math.inf, math.nan])
+@pytest.mark.parametrize("df", [math.inf, math.nan, "5", None, True, False])
 def test_scenario_rejects_non_finite_df(family, df):
-    with pytest.raises(ValidationError, match="df must be finite"):
+    # a bool or a non-number is no df, as a bool is no count
+    message = "df must be finite" if type(df) is float else f"df must be a real number, got {df!r}"
+    with pytest.raises(ValidationError) as err:
         SimScenario(params=reference_params(p=2), tau=np.full(2, 0.1), T=50,
                     error_family=family, df=df)
+    assert str(err.value) == message
+    for real in (5, np.int64(5), np.float32(5.0)):
+        scenario = SimScenario(params=reference_params(p=2), tau=np.full(2, 0.1), T=50,
+                               error_family=family, df=real)
+        assert type(scenario.df) is float and scenario.df == 5.0
 
 
 def test_numpy_integer_counts_give_the_same_panel():
