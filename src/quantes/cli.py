@@ -7,7 +7,8 @@ emitted forecast table, ``portfolio`` adds the allocation track, and
 ``simulate`` writes synthetic panels from the stock truth set. Each
 subcommand declares only the options it reads. A key=value config file can
 hold the flag of any subcommand; each reads its own keys, and explicit flags
-win. Exit codes: 0 success, 2 validation problem, 3 numeric failure.
+win. Exit codes: 0 success, 2 validation problem or a file that cannot be
+read or written, 3 numeric failure.
 """
 
 import argparse
@@ -32,14 +33,15 @@ from .exceptions import (
 from .mal import as_levels
 from .pipeline import (
     RunConfig,
-    _versions,
     emit_reports,
     evaluate_forecasts,
     load_returns,
     portfolio_run,
+    read_input,
     rolling_forecast,
     summary_stats,
     write_csv,
+    write_json,
     write_panel,
 )
 from .simulate import SimScenario, generate, reference_params
@@ -110,11 +112,7 @@ _COMMANDS = {
 def _read_config_file(path):
     """key = value lines; # comments; keys match the long flag names."""
     out = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_input(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -223,10 +221,11 @@ def _recorded_levels(args, path, p):
     if tau is None:
         manifest = Path(path).parent / "manifest.json"
         try:
-            recorded = json.loads(manifest.read_text())
+            # no manifest records no levels, as one without a "tau" does
+            recorded = json.loads(read_input(manifest)) if manifest.is_file() else {}
             tau = recorded["tau"] if "tau" in recorded else recorded["config"]["tau"]
             tau = np.asarray(tau, dtype=float)
-        except (OSError, ValueError, KeyError, TypeError):
+        except (ValueError, KeyError, TypeError):
             raise ValidationError(
                 f"missing option --tau: {manifest} does not record the levels of {path}"
             ) from None
@@ -263,12 +262,7 @@ def _cmd_fit(args, stream):
     if out is not None:
         out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
-        payload = result.to_dict()
-        payload["columns"] = list(table.columns)
-        payload["versions"] = _versions()
-        with open(out / "fit.json", "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(out / "fit.json", {**result.to_dict(), "columns": list(table.columns)})
         print(f"wrote {out / 'fit.json'}", file=stream)
     return 0
 
@@ -321,7 +315,6 @@ def _cmd_backtest(args, stream):
         "command": "backtest",
         "source": str(path),
         "tau": bundle.tau.tolist(),
-        "versions": _versions(),
     }
     _emit(bundle, _merge(args, "out", RunConfig.out_dir), stream)
     n_reject = sum(r["reject"] for r in bundle.backtests)
@@ -341,8 +334,7 @@ def _cmd_simulate(args, stream):
     )
     y = generate(scenario, **_given(args, {"replication": "replication"}))
     out = Path(_merge(args, "out", "simulated.csv"))
-    if out.parent != Path("."):
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     day = datetime.date(2000, 1, 7)
     dates = [(day + datetime.timedelta(days=7 * t)).isoformat() for t in range(scenario.T)]
     write_panel(dates, y, wide=(out, ["date"] + [f"asset{j + 1}" for j in range(params.p)]))
@@ -375,7 +367,7 @@ def main(argv=None):
     except (NumericError, PathError, InfeasibleAllocationError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except QuantesError as exc:
+    except (QuantesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -340,7 +340,7 @@ def quantile_step(spec, q_prev, y_prev):
     omega, eta, beta = spec.coef
     rad = omega + beta * (y_prev * y_prev) + eta * (q_prev * q_prev)
     if rad <= 0.0:
-        raise PathError("negative radicand in indirect-GARCH step")
+        raise PathError("non-positive radicand in indirect-GARCH step")
     return -math.sqrt(rad)
 
 

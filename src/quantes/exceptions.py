@@ -1,9 +1,11 @@
 """Exception hierarchy.
 
-Validation failures (bad shapes, out-of-range inputs, malformed files) and
-numeric failures (degenerate points, recursion blow-ups, infeasible
-optimizations) are kept on separate branches so callers, in particular the
-command line layer, can map them to distinct exit codes.
+Validation failures (bad shapes, out-of-range inputs, malformed files,
+text that does not decode) and numeric failures (degenerate points,
+recursion blow-ups, infeasible optimizations) are kept on separate branches
+so callers, in particular the command line layer, can map them to distinct
+exit codes. A file that cannot be opened, read, written or created is not
+wrapped: the ``OSError`` itself surfaces, its message naming the path.
 """
 
 

@@ -152,28 +152,30 @@ def load_returns(path, columns=None):
     increasing. A cell is in Python ``float`` syntax, surrounding whitespace
     allowed. Columns not picked are not read.
 
-    numpy's C reader parses the body when the text has no ``"``, ``\\r`` or
-    NUL, every line has the header's comma count, the dates parse and
-    increase, and every picked cell parses to a finite value. Any other input
-    goes to the per-row parser, which gives the same table or names the first
-    bad cell: a blank or non-numeric cell by line number and column name, a
-    non-finite value by date and column name.
+    The file is read once, by :func:`read_input`. numpy's C reader parses the
+    body when the text has no ``"``, ``\\r`` or NUL, every line has the
+    header's comma count, the dates parse and increase, and every picked cell
+    parses to a finite value. Any other text goes to the per-row parser, which
+    works on the same text and gives the same table or names the first bad
+    cell: a blank or non-numeric cell or a malformed csv line by line number
+    (and column name), a non-finite value by date and column name.
     """
-    path = Path(path)
-    with _open(path) as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError:  # the per-row parser raises it from its own reads
-            text = None
-    table = None if text is None else _read_panel(path, text, columns)
-    return _load_rows(path, columns) if table is None else table
+    text = read_input(path)
+    table = _read_panel(path, text, columns)
+    return _load_rows(path, text, columns) if table is None else table
 
 
-def _open(path):
+def read_input(path):
+    """The text of the file at ``path``, read once with its line ends kept.
+
+    Text that does not decode is a :class:`ValidationError` that names the
+    file; an ``OSError`` passes through, its message naming the path.
+    """
     try:
-        return open(path, newline="")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
+        with open(path, newline="") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: text does not decode: {exc}") from None
 
 
 def _picked_fields(path, header, columns):
@@ -207,7 +209,7 @@ def _read_panel(path, text, columns):
     Takes only text that csv splits at every comma: no ``"``, ``\\r`` or NUL
     (csv rejects NUL before Python 3.11). With the header's comma count on
     every line no line is blank. A line as long as csv's field limit is left
-    to the per-row parser, which raises csv's error if a field is that long.
+    to the per-row parser, which rejects a field that long by its line.
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
@@ -234,14 +236,13 @@ def _read_panel(path, text, columns):
                         columns=tuple(header[f] for f in fields))
 
 
-def _load_rows(path, columns):
-    """:func:`load_returns` one csv row and one ``float`` per cell at a time."""
-    with _open(path) as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file") from None
+def _load_rows(path, text, columns):
+    """:func:`load_returns` on ``text``, one csv row and one ``float`` per cell at a time."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{path}: empty file")
         header = [h.strip() for h in header]
         fields = _picked_fields(path, header, columns)
         dates = []
@@ -271,6 +272,8 @@ def _load_rows(path, columns):
             except ValueError:  # name the bad cell; strip also drops 0x1c-0x1f, float does not
                 rows.append([_cell(path, lineno, header[f], row[f]) for f in fields])
             dates.append(day.isoformat())
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValidationError(f"{path}: no data rows")
     values = np.array(rows, dtype=float)
@@ -492,15 +495,6 @@ def evaluate_forecasts(dates, columns, tau, y, var, es, t=None, sigmas=None):
     return bundle
 
 
-def _versions():
-    return {
-        "quantes": __version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "python": platform.python_version(),
-    }
-
-
 def rolling_forecast(config):
     """Run the full out-of-sample exercise described by ``config``."""
     t0 = time.perf_counter()
@@ -519,7 +513,6 @@ def rolling_forecast(config):
     bundle.manifest = {
         "command": "forecast",
         "config": config.to_dict(),
-        "versions": _versions(),
         "n_observations": T,
         "n_assets": p,
         "n_forecasts": config.oos,
@@ -685,10 +678,7 @@ def emit_reports(bundle, out_dir):
     value is formatted once, in blocks of dates, by :func:`write_panel`.
     """
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ValidationError(f"cannot create {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     tables = {}
 
     dates = [_csv_cell(d) for d in bundle.dates]
@@ -718,11 +708,15 @@ def emit_reports(bundle, out_dir):
             cols = list(rows[0])
             tables[name] = write_csv(out / name, cols, [[r[c] for c in cols] for r in rows])
 
-    manifest = dict(bundle.manifest) if bundle.manifest else {}
-    manifest.setdefault("versions", _versions())
-    manifest["tables"] = tables
     path = out / "manifest.json"
-    with open(path, "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, {**bundle.manifest, "tables": tables})
     return [str(out / name) for name in tables] + [str(path)]
+
+
+def write_json(path, payload):
+    """Write ``payload`` plus the package ``versions`` as sorted, indented JSON."""
+    versions = {"quantes": __version__, "numpy": np.__version__,
+                "scipy": scipy.__version__, "python": platform.python_version()}
+    with open(path, "w") as handle:
+        json.dump({**payload, "versions": versions}, handle, indent=2, sort_keys=True)
+        handle.write("\n")

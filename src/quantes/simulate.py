@@ -226,7 +226,7 @@ def _step_column(spec, link, tau, q, col, stop):
             elif ig:
                 rad = omega + beta1 * (y * y) + eta * (q * q)
                 if rad <= 0.0:
-                    return t, 0, "step failed (negative radicand in indirect-GARCH step)"
+                    return t, 0, "step failed (non-positive radicand in indirect-GARCH step)"
                 q_next = -math.sqrt(rad)
             else:
                 q_next = (omega + beta1 * (0.0 if 0.0 > y else y)

@@ -3,12 +3,13 @@ import datetime
 import json
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 
-from quantes import __version__, cli, dynamics, mal, pipeline
+from quantes import __version__, cli, dynamics, estimation, mal, pipeline
 from quantes.dynamics import initial_quantile, risk_path
 from quantes.estimation import EMConfig, ParameterSet
 from quantes.exceptions import (
@@ -539,7 +540,7 @@ def test_loader_fast_path_matches_the_per_row_parser(tmp_path, seed):
     picks = [None, [f"c{j}" for j in rng.permutation(p)[: rng.integers(1, p + 1)]]]
     for columns in picks:
         fast = pipeline._read_panel(path, text, columns)
-        slow = pipeline._load_rows(path, columns)
+        slow = pipeline._load_rows(path, text, columns)
         assert fast is not None
         assert fast.dates == slow.dates
         assert fast.columns == slow.columns
@@ -584,8 +585,10 @@ def test_loader_leaves_a_nul_to_the_per_row_parser(tmp_path, columns):
     # column that is not picked; the C reader would read past it.
     path = tmp_path / "panel.csv"
     path.write_bytes(b"date,a,b\n2001-01-02,0.5,1\n2001-01-03,1.5,2\0\n")
-    assert pipeline._read_panel(path, _text(path), columns) is None
-    assert _outcome(load_returns, path, columns) == _outcome(pipeline._load_rows, path, columns)
+    text = _text(path)
+    assert pipeline._read_panel(path, text, columns) is None
+    assert _outcome(load_returns, path, columns) == _outcome(pipeline._load_rows, path, text,
+                                                             columns)
 
 
 def test_loader_leaves_a_line_over_the_csv_field_limit_to_the_per_row_parser(tmp_path):
@@ -593,22 +596,24 @@ def test_loader_leaves_a_line_over_the_csv_field_limit_to_the_per_row_parser(tmp
     path.write_bytes(b"date,a,b\n2001-01-02,0.5,1\n2001-01-03,0." + b"5" * 30 + b",2\n")
     limit = csv.field_size_limit(20)
     try:
-        assert pipeline._read_panel(path, _text(path), None) is None
-        slow = _outcome(pipeline._load_rows, path, None)
-        assert slow[0] is csv.Error
+        text = _text(path)
+        assert pipeline._read_panel(path, text, None) is None
+        slow = _outcome(pipeline._load_rows, path, text, None)
+        assert slow[0] is ValidationError
+        assert slow[1] == f"{path}: line 3: field larger than field limit (20)"
         assert _outcome(load_returns, path, None) == slow
     finally:
         csv.field_size_limit(limit)
 
 
-def test_loader_fails_on_undecodable_text_as_the_per_row_parser_does(tmp_path):
+def test_loader_rejects_undecodable_text_by_its_file(tmp_path):
     path = tmp_path / "panel.csv"
     path.write_bytes(b"date,a\n2001-01-02,1\n2001-01-03,\xff\n")
-    with pytest.raises((UnicodeDecodeError, ValidationError)) as slow:
-        pipeline._load_rows(path, None)
-    with pytest.raises(slow.type) as fast:
+    with pytest.raises(ValidationError) as err:
         load_returns(path)
-    assert str(fast.value) == str(slow.value)
+    message = str(err.value)
+    assert message.startswith(f"{path}: text does not decode: ")
+    assert "can't decode byte 0xff in position 31" in message
 
 
 @pytest.mark.parametrize(
@@ -864,6 +869,88 @@ def test_backtest_rejects_a_repeated_column_with_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("header, message", [("date,a,b", "no y_<asset> columns found"),
+                                             ("date,y_a,es_a", "missing column 'var_a'")],
+                         ids=["no-y", "no-var"])
+def test_backtest_rejects_a_table_without_its_forecast_columns(tmp_path, capsys, header,
+                                                               message):
+    source = tmp_path / "forecasts.csv"
+    source.write_text(f"{header}\n2001-01-02,-1,-2\n2001-01-03,1,-2\n")
+    out = tmp_path / "reports"
+    code = cli.main(["backtest", "--forecasts", str(source), "--tau", str(TAU), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {source}: {message}\n"
+    assert not out.exists()
+
+
+# -- the I/O boundary ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_loader_opens_the_file_once(tmp_path, monkeypatch, quoted):
+    path = tmp_path / "panel.csv"
+    path.write_text(_PANEL.replace("date,a,b", 'date,"a",b') if quoted else _PANEL)
+    # a quoted file goes to the per-row parser, which reads the same text
+    assert (pipeline._read_panel(path, _text(path), None) is None) == quoted
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "open", counting_open, raising=False)
+    table = load_returns(path)
+    assert opened == [path]
+    assert table.columns == ("a", "b")
+    assert table.values.tolist() == [[0.5, -1.0], [1.5, 2e-3], [-0.25, 7.0]]
+
+
+_FAILING_PATHS = ("input-not-utf8", "config-not-utf8", "stats-out-below-a-file",
+                  "fit-out-below-a-file", "simulate-out-below-a-file",
+                  "simulate-out-a-directory", "over-limit-cell", "missing-input")
+
+
+def _failing_run(tmp_path, case):
+    """The argv of a run that fails on a file, and the path its message names."""
+    data = tmp_path / "panel.csv"
+    assert cli.main(["simulate", "--dimension", "2", "--length", "150", "--out", str(data)]) == 0
+    not_utf8 = tmp_path / "latin1.csv"
+    not_utf8.write_bytes(b"date,a\n2001-01-02,1\n2001-01-03,caf\xe9\n")
+    config = tmp_path / "latin1.conf"
+    config.write_bytes(b"# caf\xe9 run\nlength = 20\n")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a regular file\n")
+    long_cell = tmp_path / "long.csv"
+    long_cell.write_text('date,a\n2001-01-02,"' + "1" * 200_000 + '"\n')
+    missing = tmp_path / "nothere.csv"
+    fit = ["fit", "--input", str(data), "--n-starts", "1", "--max-iterations", "1"]
+    return {
+        "input-not-utf8": (["stats", "--input", str(not_utf8)], not_utf8),
+        "config-not-utf8": (["simulate", "--config", str(config), "--out",
+                             str(tmp_path / "simulated.csv")], config),
+        "stats-out-below-a-file": (["stats", "--input", str(data), "--out",
+                                    str(blocker / "reports")], blocker),
+        "fit-out-below-a-file": ([*fit, "--out", str(blocker / "reports")], blocker),
+        "simulate-out-below-a-file": (["simulate", "--length", "20", "--out",
+                                       str(blocker / "panel.csv")], blocker),
+        "simulate-out-a-directory": (["simulate", "--length", "20", "--out", str(tmp_path)],
+                                     tmp_path),
+        "over-limit-cell": (["stats", "--input", str(long_cell)], long_cell),
+        "missing-input": (["stats", "--input", str(missing)], missing),
+    }[case]
+
+
+@pytest.mark.parametrize("case", _FAILING_PATHS)
+def test_a_file_that_cannot_be_read_or_written_exits_2_with_one_line(tmp_path, capsys, case):
+    argv, path = _failing_run(tmp_path, case)
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
 # -- simulate -----------------------------------------------------------------
 
 
@@ -1058,3 +1145,92 @@ def test_portfolio_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):
     assert code == 3
     assert capsys.readouterr().err.startswith("numeric failure: no start converged")
     assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("command", ["forecast", "portfolio"])
+def test_cli_run_writes_the_reports_of_the_library_run(tmp_path, capsys, command):
+    config = _portfolio_config(tmp_path, tmp_path / "library")
+    capsys.readouterr()
+    out = tmp_path / "cli"
+    argv = [command, "--input", config.input_path, "--tau", str(TAU), "--oos", "12",
+            "--n-starts", "1", "--max-iterations", "2", "--seed", "3", "--out", str(out)]
+    if command == "portfolio":
+        argv += ["--tau-tilde", "0.15"]
+        bundle = pipeline.portfolio_run(config)
+    else:
+        config = replace(config, tau_tilde=None)
+        bundle = rolling_forecast(config)
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    lines = capsys.readouterr().out.splitlines()
+    paths = [Path(path) for path in pipeline.emit_reports(bundle, config.out_dir)]
+    assert lines[: len(paths)] == [f"wrote {out / path.name}" for path in paths]
+    if command == "portfolio":
+        summary = bundle.manifest["portfolio"]
+        assert lines[len(paths):] == [
+            f"sharpe {summary['sharpe']:.4f}  hhi {summary['hhi']:.4f}  "
+            f"infeasible {summary['infeasible_periods']}"
+        ]
+        assert "portfolio.csv" in {path.name for path in paths}
+    else:
+        assert lines[len(paths):] == []
+    for path in paths[:-1]:
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+    manifests = [json.loads((folder / "manifest.json").read_text())
+                 for folder in (out, paths[0].parent)]
+    for manifest in manifests:
+        del manifest["wall_seconds"], manifest["config"]["out_dir"]
+    assert manifests[0] == manifests[1]
+
+
+def test_a_portfolio_run_needs_a_target_level(tmp_path, monkeypatch, capsys):
+    config = replace(_portfolio_config(tmp_path, tmp_path / "reports"), tau_tilde=None)
+    capsys.readouterr()
+
+    def unexpected(config):
+        raise AssertionError("the run started without a target level")
+
+    monkeypatch.setattr(pipeline, "rolling_forecast", unexpected)
+    with pytest.raises(ValidationError) as err:
+        pipeline.portfolio_run(config)
+    assert str(err.value) == "portfolio runs need a target level tau_tilde"
+    code = cli.main(["portfolio", "--input", config.input_path, "--oos", "12",
+                     "--out", config.out_dir])
+    assert code == 2
+    assert capsys.readouterr().err == "error: missing required option --tau-tilde\n"
+    assert not (tmp_path / "reports").exists()
+
+
+def test_forecast_rejects_an_oos_block_as_long_as_the_sample(tmp_path, monkeypatch):
+    data = tmp_path / "panel.csv"
+    assert cli.main(["simulate", "--dimension", "2", "--length", "20", "--out", str(data)]) == 0
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("fit called on a sample with no estimation rows")
+
+    monkeypatch.setattr(pipeline, "fit", unexpected)
+    with pytest.raises(ValidationError) as err:
+        rolling_forecast(RunConfig(input_path=str(data), oos=20))
+    assert str(err.value) == "out-of-sample block must be shorter than the sample"
+
+
+def test_fit_with_every_start_failed_exits_3(tmp_path, monkeypatch, capsys):
+    data = tmp_path / "panel.csv"
+    assert cli.main(["simulate", "--dimension", "2", "--length", "150", "--out", str(data)]) == 0
+    capsys.readouterr()
+
+    real = estimation._em_chain
+
+    def failing_chain(*args, **kwargs):
+        if kwargs.get("start_index") == -1:  # the per-asset chains that seed the starts
+            return real(*args, **kwargs)
+        raise PathError("quantile path left the valid region", index=7)
+
+    monkeypatch.setattr(estimation, "_em_chain", failing_chain)
+    out = tmp_path / "fit"
+    code = cli.main(["fit", "--input", str(data), "--n-starts", "2", "--out", str(out)])
+    assert code == 3
+    reason = "quantile path left the valid region"
+    assert capsys.readouterr().err == (
+        f"numeric failure: all starts failed: start 0: {reason}; start 1: {reason}\n"
+    )
+    assert not out.exists()

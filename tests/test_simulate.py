@@ -145,7 +145,7 @@ def _poisoned_step(period, poison):
     return poisoned
 
 
-_RADICAND = PathError("negative radicand in indirect-GARCH step")
+_RADICAND = PathError("non-positive radicand in indirect-GARCH step")
 # what ``simulate._step_column`` reports for a failure at each stage
 _WHAT = {0: f"step failed ({_RADICAND})", 1: "quantile path left the valid region",
          2: "scale path became non-positive"}
@@ -276,7 +276,7 @@ def test_a_radicand_error_in_a_later_column_keeps_its_row_order(beta, radicand_f
     assert got == _error(reference_generate, scenario)
     if radicand_first:
         assert got[1] == 43
-        assert "step failed (negative radicand in indirect-GARCH step) in column 1 " in got[2]
+        assert "step failed (non-positive radicand in indirect-GARCH step) in column 1 " in got[2]
     else:
         assert got[1] == 94 and "column 0 " in got[2]
 
