@@ -4,17 +4,22 @@ Subcommands cover the whole workflow: ``stats`` summarizes a return file,
 ``fit`` estimates the joint model once on the full sample, ``forecast`` runs
 the rolling out-of-sample exercise, ``backtest`` re-scores a previously
 emitted forecast table, ``portfolio`` adds the allocation track, and
-``simulate`` writes synthetic panels from the stock truth set. Each
-subcommand declares only the options it reads. A key=value config file can
-hold the flag of any subcommand; each reads its own keys, and explicit flags
-win. Exit codes: 0 success, 2 validation problem or a file that cannot be
-read or written, 3 numeric failure.
+``simulate`` writes synthetic panels from the stock truth set. ``backtest``
+writes the forecast cells it read as they were read and formats only the
+values it computes, so the table it writes is the table it scored. ``fit``,
+``forecast`` and ``portfolio`` reject an ``--out`` that cannot be created
+before any fit. Each subcommand declares only the options it reads. A
+key=value config file can hold the flag of any subcommand; each reads its own
+keys, and explicit flags win. Exit codes: 0 success, 2 validation problem or a
+file that cannot be read or written, 3 numeric failure.
 """
 
 import argparse
 import datetime
+import errno
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -232,7 +237,20 @@ def _recorded_levels(args, path, p):
     return as_levels(tau, p)
 
 
+def _check_out(out):
+    """Fail, creating nothing, when directory ``out`` cannot be made: ``out``
+    or else its nearest existing ancestor must be a directory."""
+    for folder in (Path(out), *Path(out).parents):
+        if folder.is_dir():
+            return
+        if os.path.lexists(folder):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(folder))
+
+
 def _cmd_fit(args, stream):
+    out = _merge(args, "out")
+    if out is not None:
+        _check_out(out)
     table = load_returns(_require(args, "input"), _merge(args, "columns"))
     tau = as_levels(_merge(args, "tau", RunConfig.tau), table.shape[1])
     model = _given(args, {"kind": "kind", "link": "link_kind"})
@@ -258,7 +276,6 @@ def _cmd_fit(args, stream):
         print("psi", file=stream)
         for line in result.params.psi:
             print("  " + "  ".join(f"{v:7.4f}" for v in line), file=stream)
-    out = _merge(args, "out")
     if out is not None:
         out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
@@ -274,6 +291,7 @@ def _emit(bundle, out, stream):
 
 def _cmd_forecast(args, stream):
     config = _run_config(args)
+    _check_out(config.out_dir)
     _emit(rolling_forecast(config), config.out_dir, stream)
     return 0
 
@@ -282,6 +300,7 @@ def _cmd_portfolio(args, stream):
     config = _run_config(args)
     if config.tau_tilde is None:
         raise ValidationError("missing required option --tau-tilde")
+    _check_out(config.out_dir)
     bundle = portfolio_run(config)
     _emit(bundle, config.out_dir, stream)
     summary = bundle.manifest["portfolio"]
@@ -294,7 +313,10 @@ def _cmd_portfolio(args, stream):
 
 
 def _cmd_backtest(args, stream):
-    """Slice the panels out of a wide forecast table and re-run the battery."""
+    """Slice the panels out of a wide forecast table and re-run the battery.
+
+    The reports hold the y, var and es cells as read, not formatted again.
+    """
     path = _require(args, "forecasts")
     table = load_returns(path)
     prefixes = tuple(c[2:] for c in table.columns if c.startswith("y_"))
@@ -304,6 +326,10 @@ def _cmd_backtest(args, stream):
         for want in (f"var_{asset}", f"es_{asset}"):
             if want not in table.columns:
                 raise ValidationError(f"{path}: missing column {want!r}")
+    for name in table.columns:
+        asset = name.partition("_")[2]
+        if name.startswith(("var_", "es_")) and asset not in prefixes:
+            raise ValidationError(f"{path}: column {name!r} has no {'y_' + asset!r} column")
     tau = _recorded_levels(args, path, len(prefixes))
     col = {name: k for k, name in enumerate(table.columns)}
     y, var, es = (
@@ -311,6 +337,8 @@ def _cmd_backtest(args, stream):
         for series in ("y", "var", "es")
     )
     bundle = evaluate_forecasts(table.dates, prefixes, tau, y, var, es)
+    fields = [1 + col[f"{s}_{a}"] for a in prefixes for s in ("y", "var", "es")]
+    bundle.text = (table.lines, fields)
     bundle.manifest = {
         "command": "backtest",
         "source": str(path),

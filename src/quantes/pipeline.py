@@ -40,7 +40,7 @@ from .mal import (
 )
 from .portfolio import performance_stats, smv_weights
 
-# s_al_sum has no caller here; it stays importable for wrappers of pipeline.s_al_sum
+# s_al_sum has no caller here; perfbench's tracer wraps pipeline.s_al_sum
 from .scoring import ForecastRecord, check_forecasts, s_al, s_al_sum, s_fz0, s_fzn, s_mal
 
 ROLLING = "rolling"
@@ -94,11 +94,17 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ReturnsTable:
-    """Date-indexed numeric panel parsed from a delimited text file."""
+    """Date-indexed numeric panel parsed from a delimited text file.
+
+    ``lines`` keeps the cells as read, one str per date: the date, then the
+    picked cells stripped, comma-separated. Whichever parser took the file,
+    field ``1 + k`` of line ``i`` is the text of ``values[i, k]``.
+    """
 
     dates: tuple
     values: np.ndarray
     columns: tuple
+    lines: tuple = field(default=None, compare=False, repr=False)
 
     @property
     def shape(self):
@@ -112,6 +118,9 @@ class ReportBundle:
     The forecast panel is held as arrays: ``t`` (n,) period indices and
     ``y``, ``var``, ``es`` (n, p). ``score_paths`` maps each rule to its
     per-period values, (n, p) per asset or (n,) for the joint ``s_mal``.
+    ``text``, when set, is the panel's cells as read, in the ``(lines,
+    fields)`` form :func:`write_panel` takes, its fields in forecasts.csv's
+    column order: y, var, es for each asset.
     """
 
     dates: tuple = ()
@@ -129,6 +138,7 @@ class ReportBundle:
     portfolio: tuple = ()
     warnings: tuple = ()
     manifest: dict = field(default_factory=dict)
+    text: tuple = None
 
     @property
     def records(self):
@@ -150,7 +160,8 @@ def load_returns(path, columns=None):
     The first header field names the date column; every other header names an
     asset, once and not blank. Dates must be ISO formatted and strictly
     increasing. A cell is in Python ``float`` syntax, surrounding whitespace
-    allowed. Columns not picked are not read.
+    allowed. Columns not picked are not read. The table keeps the text of the
+    picked cells, stripped, in ``lines``.
 
     The file is read once, by :func:`read_input`. numpy's C reader parses the
     body when the text has no ``"``, ``\\r`` or NUL, every line has the
@@ -232,8 +243,22 @@ def _read_panel(path, text, columns):
         return None
     if not all(map(operator.lt, days, days[1:])) or not np.isfinite(values).all():
         return None
+    if fields != list(range(1, len(header))) or _has_blank(text):
+        body = [",".join([cells[0], *(cells[f].strip() for f in fields)])
+                for cells in map(str.split, body, [","] * len(body))]
     return ReturnsTable(dates=tuple(map(datetime.date.isoformat, days)), values=values,
-                        columns=tuple(header[f] for f in fields))
+                        columns=tuple(header[f] for f in fields), lines=tuple(body))
+
+
+_BLANKS = " \t\x0b\x0c\x1c\x1d\x1e\x1f"  # the ASCII whitespace of str.strip but line ends
+_BLANK = re.compile(r"[^\S\r\n]")
+
+
+def _has_blank(text):
+    """Whether ``text`` holds whitespace other than line ends."""
+    if text.isascii():  # a few C scans, where the regex takes about 8 ns a character
+        return any(map(text.__contains__, _BLANKS))
+    return _BLANK.search(text) is not None
 
 
 def _load_rows(path, text, columns):
@@ -247,6 +272,7 @@ def _load_rows(path, text, columns):
         fields = _picked_fields(path, header, columns)
         dates = []
         rows = []
+        lines = []
         prev = None
         for lineno, row in enumerate(reader, start=2):
             raw_date = row[0].strip() if row else ""
@@ -267,11 +293,13 @@ def _load_rows(path, text, columns):
                     f"{path}: line {lineno}: dates must be strictly increasing"
                 )
             prev = day
+            cells = [row[f].strip() for f in fields]
             try:
-                rows.append(list(map(float, map(row.__getitem__, fields))))
-            except ValueError:  # name the bad cell; strip also drops 0x1c-0x1f, float does not
+                rows.append(list(map(float, cells)))
+            except ValueError:  # name the bad cell
                 rows.append([_cell(path, lineno, header[f], row[f]) for f in fields])
             dates.append(day.isoformat())
+            lines.append(",".join([dates[-1], *cells]))
     except csv.Error as exc:
         raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
@@ -284,7 +312,7 @@ def _load_rows(path, text, columns):
         raise ValidationError(
             f"{path}: {dates[i]} {chosen[k]}: non-finite value {values[i, k]}"
         )
-    return ReturnsTable(dates=tuple(dates), values=values, columns=chosen)
+    return ReturnsTable(dates=tuple(dates), values=values, columns=chosen, lines=tuple(lines))
 
 
 def _cell(path, lineno, column, text):
@@ -633,14 +661,16 @@ def _csv_cell(value):
 _BLOCK = 256  # dates per write: bounds the text held at once
 
 
-def write_panel(dates, values, wide=None, long=None):
+def write_panel(dates, values, wide=None, long=None, text=None):
     """Write an (n, k) panel as csv tables, formatting each value once.
 
     ``dates`` are n csv cells. ``wide = (path, header)`` gets one row
     ``date,v_1,...,v_k`` per date, ``long = (path, header, keys)`` one row
     ``date,key_j,v_j`` per value, date-major, with k csv-text keys. Each block of
-    _BLOCK dates takes one ``%.10g`` call and one join per table. Returns the
-    row counts (n, n * k).
+    _BLOCK dates takes one ``%.10g`` call and one join per table. Given
+    ``text = (lines, fields)``, the values are written as read instead, with no
+    formatting: field ``fields[j]`` of the comma-separated ``lines[i]`` is the
+    cell of ``values[i, j]``. Returns the row counts (n, n * k).
     """
     k = values.shape[1]
     with contextlib.ExitStack() as stack:
@@ -651,8 +681,15 @@ def write_panel(dates, values, wide=None, long=None):
                 csv.writer(handle, lineterminator="\n").writerow(table[1])
         for i in range(0, len(dates), _BLOCK):
             day = dates[i : i + _BLOCK]
-            block = values[i : i + _BLOCK].ravel().tolist()
-            cells = (((_FLOAT_FMT + "\n") * len(block)) % tuple(block)).splitlines()
+            if text:
+                read = ",".join(text[0][i : i + _BLOCK]).split(",")
+                stride = len(read) // len(day)
+                cells = [""] * (len(day) * k)
+                for j, f in enumerate(text[1]):
+                    cells[j::k] = read[f::stride]
+            else:
+                block = values[i : i + _BLOCK].ravel().tolist()
+                cells = (((_FLOAT_FMT + "\n") * len(block)) % tuple(block)).splitlines()
             if wide:  # date , v_1 , ... , v_k \n
                 parts = [","] * (len(day) * (2 * k + 2))
                 parts[:: 2 * k + 2] = day
@@ -675,7 +712,10 @@ def emit_reports(bundle, out_dir):
 
     forecasts.csv is wide (one row per date) so it round-trips through
     :func:`load_returns`; the long companion file drives path plots. Each panel
-    value is formatted once, in blocks of dates, by :func:`write_panel`.
+    value is formatted once, in blocks of dates, by :func:`write_panel`, except
+    that with ``bundle.text`` the forecast panel is written as read: a
+    re-scored table is written as the table it scored, and only the values
+    the run computes are formatted.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -690,7 +730,8 @@ def emit_reports(bundle, out_dir):
         keys = [f"{a},{series}" for a in names for series in ("y", "var", "es")]
         tables["forecasts.csv"], tables["paths_long.csv"] = write_panel(
             dates, wide, wide=(out / "forecasts.csv", header),
-            long=(out / "paths_long.csv", ["date", "asset", "series", "value"], keys))
+            long=(out / "paths_long.csv", ["date", "asset", "series", "value"], keys),
+            text=bundle.text)
     if bundle.scores:
         tables["scores.csv"] = write_csv(
             out / "scores.csv", ["rule", "asset", "value"],

@@ -24,7 +24,7 @@ from quantes.simulate import SimScenario, StudyResult, generate, reference_param
 TAU = 0.1
 
 
-def _write_forecasts(path, p=2, T=120):
+def _write_forecasts(path, p=2, T=120, fmt="%.10g"):
     """A wide forecasts file from the true-model paths of a simulated panel."""
     params = reference_params(p=p)
     y = generate(SimScenario(params=params, tau=np.full(p, TAU), T=T, seed=11))
@@ -39,9 +39,9 @@ def _write_forecasts(path, p=2, T=120):
     day = datetime.date(2001, 1, 2)
     with open(path, "w") as handle:
         handle.write(",".join(header) + "\n")
-        for t, row in enumerate(np.column_stack(columns)):
+        for t, row in enumerate(np.column_stack(columns).tolist()):
             date = (day + datetime.timedelta(days=t)).isoformat()
-            handle.write(date + "," + ",".join("%.10g" % v for v in row) + "\n")
+            handle.write(date + "," + ",".join(fmt % v for v in row) + "\n")
 
 
 def test_backtest_round_trips_emitted_reports(tmp_path, capsys):
@@ -546,6 +546,10 @@ def test_loader_fast_path_matches_the_per_row_parser(tmp_path, seed):
         assert fast.columns == slow.columns
         assert fast.values.shape == slow.values.shape
         assert np.array_equal(fast.values.view(np.int64), slow.values.view(np.int64))
+        picked = [[h.strip() for h in lines[0].split(",")].index(c) for c in fast.columns]
+        stripped = [[line.split(",")[f].strip() for f in picked] for line in lines[1:]]
+        for table in (fast, slow):
+            assert [line.split(",")[1:] for line in table.lines] == stripped
         loaded = load_returns(path, columns)
         assert loaded.dates == slow.dates
         assert np.array_equal(loaded.values.view(np.int64), slow.values.view(np.int64))
@@ -569,6 +573,21 @@ def test_loader_hands_what_the_c_reader_cannot_take_to_the_per_row_parser(tmp_pa
     assert table.columns == ("a", "b")
     assert table.dates[0] == "2001-01-02"
     assert table.values[0].tolist() == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("text", ["date,a,b\n2001-01-02, 0.50 ,1\n",
+                                  "date,\u00e9,b\n2001-01-02,0.50\t,1\n",
+                                  "date,\u00e9,b\n2001-01-02,0.50,1\n",
+                                  "date,a,b\r\n2001-01-02,\x1c0.50,1\r\n"],
+                         ids=["blank", "non-ascii-blank", "non-ascii", "per-row"])
+def test_loader_keeps_the_stripped_cells_as_read(tmp_path, text):
+    path = tmp_path / "panel.csv"
+    path.write_bytes(text.encode())
+    assert (pipeline._read_panel(path, text, None) is None) == ("\r" in text)
+    for table in (load_returns(path), pipeline._load_rows(path, text, None)):
+        assert table.lines == ("2001-01-02,0.50,1",)
+        assert table.values.tolist() == [[0.5, 1.0]]
+    assert load_returns(path, ["b"]).lines == ("2001-01-02,1",)
 
 
 def _outcome(load, *args):
@@ -869,18 +888,48 @@ def test_backtest_rejects_a_repeated_column_with_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("header, message", [("date,a,b", "no y_<asset> columns found"),
-                                             ("date,y_a,es_a", "missing column 'var_a'")],
-                         ids=["no-y", "no-var"])
+@pytest.mark.parametrize("header, message", [
+    ("date,a,b", "no y_<asset> columns found"),
+    ("date,y_a,es_a", "missing column 'var_a'"),
+    ("date,y_a,var_a,es_a,var_b", "column 'var_b' has no 'y_b' column"),
+    ("date,es_b,y_a,var_a,es_a", "column 'es_b' has no 'y_b' column"),
+], ids=["no-y", "no-var", "var-without-y", "es-without-y"])
 def test_backtest_rejects_a_table_without_its_forecast_columns(tmp_path, capsys, header,
                                                                message):
     source = tmp_path / "forecasts.csv"
-    source.write_text(f"{header}\n2001-01-02,-1,-2\n2001-01-03,1,-2\n")
+    tail = ",-2" * (header.count(",") - 1)
+    source.write_text(f"{header}\n2001-01-02,-1{tail}\n2001-01-03,1{tail}\n")
     out = tmp_path / "reports"
     code = cli.main(["backtest", "--forecasts", str(source), "--tau", str(TAU), "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {source}: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["numpy-reader", "per-row-parser"])
+def test_a_backtest_of_its_own_reports_gives_the_same_reports(tmp_path, capsys, line_end):
+    source = tmp_path / "forecasts.csv"
+    _write_forecasts(source, p=2, T=300, fmt="%r")
+    for row, column, cell in ((3, "y_a1", "1.50"), (4, "y_a2", "+2e-3"),
+                              (5, "var_a1", " -0.5 "), (5, "es_a1", "-0.75")):
+        _edit_cell(source, row, column, cell)
+    lines = source.read_text().splitlines()
+    order = [0, 5, 2, 6, 1, 4, 3]  # the file's columns in another order
+    shuffled = [",".join(line.split(",")[k] for k in order) for line in lines]
+    source.write_bytes((line_end.join(shuffled) + line_end).encode())
+    assert (pipeline._read_panel(source, _text(source), None) is None) == (line_end == "\r\n")
+    first, second = tmp_path / "first", tmp_path / "second"
+    for table, out in ((source, first), (first / "forecasts.csv", second)):
+        code = cli.main(["backtest", "--forecasts", str(table), "--tau", str(TAU),
+                         "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+    # the cells as read, stripped, in the y, var, es order of each asset
+    as_read = "".join(",".join(c.strip() for c in line.split(",")) + "\n" for line in lines)
+    assert (first / "forecasts.csv").read_text() == as_read
+    assert " -0.5 " in source.read_text() and ",1.50," in as_read and ",+2e-3," in as_read
+    for name in ("forecasts.csv", "paths_long.csv", "scores.csv", "backtests.csv",
+                 "score_paths.csv"):
+        assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
 
 # -- the I/O boundary ---------------------------------------------------------
@@ -906,7 +955,8 @@ def test_loader_opens_the_file_once(tmp_path, monkeypatch, quoted):
 
 
 _FAILING_PATHS = ("input-not-utf8", "config-not-utf8", "stats-out-below-a-file",
-                  "fit-out-below-a-file", "simulate-out-below-a-file",
+                  "fit-out-below-a-file", "forecast-out-below-a-file",
+                  "portfolio-out-below-a-file", "simulate-out-below-a-file",
                   "simulate-out-a-directory", "over-limit-cell", "missing-input")
 
 
@@ -924,6 +974,7 @@ def _failing_run(tmp_path, case):
     long_cell.write_text('date,a\n2001-01-02,"' + "1" * 200_000 + '"\n')
     missing = tmp_path / "nothere.csv"
     fit = ["fit", "--input", str(data), "--n-starts", "1", "--max-iterations", "1"]
+    run = ["--input", str(data), "--oos", "20", "--n-starts", "1", "--max-iterations", "1"]
     return {
         "input-not-utf8": (["stats", "--input", str(not_utf8)], not_utf8),
         "config-not-utf8": (["simulate", "--config", str(config), "--out",
@@ -931,6 +982,10 @@ def _failing_run(tmp_path, case):
         "stats-out-below-a-file": (["stats", "--input", str(data), "--out",
                                     str(blocker / "reports")], blocker),
         "fit-out-below-a-file": ([*fit, "--out", str(blocker / "reports")], blocker),
+        "forecast-out-below-a-file": (["forecast", *run, "--out", str(blocker / "reports")],
+                                      blocker),
+        "portfolio-out-below-a-file": (["portfolio", *run, "--tau-tilde", "0.15", "--out",
+                                        str(blocker / "reports")], blocker),
         "simulate-out-below-a-file": (["simulate", "--length", "20", "--out",
                                        str(blocker / "panel.csv")], blocker),
         "simulate-out-a-directory": (["simulate", "--length", "20", "--out", str(tmp_path)],
@@ -941,9 +996,16 @@ def _failing_run(tmp_path, case):
 
 
 @pytest.mark.parametrize("case", _FAILING_PATHS)
-def test_a_file_that_cannot_be_read_or_written_exits_2_with_one_line(tmp_path, capsys, case):
+def test_a_file_that_cannot_be_read_or_written_exits_2_with_one_line(tmp_path, monkeypatch,
+                                                                     capsys, case):
     argv, path = _failing_run(tmp_path, case)
     capsys.readouterr()
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("fit ran before the output directory was checked")
+
+    monkeypatch.setattr(cli, "fit", unexpected)  # an --out that cannot be made fails first
+    monkeypatch.setattr(pipeline, "fit", unexpected)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err

@@ -6,6 +6,7 @@ must match them byte for byte and every mean score exactly.
 """
 
 import csv
+import dataclasses
 import datetime
 import json
 from types import SimpleNamespace
@@ -17,7 +18,9 @@ from quantes.backtests import dq_test, es_tests, lr_cc, lr_uc
 from quantes.dynamics import initial_quantile, risk_path
 from quantes.exceptions import ValidationError
 from quantes.mal import MALConstraints, as_levels, assemble_sigma
-from quantes.pipeline import _BLOCK, ReportBundle, emit_reports, evaluate_forecasts
+from quantes.pipeline import (
+    _BLOCK, ReportBundle, _read_panel, emit_reports, evaluate_forecasts, load_returns,
+)
 from quantes.scoring import ForecastRecord, s_al, s_al_sum, s_fz0, s_fzn, s_mal
 from quantes.simulate import SimScenario, generate, reference_params
 
@@ -329,3 +332,41 @@ def test_panel_tables_match_per_record_reference_across_blocks(tmp_path, n, p):
     assert b'"2003-02-02 ""noon"", UTC"' in (tmp_path / "new" / "forecasts.csv").read_bytes()
     manifest = json.loads((tmp_path / "new" / "manifest.json").read_text())
     assert manifest["tables"] == ref_rows
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["numpy-reader", "per-row-parser"])
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 600], ids=lambda n: f"n{n}")
+def test_a_panel_written_as_read_is_the_panel_formatted_on_10g_input(tmp_path, n, quoted):
+    rng = np.random.default_rng(n)
+    p = 2
+    y = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-12, 12, (n, p))
+    y[0, 0], y[-1, -1] = -0.0, 3.0
+    var = -rng.uniform(0.0, 1.0, (n, p)) * 10.0 ** rng.integers(-12, 12, (n, p))
+    es = var * rng.uniform(1.0, 3.0, (n, p))
+    names = ("a,b", "c") if quoted else ("a", "c")
+    # the file holds its columns in another order than forecasts.csv
+    series = {f"{s}_{a}": panel[:, j] for s, panel in (("es", es), ("y", y), ("var", var))
+              for j, a in enumerate(names)}
+    day = datetime.date(2003, 2, 3)
+    lines = [",".join(["date", *(f'"{c}"' if "," in c else c for c in series)])]
+    for i, row in enumerate(np.column_stack(list(series.values())).tolist()):
+        date = (day + datetime.timedelta(days=i)).isoformat()
+        lines.append(",".join([date, *(_FLOAT_FMT % v for v in row)]))
+    path = tmp_path / "forecasts.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert (_read_panel(path, path.read_text(), None) is None) == quoted
+    table = load_returns(path)
+    fields = [1 + table.columns.index(f"{s}_{a}") for a in names for s in ("y", "var", "es")]
+    picked = [table.values[:, [table.columns.index(f"{s}_{a}") for a in names]]
+              for s in ("y", "var", "es")]
+    paths = {"s_fzn": rng.standard_normal((n, p)), "s_al": rng.standard_normal((n, p))}
+    bundle = ReportBundle(dates=table.dates, columns=names, tau=as_levels(0.1, p),
+                          t=np.arange(n), y=picked[0], var=picked[1], es=picked[2],
+                          score_paths=paths, text=(table.lines, fields))
+
+    emit_reports(bundle, tmp_path / "text")
+    emit_reports(dataclasses.replace(bundle, text=None), tmp_path / "formatted")
+    for name in ("forecasts.csv", "paths_long.csv", "score_paths.csv", "manifest.json"):
+        got = (tmp_path / "text" / name).read_bytes()
+        assert got == (tmp_path / "formatted" / name).read_bytes(), name
+    assert (b'"a,b"' in (tmp_path / "text" / "paths_long.csv").read_bytes()) == quoted
