@@ -15,10 +15,12 @@ file that cannot be read or written, 3 numeric failure.
 """
 
 import argparse
+import dataclasses
 import datetime
 import errno
 import functools
 import json
+import operator
 import os
 import sys
 from pathlib import Path
@@ -315,7 +317,11 @@ def _cmd_portfolio(args, stream):
 def _cmd_backtest(args, stream):
     """Slice the panels out of a wide forecast table and re-run the battery.
 
-    The reports hold the y, var and es cells as read, not formatted again.
+    Every column must be ``y_<a>``, ``var_<a>`` or ``es_<a>`` of an asset
+    ``a`` that has all three. A table whose columns are in another order is
+    put once in report order (y, var, es per asset), so its lines are the
+    rows of forecasts.csv as read: the reports hold the cells as read, not
+    formatted again.
     """
     path = _require(args, "forecasts")
     table = load_returns(path)
@@ -327,18 +333,26 @@ def _cmd_backtest(args, stream):
             if want not in table.columns:
                 raise ValidationError(f"{path}: missing column {want!r}")
     for name in table.columns:
+        if not name.startswith(("y_", "var_", "es_")):
+            raise ValidationError(
+                f"{path}: column {name!r} is none of y_<asset>, var_<asset>, es_<asset>"
+            )
         asset = name.partition("_")[2]
         if name.startswith(("var_", "es_")) and asset not in prefixes:
             raise ValidationError(f"{path}: column {name!r} has no {'y_' + asset!r} column")
     tau = _recorded_levels(args, path, len(prefixes))
-    col = {name: k for k, name in enumerate(table.columns)}
-    y, var, es = (
-        table.values[:, [col[f"{series}_{a}"] for a in prefixes]]
-        for series in ("y", "var", "es")
-    )
-    bundle = evaluate_forecasts(table.dates, prefixes, tau, y, var, es)
-    fields = [1 + col[f"{s}_{a}"] for a in prefixes for s in ("y", "var", "es")]
-    bundle.text = (table.lines, fields)
+    names = tuple(f"{s}_{a}" for a in prefixes for s in ("y", "var", "es"))
+    if names != table.columns:  # the same columns, as each is one of an asset's three
+        order = list(map(table.columns.index, names))
+        pick = operator.itemgetter(0, *(1 + k for k in order))
+        table = dataclasses.replace(
+            table, values=table.values[:, order], columns=names,
+            lines=tuple(",".join(pick(line.split(","))) for line in table.lines),
+        )
+    values = table.values
+    bundle = evaluate_forecasts(table.dates, prefixes, tau,
+                                values[:, 0::3], values[:, 1::3], values[:, 2::3])
+    bundle.text = table.lines
     bundle.manifest = {
         "command": "backtest",
         "source": str(path),

@@ -96,9 +96,10 @@ class RunConfig:
 class ReturnsTable:
     """Date-indexed numeric panel parsed from a delimited text file.
 
-    ``lines`` keeps the cells as read, one str per date: the date, then the
-    picked cells stripped, comma-separated. Whichever parser took the file,
-    field ``1 + k`` of line ``i`` is the text of ``values[i, k]``.
+    ``lines`` keeps the cells as read, one str per date: ``dates[i]``, then
+    the picked cells stripped, in pick order, comma-separated. Whichever
+    parser took the file, field 0 of line ``i`` is ``dates[i]`` and field
+    ``1 + k`` is the text of ``values[i, k]``.
     """
 
     dates: tuple
@@ -118,9 +119,10 @@ class ReportBundle:
     The forecast panel is held as arrays: ``t`` (n,) period indices and
     ``y``, ``var``, ``es`` (n, p). ``score_paths`` maps each rule to its
     per-period values, (n, p) per asset or (n,) for the joint ``s_mal``.
-    ``text``, when set, is the panel's cells as read, in the ``(lines,
-    fields)`` form :func:`write_panel` takes, its fields in forecasts.csv's
-    column order: y, var, es for each asset.
+    ``text``, when set, is the panel's rows as read: one line
+    ``date,y,var,es,...`` per date, its cells in forecasts.csv's column
+    order (y, var, es for each asset), which :func:`write_panel` writes as
+    they stand.
     """
 
     dates: tuple = ()
@@ -160,8 +162,9 @@ def load_returns(path, columns=None):
     The first header field names the date column; every other header names an
     asset, once and not blank. Dates must be ISO formatted and strictly
     increasing. A cell is in Python ``float`` syntax, surrounding whitespace
-    allowed. Columns not picked are not read. The table keeps the text of the
-    picked cells, stripped, in ``lines``.
+    allowed. Columns not picked are not read. The table keeps one line per
+    date in ``lines``: the ISO date, then the picked cells stripped, in pick
+    order.
 
     The file is read once, by :func:`read_input`. numpy's C reader parses the
     body when the text has no ``"``, ``\\r`` or NUL, every line has the
@@ -243,10 +246,16 @@ def _read_panel(path, text, columns):
         return None
     if not all(map(operator.lt, days, days[1:])) or not np.isfinite(values).all():
         return None
-    if fields != list(range(1, len(header))) or _has_blank(text):
-        body = [",".join([cells[0], *(cells[f].strip() for f in fields)])
-                for cells in map(str.split, body, [","] * len(body))]
-    return ReturnsTable(dates=tuple(map(datetime.date.isoformat, days)), values=values,
+    # fromisoformat takes no date over 10 characters, so a join of 10 * n with "-" at
+    # 4 and 7 of each date is all YYYY-MM-DD, as isoformat writes them
+    joined = "".join(dates)
+    iso = len(joined) == 10 * len(dates) and joined[4::10] == joined[7::10] == "-" * len(dates)
+    if not iso:  # 3.11's fromisoformat also takes 20010102 and 2001-W01-2
+        dates = list(map(datetime.date.isoformat, days))
+    if not iso or fields != list(range(1, len(header))) or _has_blank(text):
+        body = [",".join([date, *(cells[f].strip() for f in fields)])
+                for date, cells in zip(dates, map(str.split, body, [","] * len(body)))]
+    return ReturnsTable(dates=tuple(dates), values=values,
                         columns=tuple(header[f] for f in fields), lines=tuple(body))
 
 
@@ -645,17 +654,26 @@ def write_csv(path, header, rows):
     return n_rows
 
 
-_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+_QUOTED = ',"\r\n'  # a field holding one of these is quoted
 
 
 def _csv_cell(value):
     """``value`` as csv.writer writes it in one field of a row."""
     text = str(value)
-    if text and not _NEEDS_QUOTES.search(text):
+    if text and not any(map(text.__contains__, _QUOTED)):
         return text
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([text, ""])
     return buf.getvalue()[:-2]
+
+
+def _csv_cells(values):
+    """``[_csv_cell(v) for v in values]``, with one scan when no cell needs quotes."""
+    if set(map(type, values)) <= {str} and all(values):
+        joined = "".join(values)
+        if not any(map(joined.__contains__, _QUOTED)):
+            return list(values)
+    return list(map(_csv_cell, values))
 
 
 _BLOCK = 256  # dates per write: bounds the text held at once
@@ -668,9 +686,9 @@ def write_panel(dates, values, wide=None, long=None, text=None):
     ``date,v_1,...,v_k`` per date, ``long = (path, header, keys)`` one row
     ``date,key_j,v_j`` per value, date-major, with k csv-text keys. Each block of
     _BLOCK dates takes one ``%.10g`` call and one join per table. Given
-    ``text = (lines, fields)``, the values are written as read instead, with no
-    formatting: field ``fields[j]`` of the comma-separated ``lines[i]`` is the
-    cell of ``values[i, j]``. Returns the row counts (n, n * k).
+    ``text``, n lines ``dates[i],v_1,...,v_k`` that hold the values as read,
+    no value is formatted: each line is written as its wide row, and the long
+    rows take its cells. Returns the row counts (n, n * k).
     """
     k = values.shape[1]
     with contextlib.ExitStack() as stack:
@@ -682,15 +700,15 @@ def write_panel(dates, values, wide=None, long=None, text=None):
         for i in range(0, len(dates), _BLOCK):
             day = dates[i : i + _BLOCK]
             if text:
-                read = ",".join(text[0][i : i + _BLOCK]).split(",")
-                stride = len(read) // len(day)
-                cells = [""] * (len(day) * k)
-                for j, f in enumerate(text[1]):
-                    cells[j::k] = read[f::stride]
+                rows = text[i : i + _BLOCK]
+                cells = ",".join(rows).split(",")
+                del cells[:: k + 1]  # each row's date
             else:
                 block = values[i : i + _BLOCK].ravel().tolist()
                 cells = (((_FLOAT_FMT + "\n") * len(block)) % tuple(block)).splitlines()
-            if wide:  # date , v_1 , ... , v_k \n
+            if wide and text:
+                out[0].write("\n".join(rows) + "\n")
+            elif wide:  # date , v_1 , ... , v_k \n
                 parts = [","] * (len(day) * (2 * k + 2))
                 parts[:: 2 * k + 2] = day
                 for j in range(k):
@@ -713,16 +731,17 @@ def emit_reports(bundle, out_dir):
     forecasts.csv is wide (one row per date) so it round-trips through
     :func:`load_returns`; the long companion file drives path plots. Each panel
     value is formatted once, in blocks of dates, by :func:`write_panel`, except
-    that with ``bundle.text`` the forecast panel is written as read: a
-    re-scored table is written as the table it scored, and only the values
-    the run computes are formatted.
+    that with ``bundle.text`` the forecast panel's lines are written as read:
+    a re-scored table is written as the table it scored, and only the values
+    the run computes are formatted. Dates and asset names are csv cells,
+    quoted only where one needs it.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     tables = {}
 
-    dates = [_csv_cell(d) for d in bundle.dates]
-    names = [_csv_cell(c) for c in bundle.columns]
+    dates = _csv_cells(bundle.dates)
+    names = _csv_cells(bundle.columns)
     if bundle.y is not None:
         n, p = bundle.y.shape
         wide = np.stack([bundle.y, bundle.var, bundle.es], axis=2).reshape(n, 3 * p)

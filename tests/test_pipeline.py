@@ -527,11 +527,22 @@ def _random_panel(rng, T, p):
     return lines
 
 
+def _week_date(line):
+    """``line`` with its date field in ISO week form, e.g. 2001-W01-2."""
+    date, _, rest = line.partition(",")
+    year, week, day = datetime.date.fromisoformat(date.strip()).isocalendar()
+    return f"{year}-W{week:02d}-{day},{rest}"
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_loader_fast_path_matches_the_per_row_parser(tmp_path, seed):
     rng = np.random.default_rng(seed)
     p = int(rng.integers(1, 5))
     lines = _random_panel(rng, int(rng.integers(1, 400)), p)
+    if seed == 3:  # a date with blanks around it
+        lines[1] = " " + lines[1].replace(",", "\t,", 1)
+    if seed == 4 and sys.version_info >= (3, 11):  # an ISO week date
+        lines[-1] = _week_date(lines[-1])
     if seed == 5 and sys.version_info >= (3, 11):  # a date isoformat writes differently
         lines[1] = lines[1].replace("-", "", 2)
     path = tmp_path / "panel.csv"
@@ -550,6 +561,7 @@ def test_loader_fast_path_matches_the_per_row_parser(tmp_path, seed):
         stripped = [[line.split(",")[f].strip() for f in picked] for line in lines[1:]]
         for table in (fast, slow):
             assert [line.split(",")[1:] for line in table.lines] == stripped
+            assert [line.split(",")[0] for line in table.lines] == list(table.dates)
         loaded = load_returns(path, columns)
         assert loaded.dates == slow.dates
         assert np.array_equal(loaded.values.view(np.int64), slow.values.view(np.int64))
@@ -575,17 +587,26 @@ def test_loader_hands_what_the_c_reader_cannot_take_to_the_per_row_parser(tmp_pa
     assert table.values[0].tolist() == [0.5, 1.0]
 
 
+_NEEDS_3_11 = pytest.mark.skipif(sys.version_info < (3, 11),
+                                 reason="fromisoformat takes only YYYY-MM-DD before 3.11")
+
+
 @pytest.mark.parametrize("text", ["date,a,b\n2001-01-02, 0.50 ,1\n",
                                   "date,\u00e9,b\n2001-01-02,0.50\t,1\n",
                                   "date,\u00e9,b\n2001-01-02,0.50,1\n",
-                                  "date,a,b\r\n2001-01-02,\x1c0.50,1\r\n"],
-                         ids=["blank", "non-ascii-blank", "non-ascii", "per-row"])
+                                  "date,a,b\r\n2001-01-02,\x1c0.50,1\r\n",
+                                  "date,a,b\n 2001-01-02\t,0.50,1\n",
+                                  pytest.param("date,a,b\n2001-W01-2,0.50,1\n", marks=_NEEDS_3_11),
+                                  pytest.param("date,a,b\n20010102,0.50,1\n", marks=_NEEDS_3_11)],
+                         ids=["blank", "non-ascii-blank", "non-ascii", "per-row", "blank-date",
+                              "week-date", "basic-date"])
 def test_loader_keeps_the_stripped_cells_as_read(tmp_path, text):
     path = tmp_path / "panel.csv"
     path.write_bytes(text.encode())
     assert (pipeline._read_panel(path, text, None) is None) == ("\r" in text)
     for table in (load_returns(path), pipeline._load_rows(path, text, None)):
         assert table.lines == ("2001-01-02,0.50,1",)
+        assert table.lines[0].split(",")[0] == table.dates[0]
         assert table.values.tolist() == [[0.5, 1.0]]
     assert load_returns(path, ["b"]).lines == ("2001-01-02,1",)
 
@@ -893,7 +914,11 @@ def test_backtest_rejects_a_repeated_column_with_exit_2(tmp_path, capsys):
     ("date,y_a,es_a", "missing column 'var_a'"),
     ("date,y_a,var_a,es_a,var_b", "column 'var_b' has no 'y_b' column"),
     ("date,es_b,y_a,var_a,es_a", "column 'es_b' has no 'y_b' column"),
-], ids=["no-y", "no-var", "var-without-y", "es-without-y"])
+    ("date,y_a,var_a,es_a,foo", "column 'foo' is none of y_<asset>, var_<asset>, es_<asset>"),
+    ("date,foo,y_a,var_a,es_a", "column 'foo' is none of y_<asset>, var_<asset>, es_<asset>"),
+    ("date,y_a,var_a,es_a,ya", "column 'ya' is none of y_<asset>, var_<asset>, es_<asset>"),
+], ids=["no-y", "no-var", "var-without-y", "es-without-y", "unknown-last", "unknown-first",
+        "unknown-no-underscore"])
 def test_backtest_rejects_a_table_without_its_forecast_columns(tmp_path, capsys, header,
                                                                message):
     source = tmp_path / "forecasts.csv"
@@ -904,6 +929,31 @@ def test_backtest_rejects_a_table_without_its_forecast_columns(tmp_path, capsys,
     assert code == 2
     assert capsys.readouterr().err == f"error: {source}: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["numpy-reader", "per-row-parser"])
+def test_backtest_writes_iso_dates_for_dates_read_in_another_form(tmp_path, capsys, line_end):
+    source = tmp_path / "forecasts.csv"
+    _write_forecasts(source, p=2, T=300)
+    lines = source.read_text().splitlines()
+    lines[1] = " " + lines[1].replace(",", "\t,", 1)  # a date with blanks around it
+    if sys.version_info >= (3, 11):  # a date in the basic form, which isoformat does not write
+        lines[2] = lines[2].replace("-", "", 2)
+    source.write_bytes((line_end.join(lines) + line_end).encode())
+    assert (pipeline._read_panel(source, _text(source), None) is None) == (line_end == "\r\n")
+    out = tmp_path / "reports"
+    code = cli.main(["backtest", "--forecasts", str(source), "--tau", str(TAU), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    table = load_returns(source)
+    assert table.dates[:2] == ("2001-01-02", "2001-01-03")
+    formatted = pipeline.evaluate_forecasts(table.dates, ("a1", "a2"), TAU, table.values[:, 0::3],
+                                            table.values[:, 1::3], table.values[:, 2::3])
+    assert formatted.text is None
+    pipeline.emit_reports(formatted, tmp_path / "formatted")
+    for name in ("forecasts.csv", "paths_long.csv"):
+        got = (out / name).read_bytes()
+        assert got == (tmp_path / "formatted" / name).read_bytes(), name
+    assert (out / "forecasts.csv").read_text().splitlines()[1].startswith("2001-01-02,")
 
 
 @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["numpy-reader", "per-row-parser"])

@@ -19,7 +19,8 @@ from quantes.dynamics import initial_quantile, risk_path
 from quantes.exceptions import ValidationError
 from quantes.mal import MALConstraints, as_levels, assemble_sigma
 from quantes.pipeline import (
-    _BLOCK, ReportBundle, _read_panel, emit_reports, evaluate_forecasts, load_returns,
+    _BLOCK, ReportBundle, _csv_cell, _csv_cells, _read_panel, emit_reports, evaluate_forecasts,
+    load_returns,
 )
 from quantes.scoring import ForecastRecord, s_al, s_al_sum, s_fz0, s_fzn, s_mal
 from quantes.simulate import SimScenario, generate, reference_params
@@ -334,9 +335,30 @@ def test_panel_tables_match_per_record_reference_across_blocks(tmp_path, n, p):
     assert manifest["tables"] == ref_rows
 
 
+class _Shouting(str):
+    def __str__(self):
+        return self.upper()
+
+
+@pytest.mark.parametrize("values", [
+    ("2003-02-03", "2003-02-04"),
+    ("", "2003-02-04"),
+    ("2003-02-03", '2003-02-02 "noon", UTC'),
+    ("a,b", "c\nd", "e\rf"),
+    (datetime.date(2003, 2, 3), datetime.date(2003, 2, 4)),
+    ("2003-02-03", None, 7, 2.5),
+    (_Shouting("2003-02-03"), "x"),
+    (),
+], ids=["iso", "empty", "quoted", "line-ends", "date-objects", "mixed", "str-subclass", "none"])
+def test_csv_cells_are_the_csv_cell_of_each_value(values):
+    assert _csv_cells(values) == [_csv_cell(v) for v in values]
+
+
+@pytest.mark.parametrize("order", ["report", "shuffled"])
 @pytest.mark.parametrize("quoted", [False, True], ids=["numpy-reader", "per-row-parser"])
 @pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 600], ids=lambda n: f"n{n}")
-def test_a_panel_written_as_read_is_the_panel_formatted_on_10g_input(tmp_path, n, quoted):
+def test_a_panel_written_as_read_is_the_panel_formatted_on_10g_input(tmp_path, n, quoted,
+                                                                      order):
     rng = np.random.default_rng(n)
     p = 2
     y = rng.standard_normal((n, p)) * 10.0 ** rng.integers(-12, 12, (n, p))
@@ -344,9 +366,13 @@ def test_a_panel_written_as_read_is_the_panel_formatted_on_10g_input(tmp_path, n
     var = -rng.uniform(0.0, 1.0, (n, p)) * 10.0 ** rng.integers(-12, 12, (n, p))
     es = var * rng.uniform(1.0, 3.0, (n, p))
     names = ("a,b", "c") if quoted else ("a", "c")
-    # the file holds its columns in another order than forecasts.csv
-    series = {f"{s}_{a}": panel[:, j] for s, panel in (("es", es), ("y", y), ("var", var))
-              for j, a in enumerate(names)}
+    report = [f"{s}_{a}" for a in names for s in ("y", "var", "es")]
+    panels = {"y": y, "var": var, "es": es}
+    # the file holds its columns in forecasts.csv's order, or in another
+    series = {f"{s}_{a}": panels[s][:, j] for j, a in enumerate(names) for s in panels}
+    if order == "shuffled":
+        series = {f"{s}_{a}": panels[s][:, j] for s in ("es", "y", "var")
+                  for j, a in enumerate(names)}
     day = datetime.date(2003, 2, 3)
     lines = [",".join(["date", *(f'"{c}"' if "," in c else c for c in series)])]
     for i, row in enumerate(np.column_stack(list(series.values())).tolist()):
@@ -355,14 +381,12 @@ def test_a_panel_written_as_read_is_the_panel_formatted_on_10g_input(tmp_path, n
     path = tmp_path / "forecasts.csv"
     path.write_text("\n".join(lines) + "\n")
     assert (_read_panel(path, path.read_text(), None) is None) == quoted
-    table = load_returns(path)
-    fields = [1 + table.columns.index(f"{s}_{a}") for a in names for s in ("y", "var", "es")]
-    picked = [table.values[:, [table.columns.index(f"{s}_{a}") for a in names]]
-              for s in ("y", "var", "es")]
+    assert (list(series) == report) == (order == "report")
+    table = load_returns(path, report)  # its lines in report order
     paths = {"s_fzn": rng.standard_normal((n, p)), "s_al": rng.standard_normal((n, p))}
     bundle = ReportBundle(dates=table.dates, columns=names, tau=as_levels(0.1, p),
-                          t=np.arange(n), y=picked[0], var=picked[1], es=picked[2],
-                          score_paths=paths, text=(table.lines, fields))
+                          t=np.arange(n), y=table.values[:, 0::3], var=table.values[:, 1::3],
+                          es=table.values[:, 2::3], score_paths=paths, text=table.lines)
 
     emit_reports(bundle, tmp_path / "text")
     emit_reports(dataclasses.replace(bundle, text=None), tmp_path / "formatted")
