@@ -5,22 +5,21 @@ Subcommands cover the whole workflow: ``stats`` summarizes a return file,
 the rolling out-of-sample exercise, ``backtest`` re-scores a previously
 emitted forecast table, ``portfolio`` adds the allocation track, and
 ``simulate`` writes synthetic panels from the stock truth set. ``backtest``
-writes the forecast cells it read as they were read and formats only the
-values it computes, so the table it writes is the table it scored. ``fit``,
-``forecast`` and ``portfolio`` reject an ``--out`` that cannot be created
-before any fit. Each subcommand declares only the options it reads. A
-key=value config file can hold the flag of any subcommand; each reads its own
-keys, and explicit flags win. Exit codes: 0 success, 2 validation problem or a
-file that cannot be read or written, 3 numeric failure.
+reads forecasts.csv through ``pipeline.load_forecasts``, the one owner of its
+``y_/var_/es_`` layout, and writes the forecast cells as read: the table it
+writes is the table it scored. ``fit``, ``forecast`` and ``portfolio`` reject
+an ``--out`` that cannot be created before any fit. Each subcommand declares
+only the options it reads. A key=value config file can hold the flag of any
+subcommand; each reads its own keys, and explicit flags win. Exit codes: 0
+success, 2 validation problem or a file that cannot be read or written, 3
+numeric failure.
 """
 
 import argparse
-import dataclasses
 import datetime
 import errno
 import functools
 import json
-import operator
 import os
 import sys
 from pathlib import Path
@@ -30,18 +29,13 @@ import numpy as np
 from . import __version__
 from . import dynamics as dyn
 from .estimation import EMConfig, fit
-from .exceptions import (
-    InfeasibleAllocationError,
-    NumericError,
-    PathError,
-    QuantesError,
-    ValidationError,
-)
+from .exceptions import NumericError, QuantesError, ValidationError
 from .mal import as_levels
 from .pipeline import (
     RunConfig,
     emit_reports,
     evaluate_forecasts,
+    load_forecasts,
     load_returns,
     portfolio_run,
     read_input,
@@ -315,42 +309,14 @@ def _cmd_portfolio(args, stream):
 
 
 def _cmd_backtest(args, stream):
-    """Slice the panels out of a wide forecast table and re-run the battery.
-
-    Every column must be ``y_<a>``, ``var_<a>`` or ``es_<a>`` of an asset
-    ``a`` that has all three. A table whose columns are in another order is
-    put once in report order (y, var, es per asset), so its lines are the
-    rows of forecasts.csv as read: the reports hold the cells as read, not
-    formatted again.
-    """
+    """Re-score a forecasts.csv: :func:`load_forecasts` checks its columns and
+    gives its panels in report order, and the reports hold its cells as read,
+    not formatted again."""
     path = _require(args, "forecasts")
-    table = load_returns(path)
-    prefixes = tuple(c[2:] for c in table.columns if c.startswith("y_"))
-    if not prefixes:
-        raise ValidationError(f"{path}: no y_<asset> columns found")
-    for asset in prefixes:
-        for want in (f"var_{asset}", f"es_{asset}"):
-            if want not in table.columns:
-                raise ValidationError(f"{path}: missing column {want!r}")
-    for name in table.columns:
-        if not name.startswith(("y_", "var_", "es_")):
-            raise ValidationError(
-                f"{path}: column {name!r} is none of y_<asset>, var_<asset>, es_<asset>"
-            )
-        asset = name.partition("_")[2]
-        if name.startswith(("var_", "es_")) and asset not in prefixes:
-            raise ValidationError(f"{path}: column {name!r} has no {'y_' + asset!r} column")
-    tau = _recorded_levels(args, path, len(prefixes))
-    names = tuple(f"{s}_{a}" for a in prefixes for s in ("y", "var", "es"))
-    if names != table.columns:  # the same columns, as each is one of an asset's three
-        order = list(map(table.columns.index, names))
-        pick = operator.itemgetter(0, *(1 + k for k in order))
-        table = dataclasses.replace(
-            table, values=table.values[:, order], columns=names,
-            lines=tuple(",".join(pick(line.split(","))) for line in table.lines),
-        )
+    table, assets = load_forecasts(path)
+    tau = _recorded_levels(args, path, len(assets))
     values = table.values
-    bundle = evaluate_forecasts(table.dates, prefixes, tau,
+    bundle = evaluate_forecasts(table.dates, assets, tau,
                                 values[:, 0::3], values[:, 1::3], values[:, 2::3])
     bundle.text = table.lines
     bundle.manifest = {
@@ -403,10 +369,7 @@ def main(argv=None):
             if key in declared and declared[key] is None:
                 declared[key] = value
         return _DISPATCH[args.command](args, sys.stdout)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NumericError, PathError, InfeasibleAllocationError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (QuantesError, OSError) as exc:

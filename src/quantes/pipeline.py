@@ -15,7 +15,6 @@ import io
 import json
 import operator
 import platform
-import re
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -99,7 +98,8 @@ class ReturnsTable:
     ``lines`` keeps the cells as read, one str per date: ``dates[i]``, then
     the picked cells stripped, in pick order, comma-separated. Whichever
     parser took the file, field 0 of line ``i`` is ``dates[i]`` and field
-    ``1 + k`` is the text of ``values[i, k]``.
+    ``1 + k`` is the text of ``values[i, k]``. On the text quantes writes,
+    these are the file's body lines as they stand.
     """
 
     dates: tuple
@@ -167,12 +167,13 @@ def load_returns(path, columns=None):
     order.
 
     The file is read once, by :func:`read_input`. numpy's C reader parses the
-    body when the text has no ``"``, ``\\r`` or NUL, every line has the
-    header's comma count, the dates parse and increase, and every picked cell
-    parses to a finite value. Any other text goes to the per-row parser, which
-    works on the same text and gives the same table or names the first bad
-    cell: a blank or non-numeric cell or a malformed csv line by line number
-    (and column name), a non-finite value by date and column name.
+    whole table when the text is as quantes writes it: ASCII with no ``"``,
+    ``\\r``, NUL or blank but line ends, the header's comma count on every
+    line, ``YYYY-MM-DD`` dates that increase, and finite cells. Any other
+    text, and any column pick, goes to the per-row parser, which works on the
+    same text and gives the same table or names the first bad cell: a blank
+    or non-numeric cell or a malformed csv line by line number (and column
+    name), a non-finite value by date and column name.
     """
     text = read_input(path)
     table = _read_panel(path, text, columns)
@@ -218,26 +219,32 @@ def _picked_fields(path, header, columns):
 
 
 def _read_panel(path, text, columns):
-    """The panel in ``text`` through ``np.loadtxt``, or None for the per-row parser.
+    """The whole panel in ``text`` through ``np.loadtxt``, or None to parse per row.
 
-    Takes only text that csv splits at every comma: no ``"``, ``\\r`` or NUL
-    (csv rejects NUL before Python 3.11). With the header's comma count on
-    every line no line is blank. A line as long as csv's field limit is left
-    to the per-row parser, which rejects a field that long by its line.
+    Takes only the text quantes writes, in which no cell needs a strip: ASCII
+    with no ``"``, CR, NUL or blank but line ends, every date ``YYYY-MM-DD``,
+    and no column pick. Its body lines are then the table's ``lines`` as they
+    stand. A line as long as csv's field limit is left to
+    the per-row parser, which rejects a field that long by its line.
     """
-    if '"' in text or "\r" in text or "\0" in text:
+    if columns is not None or not text.isascii() or any(map(text.__contains__, _DECLINED)):
         return None
     lines = text.split("\n")
     if not lines[-1]:
         lines.pop()
     if len(lines) < 2 or max(map(len, lines)) >= csv.field_size_limit():
         return None
-    header = [h.strip() for h in lines[0].split(",")]
-    fields = _picked_fields(path, header, columns)
+    header = lines[0].split(",")
+    fields = _picked_fields(path, header, None)
     body = lines[1:]
     if set(map(str.count, body, [","] * len(body))) != {len(header) - 1}:
         return None
-    dates = [line.partition(",")[0].strip() for line in body]
+    dates = [line.partition(",")[0] for line in body]
+    # fromisoformat takes no date over 10 characters, so with a join of 10 * n and "-"
+    # at 4 and 7 of each, every date it takes below is YYYY-MM-DD, as isoformat writes
+    joined = "".join(dates)
+    if len(joined) != 10 * len(dates) or not joined[4::10] == joined[7::10] == "-" * len(dates):
+        return None
     try:
         days = list(map(datetime.date.fromisoformat, dates))
         values = np.loadtxt(body, delimiter=",", comments=None, quotechar=None,
@@ -246,28 +253,13 @@ def _read_panel(path, text, columns):
         return None
     if not all(map(operator.lt, days, days[1:])) or not np.isfinite(values).all():
         return None
-    # fromisoformat takes no date over 10 characters, so a join of 10 * n with "-" at
-    # 4 and 7 of each date is all YYYY-MM-DD, as isoformat writes them
-    joined = "".join(dates)
-    iso = len(joined) == 10 * len(dates) and joined[4::10] == joined[7::10] == "-" * len(dates)
-    if not iso:  # 3.11's fromisoformat also takes 20010102 and 2001-W01-2
-        dates = list(map(datetime.date.isoformat, days))
-    if not iso or fields != list(range(1, len(header))) or _has_blank(text):
-        body = [",".join([date, *(cells[f].strip() for f in fields)])
-                for date, cells in zip(dates, map(str.split, body, [","] * len(body)))]
-    return ReturnsTable(dates=tuple(dates), values=values,
-                        columns=tuple(header[f] for f in fields), lines=tuple(body))
+    return ReturnsTable(dates=tuple(dates), values=values, columns=tuple(header[1:]),
+                        lines=tuple(body))
 
 
-_BLANKS = " \t\x0b\x0c\x1c\x1d\x1e\x1f"  # the ASCII whitespace of str.strip but line ends
-_BLANK = re.compile(r"[^\S\r\n]")
-
-
-def _has_blank(text):
-    """Whether ``text`` holds whitespace other than line ends."""
-    if text.isascii():  # a few C scans, where the regex takes about 8 ns a character
-        return any(map(text.__contains__, _BLANKS))
-    return _BLANK.search(text) is not None
+# what the C reader declines: a quote, CR or NUL, at which csv splits a line otherwise
+# than at each comma, and the ASCII whitespace str.strip drops but the line end
+_DECLINED = '"\r\0' + " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def _load_rows(path, text, columns):
@@ -335,6 +327,46 @@ def _cell(path, lineno, column, text):
         raise ValidationError(
             f"{path}: line {lineno}: non-numeric cell {cell!r} in column {column!r}"
         ) from None
+
+
+def load_forecasts(path):
+    """(table, assets) of a forecasts.csv, the one reader of its layout.
+
+    Every column is ``y_<a>``, ``var_<a>`` or ``es_<a>`` of an asset ``a``
+    that has all three and is neither blank nor ``joint``. The table is in
+    report order (y, var, es per asset), its ``lines`` the rows as read: a
+    file in another order is parsed again, from the text read once, by pick.
+    """
+    text = read_input(path)
+    table = _read_panel(path, text, None) or _load_rows(path, text, None)
+    assets = tuple(c[2:] for c in table.columns if c.startswith("y_"))
+    if not assets:
+        raise ValidationError(f"{path}: no y_<asset> columns found")
+    _check_assets(path, assets, "y_")
+    for asset in assets:
+        for want in (f"var_{asset}", f"es_{asset}"):
+            if want not in table.columns:
+                raise ValidationError(f"{path}: missing column {want!r}")
+    for name in table.columns:
+        if not name.startswith(("y_", "var_", "es_")):
+            raise ValidationError(
+                f"{path}: column {name!r} is none of y_<asset>, var_<asset>, es_<asset>"
+            )
+        asset = name.partition("_")[2]
+        if name.startswith(("var_", "es_")) and asset not in assets:
+            raise ValidationError(f"{path}: column {name!r} has no {'y_' + asset!r} column")
+    names = tuple(f"{s}_{a}" for a in assets for s in ("y", "var", "es"))
+    if names != table.columns:  # the same columns, as each is one of an asset's three
+        table = _load_rows(path, text, names)
+    return table, assets
+
+
+def _check_assets(path, assets, prefix=""):
+    """Reject a blank asset and ``joint``, the asset of the joint score rows."""
+    for asset in assets:
+        if asset in ("", "joint"):
+            what = "names no asset" if not asset else "names asset 'joint' of the joint scores"
+            raise ValidationError(f"{path}: column {prefix + asset!r} {what}")
 
 
 # -- summary statistics -------------------------------------------------------
@@ -536,6 +568,7 @@ def rolling_forecast(config):
     """Run the full out-of-sample exercise described by ``config``."""
     t0 = time.perf_counter()
     table = load_returns(config.input_path, config.columns)
+    _check_assets(config.input_path, table.columns)
     T, p = table.shape
     var, es, sigmas, psis, warnings, n_refits = _forecast_state(config, table)
     t_fit = time.perf_counter()
@@ -729,7 +762,7 @@ def emit_reports(bundle, out_dir):
     """Write every non-empty table plus the JSON manifest; returns the paths.
 
     forecasts.csv is wide (one row per date) so it round-trips through
-    :func:`load_returns`; the long companion file drives path plots. Each panel
+    :func:`load_forecasts`; the long companion file drives path plots. Each panel
     value is formatted once, in blocks of dates, by :func:`write_panel`, except
     that with ``bundle.text`` the forecast panel's lines are written as read:
     a re-scored table is written as the table it scored, and only the values

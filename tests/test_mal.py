@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from quantes import mal, scoring
-from quantes.exceptions import DegeneratePointError, ValidationError
+from quantes.exceptions import DegeneratePointError, NumericError, ValidationError
+from quantes.linalg import JITTER, cholesky_with_jitter
 from quantes.mal import (
     ALParams,
     MALConstraints,
@@ -538,3 +539,14 @@ def test_al_mean_matches_samples():
 def test_alparams_container():
     al = ALParams(mu_star=1.0, tau_star=0.2, delta_star=0.5)
     assert al.mu_star == 1.0 and al.tau_star == 0.2 and al.delta_star == 0.5
+
+
+def test_cholesky_with_jitter_retries_a_singular_matrix_and_rejects_an_indefinite_one():
+    singular = np.ones((2, 2))  # positive semidefinite, rank 1
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(singular)
+    low = cholesky_with_jitter(singular)
+    assert np.allclose(low @ low.T, singular + JITTER * np.eye(2), rtol=0.0, atol=1e-15)
+    assert np.array_equal(low, np.tril(low))
+    with pytest.raises(NumericError, match="not positive definite even after jitter"):
+        cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))

@@ -225,6 +225,27 @@ def test_fit_out_writes_a_parameter_set_that_round_trips(tmp_path, capsys):
     assert ParameterSet.from_dict(payload["params"]).to_dict() == payload["params"]
 
 
+def test_fit_with_the_ar_link_prints_its_three_gammas_and_round_trips(tmp_path, capsys):
+    data = tmp_path / "panel.csv"
+    assert cli.main(["simulate", "--dimension", "2", "--length", "150", "--link", "ar",
+                     "--out", str(data)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "fit"
+    code = cli.main(["fit", "--input", str(data), "--link", "ar", "--n-starts", "1",
+                     "--max-iterations", "2", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    printed = capsys.readouterr().out.splitlines()
+    payload = json.loads((out / "fit.json").read_text())
+    params = ParameterSet.from_dict(payload["params"])
+    assert params.to_dict() == payload["params"]
+    for name, link in zip(("asset1", "asset2"), params.links):
+        assert link.kind == dynamics.AR
+        line = next(line for line in printed if line.startswith(f"{name}: "))
+        gammas = " ".join(f"{g:+.4f}" for g in link.gamma)
+        assert line.endswith(f"  gamma {gammas}") and len(link.gamma) == 3, line
+        assert "gamma0" not in line
+
+
 def _small_run(tmp_path):
     data = tmp_path / "panel.csv"
     assert cli.main(["simulate", "--dimension", "2", "--length", "110", "--out", str(data)]) == 0
@@ -507,24 +528,27 @@ def _text(path):
 
 
 def _random_panel(rng, T, p):
-    """Header and body lines of a well-formed panel with varied cell text."""
+    """Header and body lines of a canonical panel with varied cell text."""
     bits = rng.integers(0, 2**63, (T, p), dtype=np.int64)
     values = bits.view(np.float64) * rng.choice([-1.0, 1.0], (T, p))
     values[~np.isfinite(values)] = -0.0
     ordinary = rng.random((T, p)) < 0.3
     values[ordinary] = rng.standard_normal(ordinary.sum()) * 1e-3
     formats = ["%.17g", "%r", "%.10g", "%.3e", "%.0f"]
-    pads = ["", " ", "\t", "\x1c", " \x1f", "\x0b"]  # str.strip drops all of these
     day = datetime.date(1901, 1, 1) + datetime.timedelta(days=int(rng.integers(0, 40000)))
-    header = "date," + ",".join(f" c{j} " for j in range(p))
-    lines = [header]
+    lines = ["date," + ",".join(f"c{j}" for j in range(p))]
     for t in range(T):
         day += datetime.timedelta(days=int(rng.integers(1, 5)))
-        date = day.isoformat() if rng.random() < 0.9 else f" {day.isoformat()}\t"
-        cells = [pads[rng.integers(6)] + formats[rng.integers(5)] % v + pads[rng.integers(6)]
-                 for v in values[t].tolist()]
-        lines.append(",".join([date, *cells]))
+        cells = [formats[rng.integers(5)] % v for v in values[t].tolist()]
+        lines.append(",".join([day.isoformat(), *cells]))
     return lines
+
+
+def _padded(rng, line):
+    """``line`` with blanks that str.strip drops around each field."""
+    pads = ["", " ", "\t", "\x1c", " \x1f", "\x0b"]
+    return ",".join(pads[rng.integers(6)] + cell + pads[rng.integers(6)]
+                    for cell in line.split(","))
 
 
 def _week_date(line):
@@ -534,37 +558,56 @@ def _week_date(line):
     return f"{year}-W{week:02d}-{day},{rest}"
 
 
+def _same_table(got, want):
+    assert got.dates == want.dates
+    assert got.columns == want.columns
+    assert got.values.shape == want.values.shape
+    assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+    assert got.lines == want.lines
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_loader_fast_path_matches_the_per_row_parser(tmp_path, seed):
     rng = np.random.default_rng(seed)
     p = int(rng.integers(1, 5))
     lines = _random_panel(rng, int(rng.integers(1, 400)), p)
-    if seed == 3:  # a date with blanks around it
-        lines[1] = " " + lines[1].replace(",", "\t,", 1)
-    if seed == 4 and sys.version_info >= (3, 11):  # an ISO week date
-        lines[-1] = _week_date(lines[-1])
-    if seed == 5 and sys.version_info >= (3, 11):  # a date isoformat writes differently
-        lines[1] = lines[1].replace("-", "", 2)
     path = tmp_path / "panel.csv"
-    path.write_text("\n".join(lines) + ("\n" if seed % 2 else ""))
+    end = "\n" if seed % 2 else ""
+    path.write_text("\n".join(lines) + end)
     text = _text(path)
-    picks = [None, [f"c{j}" for j in rng.permutation(p)[: rng.integers(1, p + 1)]]]
-    for columns in picks:
-        fast = pipeline._read_panel(path, text, columns)
-        slow = pipeline._load_rows(path, text, columns)
-        assert fast is not None
-        assert fast.dates == slow.dates
-        assert fast.columns == slow.columns
-        assert fast.values.shape == slow.values.shape
-        assert np.array_equal(fast.values.view(np.int64), slow.values.view(np.int64))
-        picked = [[h.strip() for h in lines[0].split(",")].index(c) for c in fast.columns]
-        stripped = [[line.split(",")[f].strip() for f in picked] for line in lines[1:]]
-        for table in (fast, slow):
-            assert [line.split(",")[1:] for line in table.lines] == stripped
-            assert [line.split(",")[0] for line in table.lines] == list(table.dates)
-        loaded = load_returns(path, columns)
-        assert loaded.dates == slow.dates
-        assert np.array_equal(loaded.values.view(np.int64), slow.values.view(np.int64))
+    fast = pipeline._read_panel(path, text, None)
+    assert fast is not None  # canonical whole-table text: the C reader takes it
+    slow = pipeline._load_rows(path, text, None)
+    _same_table(fast, slow)
+    assert fast.lines == tuple(lines[1:])
+    assert [line.split(",")[0] for line in fast.lines] == list(fast.dates)
+    _same_table(load_returns(path, None), fast)
+    # the per-row parser reads every other form and gives the same cells as read
+    variants = {"padded": [_padded(rng, line) for line in lines]}
+    if seed == 3:  # a date with blanks around it
+        variants["blank-date"] = [lines[0], " " + lines[1].replace(",", "\t,", 1), *lines[2:]]
+    if seed == 4 and sys.version_info >= (3, 11):  # an ISO week date
+        variants["week-date"] = [*lines[:-1], _week_date(lines[-1])]
+    if seed == 5 and sys.version_info >= (3, 11):  # a date isoformat writes differently
+        variants["basic-date"] = [lines[0], lines[1].replace("-", "", 2), *lines[2:]]
+    for name, variant in variants.items():
+        path.write_text("\n".join(variant) + end)
+        text = _text(path)
+        assert pipeline._read_panel(path, text, None) is None, name
+        slow = pipeline._load_rows(path, text, None)
+        _same_table(slow, fast)
+        _same_table(load_returns(path, None), slow)
+    path.write_text("\n".join(lines) + end)
+    text = _text(path)
+    columns = [f"c{j}" for j in rng.permutation(p)[: rng.integers(1, p + 1)]]
+    assert pipeline._read_panel(path, text, columns) is None  # a pick
+    slow = pipeline._load_rows(path, text, columns)
+    picked = [fast.columns.index(c) for c in columns]
+    assert slow.columns == tuple(columns) and slow.dates == fast.dates
+    assert np.array_equal(slow.values.view(np.int64), fast.values[:, picked].view(np.int64))
+    cells = [line.split(",")[1:] for line in fast.lines]
+    assert [line.split(",")[1:] for line in slow.lines] == [[c[k] for k in picked] for c in cells]
+    _same_table(load_returns(path, columns), slow)
 
 
 @pytest.mark.parametrize(
@@ -603,7 +646,7 @@ _NEEDS_3_11 = pytest.mark.skipif(sys.version_info < (3, 11),
 def test_loader_keeps_the_stripped_cells_as_read(tmp_path, text):
     path = tmp_path / "panel.csv"
     path.write_bytes(text.encode())
-    assert (pipeline._read_panel(path, text, None) is None) == ("\r" in text)
+    assert pipeline._read_panel(path, text, None) is None  # none is as quantes writes it
     for table in (load_returns(path), pipeline._load_rows(path, text, None)):
         assert table.lines == ("2001-01-02,0.50,1",)
         assert table.lines[0].split(",")[0] == table.dates[0]
@@ -931,7 +974,38 @@ def test_backtest_rejects_a_table_without_its_forecast_columns(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["numpy-reader", "per-row-parser"])
+@pytest.mark.parametrize("header, message", [
+    ("date,y_,var_,es_", "column 'y_' names no asset"),
+    ("date,y_joint,var_joint,es_joint", "column 'y_joint' names asset 'joint' of the joint scores"),
+], ids=["blank-asset", "joint-asset"])
+def test_backtest_rejects_an_asset_the_reports_cannot_tell_apart(tmp_path, capsys, header,
+                                                                 message):
+    source = tmp_path / "forecasts.csv"
+    source.write_text(f"{header}\n2001-01-02,-1,-2,-2\n2001-01-03,1,-2,-2\n")
+    out = tmp_path / "reports"
+    code = cli.main(["backtest", "--forecasts", str(source), "--tau", str(TAU), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {source}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["forecast", "portfolio"])
+def test_a_run_rejects_an_input_column_named_joint(tmp_path, capsys, monkeypatch, command):
+    data = tmp_path / "panel.csv"
+    assert cli.main(["simulate", "--dimension", "2", "--length", "110", "--out", str(data)]) == 0
+    data.write_text(data.read_text().replace("asset2", "joint", 1))
+    monkeypatch.setattr(pipeline, "fit", None)  # rejected before any fit
+    out = tmp_path / "reports"
+    argv = [command, "--input", str(data), "--oos", "10", "--out", str(out)]
+    code = cli.main(argv + ["--tau-tilde", "0.15"] * (command == "portfolio"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {data}: column 'joint' names asset 'joint' of the joint scores\n"
+    assert not out.exists()
+
+
+# the padded date leaves either line end to the per-row parser
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["per-row-parser-lf", "per-row-parser"])
 def test_backtest_writes_iso_dates_for_dates_read_in_another_form(tmp_path, capsys, line_end):
     source = tmp_path / "forecasts.csv"
     _write_forecasts(source, p=2, T=300)
@@ -940,7 +1014,7 @@ def test_backtest_writes_iso_dates_for_dates_read_in_another_form(tmp_path, caps
     if sys.version_info >= (3, 11):  # a date in the basic form, which isoformat does not write
         lines[2] = lines[2].replace("-", "", 2)
     source.write_bytes((line_end.join(lines) + line_end).encode())
-    assert (pipeline._read_panel(source, _text(source), None) is None) == (line_end == "\r\n")
+    assert pipeline._read_panel(source, _text(source), None) is None
     out = tmp_path / "reports"
     code = cli.main(["backtest", "--forecasts", str(source), "--tau", str(TAU), "--out", str(out)])
     assert code == 0, capsys.readouterr().err
@@ -956,7 +1030,8 @@ def test_backtest_writes_iso_dates_for_dates_read_in_another_form(tmp_path, caps
     assert (out / "forecasts.csv").read_text().splitlines()[1].startswith("2001-01-02,")
 
 
-@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["numpy-reader", "per-row-parser"])
+# the padded cell leaves either line end to the per-row parser
+@pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["per-row-parser-lf", "per-row-parser"])
 def test_a_backtest_of_its_own_reports_gives_the_same_reports(tmp_path, capsys, line_end):
     source = tmp_path / "forecasts.csv"
     _write_forecasts(source, p=2, T=300, fmt="%r")
@@ -967,7 +1042,7 @@ def test_a_backtest_of_its_own_reports_gives_the_same_reports(tmp_path, capsys, 
     order = [0, 5, 2, 6, 1, 4, 3]  # the file's columns in another order
     shuffled = [",".join(line.split(",")[k] for k in order) for line in lines]
     source.write_bytes((line_end.join(shuffled) + line_end).encode())
-    assert (pipeline._read_panel(source, _text(source), None) is None) == (line_end == "\r\n")
+    assert pipeline._read_panel(source, _text(source), None) is None
     first, second = tmp_path / "first", tmp_path / "second"
     for table, out in ((source, first), (first / "forecasts.csv", second)):
         code = cli.main(["backtest", "--forecasts", str(table), "--tau", str(TAU),
@@ -980,6 +1055,39 @@ def test_a_backtest_of_its_own_reports_gives_the_same_reports(tmp_path, capsys, 
     for name in ("forecasts.csv", "paths_long.csv", "scores.csv", "backtests.csv",
                  "score_paths.csv"):
         assert (second / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def test_the_c_reader_takes_every_table_quantes_writes(tmp_path, capsys):
+    # rescore and every re-run of quantes' own files stay on the C reader
+    source = tmp_path / "forecasts.csv"
+    _write_forecasts(source, p=2, T=300)
+    table, assets = pipeline.load_forecasts(source)
+    bundle = pipeline.evaluate_forecasts(table.dates, assets, TAU, table.values[:, 0::3],
+                                         table.values[:, 1::3], table.values[:, 2::3])
+    pipeline.emit_reports(bundle, tmp_path / "formatted")
+    bundle.text = table.lines
+    pipeline.emit_reports(bundle, tmp_path / "as-read")
+    written = [tmp_path / "formatted" / "forecasts.csv", tmp_path / "as-read" / "forecasts.csv"]
+    for kind, link in ((dynamics.SAV, dynamics.MULT), (dynamics.AS, dynamics.AR),
+                       (dynamics.IG, dynamics.MULT)):
+        written.append(tmp_path / f"{kind}-{link}.csv")
+        code = cli.main(["simulate", "--kind", kind, "--link", link, "--length", "200",
+                         "--seed", "3", "--out", str(written[-1])])
+        assert code == 0, capsys.readouterr().err
+    for path in written:
+        text = _text(path)
+        fast = pipeline._read_panel(path, text, None)
+        assert fast is not None, path
+        _same_table(fast, pipeline._load_rows(path, text, None))
+    # a file in another order is read whole, then picked into report order
+    shuffled = tmp_path / "shuffled.csv"
+    order = [0, 5, 2, 6, 1, 4, 3]
+    shuffled.write_text("".join(",".join(line.split(",")[k] for k in order) + "\n"
+                                for line in _text(written[0]).splitlines()))
+    assert pipeline._read_panel(shuffled, _text(shuffled), None) is not None
+    again, again_assets = pipeline.load_forecasts(shuffled)
+    assert again_assets == assets
+    _same_table(again, table)
 
 
 # -- the I/O boundary ---------------------------------------------------------
@@ -1084,6 +1192,20 @@ def test_run_study_gives_the_same_result_in_one_or_two_processes():
     assert serial.stop_reasons == pooled.stop_reasons
     assert sum(serial.stop_reasons.values()) == 2
     assert serial.fit_seconds.shape == pooled.fit_seconds.shape == (2,)
+
+
+def test_run_study_names_the_as_and_ar_coefficients():
+    scenario = SimScenario(params=reference_params(dynamics.AS, dynamics.AR, p=2),
+                           tau=np.full(2, TAU), T=200, burn_in=50, B=1, seed=7)
+    study = run_study(scenario, EMConfig(n_starts=1, max_iterations=2), n_jobs=1)
+    assert study.n_failed == 0
+    coefficients = ("omega", "eta", "beta1", "beta2", "gamma1", "gamma2", "gamma3")
+    names = [f"{c}_{j}" for j in (1, 2) for c in coefficients]
+    assert list(study.truths) == list(study.estimates) == names
+    for j, (spec, link) in enumerate(zip(scenario.params.specs, scenario.params.links), 1):
+        assert study.truths[f"beta2_{j}"] == spec.beta[1]
+        assert [study.truths[f"gamma{i}_{j}"] for i in (1, 2, 3)] == list(link.gamma)
+    assert all(study.estimates[name].shape == (1,) for name in names)
 
 
 def reference_simulate_file(out, y, length, p):
