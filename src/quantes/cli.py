@@ -7,9 +7,10 @@ emitted forecast table, ``portfolio`` adds the allocation track, and
 ``simulate`` writes synthetic panels from the stock truth set. ``backtest``
 reads forecasts.csv through ``pipeline.load_forecasts``, the one owner of its
 ``y_/var_/es_`` layout, and writes the forecast cells as read: the table it
-writes is the table it scored. ``fit``, ``forecast`` and ``portfolio`` reject
-an ``--out`` that cannot be created before any fit. Each subcommand declares
-only the options it reads. A key=value config file can hold the flag of any
+writes is the table it scored. ``stats``, ``fit``, ``forecast`` and
+``portfolio`` reject an ``--out`` that cannot be created before they read
+their input. Each subcommand declares only the options it reads, and
+``simulate`` rejects a ``df`` without ``--family student_t``. A key=value config file can hold the flag of any
 subcommand; each reads its own keys, and explicit flags win. Exit codes: 0
 success, 2 validation problem or a file that cannot be read or written, 3
 numeric failure.
@@ -201,10 +202,12 @@ def _print_table(names, stats, stream):
 
 
 def _cmd_stats(args, stream):
+    out = _merge(args, "out")
+    if out is not None:
+        _check_out(out)
     table = load_returns(_require(args, "input"), _merge(args, "columns"))
     stats = summary_stats(table.values)
     _print_table(table.columns, stats, stream)
-    out = _merge(args, "out")
     if out is not None:
         out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
@@ -331,6 +334,8 @@ def _cmd_backtest(args, stream):
 
 
 def _cmd_simulate(args, stream):
+    if _merge(args, "df") is not None and _merge(args, "family") != "student_t":
+        raise ValidationError("--df applies only with --family student_t")
     params = reference_params(
         **_given(args, {"kind": "kind", "link": "link_kind", "dimension": "p"})
     )

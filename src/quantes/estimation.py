@@ -14,11 +14,13 @@ metric, with exact gradients from forward sensitivity recursions.
 The dynamic coefficients are a (p, n) array with one row per asset, whose
 column blocks ``[:nq]`` and ``[nq:]`` are the quantile and link blocks;
 only :func:`_pack`, :func:`_unpack` and :func:`_bounds` know each column.
-One likelihood pass, :func:`_e_pass`, forms each row's quadratic form
-(floored at ``_M_FLOOR`` there alone) and Bessel term once, for both the
-row log-likelihoods, through the density core in ``mal``, and the E-step
-weights; each EM iteration ends with one pass, which gives its trace value
-and the next iteration's weights. The expected complete-data objective
+One likelihood pass, :func:`_loglik_rows`, forms each row's quadratic
+form (floored at ``_M_FLOOR`` there alone) and Bessel term once for the
+row log-likelihoods, through the density core in ``mal``; :func:`_e_pass`
+adds the E-step weights from the same terms. Each EM iteration ends with one
+:func:`_e_pass`, which gives its trace value and the next iteration's
+weights; a caller that needs only the likelihood stops at
+:func:`_loglik_rows`. The expected complete-data objective
 (the Q-value) is computed only in :func:`_assemble`.
 
 The scheme is a generalized EM (Dempster, Laird & Rubin 1977, JRSS-B 39):
@@ -260,14 +262,19 @@ def _panel_paths(kind, link_kind, theta, y, q0, x0s, tau):
 # -- likelihood machinery ----------------------------------------------------
 
 
-def _e_pass(v, log_scale, cache):
-    """Row log-likelihoods and E-step weights ``(rows, u, z)`` of the scaled
-    residuals ``v`` = (y - q) / delta with row sums ``log_scale`` of log delta,
-    from one quadratic form, floored at ``_M_FLOOR``, and one Bessel term."""
+def _loglik_rows(v, log_scale, cache):
+    """Row log-likelihoods ``(rows, m, bessel)`` of the scaled residuals ``v``
+    = (y - q) / delta with row sums ``log_scale`` of log delta, with their
+    quadratic form m, floored at ``_M_FLOOR``, and its Bessel term."""
     m = np.maximum(_quad_form(v, cache), _M_FLOOR)
     bessel = _bessel_terms(m, cache)
-    rows = _log_density_rows(v, m, bessel, log_scale, cache)
-    s, log_kve = bessel
+    return _log_density_rows(v, m, bessel, log_scale, cache), m, bessel
+
+
+def _e_pass(v, log_scale, cache):
+    """Row log-likelihoods and E-step weights ``(rows, u, z)`` of the scaled
+    residuals ``v``, from one :func:`_loglik_rows` pass."""
+    rows, m, (s, log_kve) = _loglik_rows(v, log_scale, cache)
     ratio = np.exp(np.log(special.kve(cache.nu + 1.0, s)) - log_kve)
     u = np.sqrt(m / (2.0 + cache.skew)) * ratio
     z = np.sqrt((2.0 + cache.skew) / m) * ratio - 2.0 * cache.nu / m
@@ -345,7 +352,7 @@ def observed_loglik(params, y, tau, q0):
     cons = MALConstraints.from_levels(tau)
     q, dl = _paths(params.specs, params.links, y, np.asarray(q0, float), tau)
     cache = _SigmaCache(params.psi, cons)
-    return float(_e_pass((y - q) / dl, np.log(dl).sum(axis=1), cache)[0].sum())
+    return float(_loglik_rows((y - q) / dl, np.log(dl).sum(axis=1), cache)[0].sum())
 
 
 def sigma_m_step(u_rows, u, z, constraints):
@@ -586,7 +593,7 @@ def _univariate_theta(y_j, tau_j, kind, link_kind, q0, x0, config, rng):
             q, dl = _panel_paths(kind, link_kind, theta, col, q0v, x0v, tau_v)
         except PathError:
             continue
-        val = -float(_e_pass((col - q) / dl, np.log(dl).sum(axis=1), cache)[0].sum())
+        val = -float(_loglik_rows((col - q) / dl, np.log(dl).sum(axis=1), cache)[0].sum())
         if val < best_val:
             best_theta, best_val = theta, val
     if best_theta is None:

@@ -14,6 +14,7 @@ from quantes.estimation import (
     ParameterSet,
     _assemble,
     _e_pass,
+    _loglik_rows,
     _panel_paths,
     dynamic_m_step,
     e_step,
@@ -183,8 +184,9 @@ def test_loglik_rows_equal_the_density_row_for_row(p):
     dl = np.tile(params.delta, (300, 1))
     cache = _SigmaCache(params.psi, params.constraints)
     assert _quad_form((y - q) / dl, cache).min() > _M_FLOOR
-    rows = _e_pass((y - q) / dl, np.log(dl).sum(axis=1), cache)[0]
-    assert np.array_equal(rows, mal_log_density(y, params))
+    v, log_scale = (y - q) / dl, np.log(dl).sum(axis=1)
+    assert np.array_equal(_loglik_rows(v, log_scale, cache)[0], mal_log_density(y, params))
+    assert np.array_equal(_e_pass(v, log_scale, cache)[0], mal_log_density(y, params))
 
 
 def test_paths_name_the_asset_whose_path_fails():

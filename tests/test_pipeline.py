@@ -206,6 +206,27 @@ def test_stats_out_writes_both_tables(tmp_path, capsys):
     assert "correlation.csv" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("target", ["the-input", "a-file"])
+def test_stats_checks_its_out_before_it_reads_or_prints(tmp_path, monkeypatch, capsys, target):
+    data = tmp_path / "panel.csv"
+    assert cli.main(["simulate", "--dimension", "2", "--length", "60", "--out", str(data)]) == 0
+    out = data if target == "the-input" else tmp_path / "blocker"
+    if target == "a-file":
+        out.write_text("a regular file\n")
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("the input was read before --out was checked")
+
+    monkeypatch.setattr(cli, "load_returns", unexpected)
+    assert cli.main(["stats", "--input", str(data), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 20] Not a directory: {str(out)!r}\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_fit_out_writes_a_parameter_set_that_round_trips(tmp_path, capsys):
     data = tmp_path / "panel.csv"
     assert cli.main(["simulate", "--dimension", "2", "--length", "150", "--out", str(data)]) == 0
@@ -1245,7 +1266,7 @@ def test_simulate_defaults_are_the_library_defaults(tmp_path, monkeypatch, capsy
     assert (tmp_path / "simulated.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
     config = tmp_path / "sim.cfg"
     config.write_text("kind = sav\nlink = mult\ndimension = 3\nlength = 1500\ntau = 0.1\n"
-                      "family = normal\ndf = 5\nseed = 0\nreplication = 0\n"
+                      "family = normal\nseed = 0\nreplication = 0\n"
                       "out = from_config.csv\n")
     assert cli.main(["simulate", "--config", str(config)]) == 0, capsys.readouterr().err
     assert (tmp_path / "from_config.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -1265,6 +1286,31 @@ def test_simulate_rejects_counts_below_their_floor_with_exit_2(tmp_path, capsys,
     assert cli.main(["simulate", "--length", "50", option, value, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("family", [None, "normal", "none"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_simulate_rejects_a_df_without_the_student_t_family(tmp_path, capsys, source, family):
+    out = tmp_path / "panel.csv"
+    config = tmp_path / "sim.cfg"
+    config.write_text("length = 50\n" + ("" if source == "flag" else "df = 5\n"))
+    argv = ["simulate", "--config", str(config), "--out", str(out)]
+    argv += ["--df", "5"] if source == "flag" else []
+    argv += [] if family is None else ["--family", family]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --df applies only with --family student_t\n"
+    assert captured.out == ""
+    assert not out.exists()
+    # with the family named, the df is read, from the flag or the file alike
+    assert cli.main([*argv, "--family", "student_t"]) == 0, capsys.readouterr().err
+    y = generate(SimScenario(reference_params(), tau=mal.as_levels(RunConfig.tau, 3), T=50,
+                             error_family="student_t", df=5.0), 0)
+    day = datetime.date(2000, 1, 7)
+    dates = [(day + datetime.timedelta(days=7 * t)).isoformat() for t in range(50)]
+    pipeline.write_panel(dates, y, wide=(tmp_path / "ref.csv",
+                                         ["date", "asset1", "asset2", "asset3"]))
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 # -- portfolio ----------------------------------------------------------------

@@ -8,6 +8,7 @@ must match them byte for byte and every mean score exactly.
 import csv
 import dataclasses
 import datetime
+import io
 import json
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from quantes.exceptions import ValidationError
 from quantes.mal import MALConstraints, as_levels, assemble_sigma
 from quantes.pipeline import (
     _BLOCK, ReportBundle, _csv_cell, _csv_cells, _read_panel, emit_reports, evaluate_forecasts,
-    load_returns,
+    load_returns, write_panel,
 )
 from quantes.scoring import ForecastRecord, s_al, s_al_sum, s_fz0, s_fzn, s_mal
 from quantes.simulate import SimScenario, generate, reference_params
@@ -394,3 +395,36 @@ def test_a_panel_written_as_read_is_the_panel_formatted_on_10g_input(tmp_path, n
         got = (tmp_path / "text" / name).read_bytes()
         assert got == (tmp_path / "formatted" / name).read_bytes(), name
     assert (b'"a,b"' in (tmp_path / "text" / "paths_long.csv").read_bytes()) == quoted
+
+
+_AWKWARD = ("%", "%%", "%s", ",", '"', "\n", "\r\n")  # text a date or key cell may hold
+
+
+@pytest.mark.parametrize("tables", ["wide", "long", "both"])
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 600], ids=lambda n: f"n{n}")
+def test_formatted_tables_are_csv_writer_rows_of_10g_cells(tmp_path, n, tables):
+    rng = np.random.default_rng(n)
+    k = 4
+    values = rng.integers(0, 2**64, (n, k), dtype=np.uint64).view(np.float64)
+    values[~np.isfinite(values)] = 0.5
+    values.flat[:4] = [-0.0, 5e-324, 1e300, 0.1 + 0.2]
+    dates = [f"{i}{_AWKWARD[i % len(_AWKWARD)]}" for i in range(n)]
+    pairs = [(f"a{s}", f"s{_AWKWARD[-1 - j]}") for j, s in enumerate(_AWKWARD[:k])]
+    keys = [",".join(_csv_cells(pair)) for pair in pairs]
+    header = ["date", *(f"c{s}" for s in _AWKWARD)]
+    wide = (tmp_path / "wide.csv", header) if tables != "long" else None
+    long = (tmp_path / "long.csv", ["date", "asset", "series", "value"], keys)
+    long = long if tables != "wide" else None
+
+    assert write_panel(_csv_cells(dates), values, wide=wide, long=long) == (n, n * k)
+    for table, rows in (
+        (wide, ([d, *(_FLOAT_FMT % v for v in row)] for d, row in zip(dates, values.tolist()))),
+        (long, ([d, *pair, _FLOAT_FMT % v] for d, row in zip(dates, values.tolist())
+                for pair, v in zip(pairs, row))),
+    ):
+        if table:
+            want = io.StringIO()
+            writer = csv.writer(want, lineterminator="\n")
+            writer.writerow(table[1])
+            writer.writerows(rows)
+            assert table[0].read_bytes() == want.getvalue().encode(), table[0].name
