@@ -10,10 +10,10 @@ reads forecasts.csv through ``pipeline.load_forecasts``, the one owner of its
 writes is the table it scored. ``stats``, ``fit``, ``forecast`` and
 ``portfolio`` reject an ``--out`` that cannot be created before they read
 their input. Each subcommand declares only the options it reads, and
-``simulate`` rejects a ``df`` without ``--family student_t``. A key=value config file can hold the flag of any
-subcommand; each reads its own keys, and explicit flags win. Exit codes: 0
-success, 2 validation problem or a file that cannot be read or written, 3
-numeric failure.
+``simulate`` rejects a ``df`` without ``--family student_t``. A key=value
+config file can hold the flag of any subcommand; each reads its own keys,
+and explicit flags win. Exit codes: 0 success, 2 validation problem or a
+file that cannot be read or written, 3 numeric failure.
 """
 
 import argparse
