@@ -1,31 +1,28 @@
 """Command line front end.
 
 Subcommands cover the whole workflow: ``stats`` summarizes a return file,
-``fit`` estimates the joint model once on the full sample, ``forecast`` runs
-the rolling out-of-sample exercise, ``backtest`` re-scores a previously
-emitted forecast table, ``portfolio`` adds the allocation track, and
-``simulate`` writes synthetic panels from the stock truth set. ``backtest``
-reads forecasts.csv through ``pipeline.load_forecasts``, the one owner of its
-``y_/var_/es_`` layout, and writes the forecast cells as read: the table it
-writes is the table it scored. ``stats``, ``fit``, ``forecast`` and
-``portfolio`` reject an ``--out`` that cannot be created before they read
-their input. Each subcommand declares only the options it reads, and
-``simulate`` rejects a ``df`` without ``--family student_t``. A key=value
-config file can hold the flag of any subcommand; each reads its own keys,
-and explicit flags win. Exit codes: 0 success, 2 validation problem or a
-file that cannot be read or written, 3 numeric failure.
+``fit`` estimates the joint model once on the full sample, ``forecast``
+runs the rolling out-of-sample exercise, ``backtest`` re-scores a
+previously emitted forecast table, ``portfolio`` adds the allocation
+track, and ``simulate`` writes synthetic panels from the stock truth set.
+``backtest`` is one call of ``pipeline.rescore``, which reads
+forecasts.csv and the levels its run recorded: this module holds no file
+layout. ``stats``, ``fit``, ``forecast``, ``backtest`` and ``portfolio``
+reject an ``--out`` that cannot be created before they read their input.
+Each subcommand declares only the options it reads, and ``simulate``
+rejects a ``df`` without ``--family student_t``. A key=value config file
+can hold the flag of any subcommand; each reads its own keys, and
+explicit flags win. Exit codes: 0 success, 2 validation problem or a file
+that cannot be read or written, 3 numeric failure.
 """
 
 import argparse
 import datetime
 import errno
 import functools
-import json
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from . import dynamics as dyn
@@ -35,11 +32,10 @@ from .mal import as_levels
 from .pipeline import (
     RunConfig,
     emit_reports,
-    evaluate_forecasts,
-    load_forecasts,
     load_returns,
     portfolio_run,
     read_input,
+    rescore,
     rolling_forecast,
     summary_stats,
     write_csv,
@@ -173,7 +169,7 @@ _EM_FIELDS = {k: k for k in ("n_starts", "tol", "max_iterations", "seed")}
 _RUN_FIELDS = {
     "tau": "tau", "columns": "columns", "kind": "kind", "link": "link_kind",
     "window": "window", "window_width": "window_width", "oos": "oos",
-    "refit_every": "refit_every", "tau_tilde": "tau_tilde", "out": "out_dir",
+    "refit_every": "refit_every", "tau_tilde": "tau_tilde",
 }
 
 
@@ -219,23 +215,6 @@ def _cmd_stats(args, stream):
     return 0
 
 
-def _recorded_levels(args, path, p):
-    """--tau, else the tau in the manifest.json written next to ``path``."""
-    tau = _merge(args, "tau")
-    if tau is None:
-        manifest = Path(path).parent / "manifest.json"
-        try:
-            # no manifest records no levels, as one without a "tau" does
-            recorded = json.loads(read_input(manifest)) if manifest.is_file() else {}
-            tau = recorded["tau"] if "tau" in recorded else recorded["config"]["tau"]
-            tau = np.asarray(tau, dtype=float)
-        except (ValueError, KeyError, TypeError):
-            raise ValidationError(
-                f"missing option --tau: {manifest} does not record the levels of {path}"
-            ) from None
-    return as_levels(tau, p)
-
-
 def _check_out(out):
     """Fail, creating nothing, when directory ``out`` cannot be made: ``out``
     or else its nearest existing ancestor must be a directory."""
@@ -244,6 +223,13 @@ def _check_out(out):
             return
         if os.path.lexists(folder):
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(folder))
+
+
+def _report_dir(args):
+    """The report directory of ``forecast``, ``portfolio`` and ``backtest``, checked."""
+    out = _merge(args, "out", "reports")
+    _check_out(out)
+    return out
 
 
 def _cmd_fit(args, stream):
@@ -290,8 +276,8 @@ def _emit(bundle, out, stream):
 
 def _cmd_forecast(args, stream):
     config = _run_config(args)
-    _check_out(config.out_dir)
-    _emit(rolling_forecast(config), config.out_dir, stream)
+    out = _report_dir(args)
+    _emit(rolling_forecast(config), out, stream)
     return 0
 
 
@@ -299,9 +285,9 @@ def _cmd_portfolio(args, stream):
     config = _run_config(args)
     if config.tau_tilde is None:
         raise ValidationError("missing required option --tau-tilde")
-    _check_out(config.out_dir)
+    out = _report_dir(args)
     bundle = portfolio_run(config)
-    _emit(bundle, config.out_dir, stream)
+    _emit(bundle, out, stream)
     summary = bundle.manifest["portfolio"]
     print(
         f"sharpe {summary['sharpe']:.4f}  hhi {summary['hhi']:.4f}  "
@@ -312,22 +298,10 @@ def _cmd_portfolio(args, stream):
 
 
 def _cmd_backtest(args, stream):
-    """Re-score a forecasts.csv: :func:`load_forecasts` checks its columns and
-    gives its panels in report order, and the reports hold its cells as read,
-    not formatted again."""
     path = _require(args, "forecasts")
-    table, assets = load_forecasts(path)
-    tau = _recorded_levels(args, path, len(assets))
-    values = table.values
-    bundle = evaluate_forecasts(table.dates, assets, tau,
-                                values[:, 0::3], values[:, 1::3], values[:, 2::3])
-    bundle.text = table.lines
-    bundle.manifest = {
-        "command": "backtest",
-        "source": str(path),
-        "tau": bundle.tau.tolist(),
-    }
-    _emit(bundle, _merge(args, "out", RunConfig.out_dir), stream)
+    out = _report_dir(args)
+    bundle = rescore(path, _merge(args, "tau"))
+    _emit(bundle, out, stream)
     n_reject = sum(r["reject"] for r in bundle.backtests)
     print(f"{len(bundle.backtests)} tests, {n_reject} rejections", file=stream)
     return 0

@@ -5,6 +5,7 @@ schedule and producing one-step-ahead quantile and shortfall forecasts per
 asset. Everything downstream (scores, backtests, portfolio paths, report
 files) is a deterministic function of the input file, the configuration and
 the seed; wall-clock timings are the only non-reproducible manifest fields.
+:func:`rescore` scores a forecasts.csv at the levels its manifest.json records.
 """
 
 import contextlib
@@ -52,7 +53,8 @@ _MIN_OOS = N_LAGS + 5  # dq_test's N_LAGS lagged hits need more than N_LAGS + 4 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a forecast or portfolio run needs besides the data file."""
+    """Everything a forecast or portfolio run needs besides the data file; the
+    caller says where reports go. :func:`rescore` needs none of it."""
 
     input_path: str
     tau: object = 0.1
@@ -64,7 +66,6 @@ class RunConfig:
     oos: int = 368
     refit_every: int = 4
     tau_tilde: float = None
-    out_dir: str = "reports"
     em: EMConfig = field(default_factory=EMConfig)
 
     def __post_init__(self):
@@ -119,7 +120,7 @@ class ReportBundle:
     The forecast panel is held as arrays: ``t`` (n,) period indices and
     ``y``, ``var``, ``es`` (n, p). ``score_paths`` maps each rule to its
     per-period values, (n, p) per asset or (n,) for the joint ``s_mal``.
-    ``text``, when set, is the panel's rows as read: one line
+    ``text``, set by :func:`rescore`, is the panel's rows as read: one line
     ``date,y,var,es,...`` per date, its cells in forecasts.csv's column
     order (y, var, es for each asset), which :func:`write_panel` writes as
     they stand. Without it, the panel is formatted once for each of its two
@@ -331,7 +332,7 @@ def _cell(path, lineno, column, text):
 
 
 def load_forecasts(path):
-    """(table, assets) of a forecasts.csv, the one reader of its layout.
+    """(table, assets) of a forecasts.csv, the one reader of its layout, for :func:`rescore`.
 
     Every column is ``y_<a>``, ``var_<a>`` or ``es_<a>`` of an asset ``a``
     that has all three and is neither blank nor ``joint``. The table is in
@@ -597,6 +598,28 @@ def rolling_forecast(config):
     return bundle
 
 
+def rescore(path, tau=None):
+    """Score a forecasts.csv at ``tau``, else its manifest.json's ``tau`` or ``config.tau``."""
+    table, assets = load_forecasts(path)
+    if tau is None:
+        manifest = Path(path).parent / "manifest.json"
+        try:
+            # no manifest records no levels, as one without a "tau" does
+            recorded = json.loads(read_input(manifest)) if manifest.is_file() else {}
+            tau = recorded["tau"] if "tau" in recorded else recorded["config"]["tau"]
+            tau = np.asarray(tau, dtype=float)
+        except (ValueError, KeyError, TypeError):
+            raise ValidationError(
+                f"missing option --tau: {manifest} does not record the levels of {path}"
+            ) from None
+    tau = as_levels(tau, len(assets))
+    panels = [table.values[:, k::3] for k in range(3)]  # y, var, es by asset
+    bundle = evaluate_forecasts(table.dates, assets, tau, *panels)
+    bundle.text = table.lines
+    bundle.manifest = {"command": "backtest", "source": str(path), "tau": bundle.tau.tolist()}
+    return bundle
+
+
 def portfolio_run(config):
     """Forecast run plus a per-period minimum-risk allocation track.
 
@@ -671,9 +694,7 @@ def portfolio_run(config):
 
 
 def _fmt(value):
-    if isinstance(value, (float, np.floating)):
-        return _FLOAT_FMT % float(value)
-    return str(int(value)) if isinstance(value, np.integer) else str(value)
+    return _FLOAT_FMT % float(value) if isinstance(value, (float, np.floating)) else str(value)
 
 
 def write_csv(path, header, rows):

@@ -1,5 +1,6 @@
 import inspect
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from quantes.estimation import (
     q_function,
     sigma_m_step,
 )
-from quantes.exceptions import PathError, ValidationError
+from quantes.exceptions import NumericError, PathError, ValidationError
 from quantes.mal import (
     MALConstraints,
     MALParams,
@@ -325,6 +326,42 @@ def test_chain_rows_are_the_rows_of_its_final_state(kind, link, monkeypatch):
         rows = _e_pass((a["y"] - q) / dl, np.log(dl).sum(axis=1), cache)[0]
         assert np.all(rows == state["rows"])
         assert float(rows.sum()) == state["loglik"]
+
+
+def test_a_kept_quantile_step_whose_paths_fail_is_passed_over(monkeypatch):
+    # every kept quantile step's re-derived paths fail: the block stays where
+    # it started and the fit goes on with the link and psi steps
+    params, y, tau = _sim_panel(p=2, T=300, seed=29)
+    real, failed = estimation._panel_paths, []
+
+    def failing_in_the_dynamic_pass(*args):
+        if sys._getframe(1).f_code.co_name == "_update_dynamics":
+            failed.append(None)
+            raise PathError("re-derived path failed")
+        return real(*args)
+
+    monkeypatch.setattr(estimation, "_panel_paths", failing_in_the_dynamic_pass)
+    result = fit(y, tau, config=EMConfig(n_starts=1, max_iterations=5, seed=0), init=params)
+    assert failed
+    assert np.all(np.diff(result.loglik_trace) >= 0.0)
+    for got, start in zip(result.params.specs, params.specs):
+        assert (got.omega, got.eta, list(got.beta)) == (start.omega, start.eta, list(start.beta))
+    assert any(got.gamma0 != start.gamma0 for got, start in zip(result.params.links, params.links))
+
+
+def test_a_failed_sigma_step_keeps_psi(monkeypatch):
+    params, y, tau = _sim_panel(p=2, T=300, seed=29)
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        raise NumericError("no correlation update")
+
+    monkeypatch.setattr(estimation, "sigma_m_step", failing)
+    result = fit(y, tau, config=EMConfig(n_starts=1, max_iterations=5, seed=0), init=params)
+    assert len(calls) == result.iterations > 0
+    assert np.all(np.diff(result.loglik_trace) >= 0.0)
+    assert np.array_equal(result.params.psi, params.psi)
 
 
 def test_fit_bit_reproducible():

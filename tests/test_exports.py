@@ -66,3 +66,17 @@ def test_importing_the_cli_leaves_heavy_scipy_subpackages_unloaded():
         check=True,
     )
     assert out.stdout.split() == []
+
+
+def test_the_cli_holds_no_file_layout():
+    # forecasts.csv and manifest.json are read and written by quantes.pipeline
+    # alone: the CLI parses options and prints, and needs neither json nor numpy
+    source = (SRC / "cli.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.partition(".")[0])
+    assert imported & {"json", "numpy"} == set()
+    assert "manifest.json" not in source

@@ -1,6 +1,8 @@
 import csv
 import datetime
+import errno
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -9,7 +11,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from quantes import __version__, cli, dynamics, estimation, mal, pipeline
+import quantes
+from quantes import __version__, cli, dynamics, estimation, mal, pipeline, simulate
 from quantes.dynamics import initial_quantile, risk_path
 from quantes.estimation import EMConfig, ParameterSet
 from quantes.exceptions import (
@@ -65,6 +68,21 @@ def test_backtest_round_trips_emitted_reports(tmp_path, capsys):
     assert before.dates == after.dates
     assert np.array_equal(before.values, after.values)
     assert (out / "forecasts.csv").read_text() == source.read_text()
+
+
+def test_rescore_gives_the_reports_of_backtest(tmp_path, capsys):
+    source = tmp_path / "forecasts.csv"
+    _write_forecasts(source, p=3)
+    (tmp_path / "manifest.json").write_text(json.dumps({"config": {"tau": [0.05, 0.1, 0.2]}}))
+    for tau, flag in ((None, []), ([0.05], ["--tau", "0.05"])):
+        cli_out, library_out = tmp_path / "cli", tmp_path / "library"
+        argv = ["backtest", "--forecasts", str(source), "--out", str(cli_out), *flag]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        paths = [Path(path) for path in pipeline.emit_reports(quantes.rescore(source, tau),
+                                                              library_out)]
+        assert sorted(path.name for path in paths) == sorted(p.name for p in cli_out.iterdir())
+        for path in paths:
+            assert path.read_bytes() == (cli_out / path.name).read_bytes(), path.name
 
 
 def test_forecast_rejects_tau_of_wrong_length(tmp_path, capsys):
@@ -471,6 +489,60 @@ def test_run_config_takes_numpy_integer_counts():
     assert all(type(v) is int for v in (cfg.oos, cfg.refit_every, cfg.window_width))
 
 
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"window": "sliding"}, "unknown window policy 'sliding'"),
+        ({"kind": "garch"}, "unknown recursion or link kind"),
+        ({"link_kind": "add"}, "unknown recursion or link kind"),
+        ({"tau_tilde": 0.0}, "portfolio level must lie in (0, 0.5]"),
+        ({"tau_tilde": 0.6}, "portfolio level must lie in (0, 0.5]"),
+    ],
+    ids=["window", "kind", "link", "tau-tilde-zero", "tau-tilde-above-half"],
+)
+def test_run_config_rejects_an_unknown_policy_kind_or_portfolio_level(settings, message):
+    with pytest.raises(ValidationError) as err:
+        RunConfig(input_path="panel.csv", **settings)
+    assert str(err.value) == message
+    assert RunConfig(input_path="panel.csv", tau_tilde=0.5).tau_tilde == 0.5
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (np.zeros((10, 2, 2)), "input must be a (T, p) panel"),
+        (np.arange(14.0).reshape(7, 2), "need at least 8 observations"),
+        (np.where(np.eye(10, 2) > 0, np.inf, 1.0) + np.arange(10.0)[:, None],
+         "non-finite values present"),
+    ],
+    ids=["3-d", "seven-rows", "non-finite"],
+)
+def test_summary_stats_rejects_a_panel_it_cannot_summarize(values, message):
+    with pytest.raises(ValidationError) as err:
+        summary_stats(values)
+    assert str(err.value) == message
+
+
+def test_summary_stats_rejects_a_constant_column_as_numeric():
+    values = np.column_stack([np.arange(10.0), np.full(10, 0.5)])
+    with pytest.raises(NumericError) as err:
+        summary_stats(values)
+    assert str(err.value) == "constant column in summary input"
+
+
+@pytest.mark.parametrize(
+    "n, shapes",
+    [(3, [(3, 2), (3, 3), (3, 2)]), (3, [(3, 2), (3, 2), (2, 2)]), (0, [(0, 2)] * 3)],
+    ids=["var-wide", "es-short", "empty"],
+)
+def test_evaluate_forecasts_rejects_mis_shaped_panels(n, shapes):
+    dates = [f"2001-01-0{i + 1}" for i in range(n)]
+    y, var, es = (np.full(shape, value) for shape, value in zip(shapes, (0.1, -1.0, -2.0)))
+    with pytest.raises(ValidationError) as err:
+        pipeline.evaluate_forecasts(dates, ("a", "b"), TAU, y, var, es)
+    assert str(err.value) == f"forecast panels must be non-empty and shaped {(n, 2)}"
+
+
 # -- the loader ---------------------------------------------------------------
 
 _PANEL = "date,a,b\n2001-01-02,0.5,-1\n2001-01-03,1.5,2e-3\n2001-01-04,-0.25,7\n"
@@ -740,6 +812,29 @@ def test_loader_rejects_repeated_or_blank_column_names(tmp_path, header, message
         assert str(err.value) == f"{path}: {message}"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty file"),
+    ("date,a,b\n", "no data rows"),
+    ("date,a,b\n\n , \n", "no data rows"),
+    ("date\n2001-01-02\n", "need a date column plus data columns"),
+    ('"date"\n2001-01-02\n', "need a date column plus data columns"),
+], ids=["empty", "header-only", "blank-rows-only", "one-field", "one-field-quoted"])
+def test_loader_rejects_a_file_without_a_panel(tmp_path, text, message):
+    path = tmp_path / "panel.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError) as err:
+        load_returns(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
+def test_loader_rejects_a_pick_naming_a_missing_column(tmp_path):
+    path = tmp_path / "panel.csv"
+    path.write_text("date,a,b\n2001-01-02,1,2\n")
+    with pytest.raises(ValidationError) as err:
+        load_returns(path, ["b", "z", "a", "y"])
+    assert str(err.value) == f"{path}: columns not in header: z, y"
+
+
 def test_cli_config_file_sets_options_and_explicit_flags_win(tmp_path, monkeypatch, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("# a run\noos = 40\nrefit-every = 7\nn_starts = 3\n")
@@ -823,14 +918,15 @@ def test_cli_config_file_takes_every_flag_and_ignores_other_subcommands_keys(
         "tau_tilde = 0.15\nforecasts = f.csv\nlength = 10\ndimension = 2\nfamily = none\n"
         "df = 4\nreplication = 1\n"
     )
+    checked = []
+    monkeypatch.setattr(cli, "_check_out", checked.append)
     code, _, seen = _forecast_with_config(tmp_path, monkeypatch, text)
     assert code == 2
     assert capsys.readouterr().err == "error: stopped\n"
     expected = RunConfig(
         input_path="panel.csv", tau=[0.05, 0.1], columns=("a", "b"), kind="as",
         link_kind="ar", window="expanding", window_width=300, oos=40, refit_every=7,
-        tau_tilde=None, out_dir="there",
-        em=EMConfig(n_starts=2, tol=1e-5, max_iterations=9, seed=3),
+        tau_tilde=None, em=EMConfig(n_starts=2, tol=1e-5, max_iterations=9, seed=3),
     )
     assert seen == [expected]
     assert type(seen[0].em.tol) is float
@@ -839,6 +935,7 @@ def test_cli_config_file_takes_every_flag_and_ignores_other_subcommands_keys(
     assert code == 2
     assert capsys.readouterr().err == "error: stopped\n"
     assert seen == [replace(expected, tau_tilde=0.15)]
+    assert checked == ["there", "there"]  # the out key names the report directory
     assert type(seen[0].tau_tilde) is float
 
 
@@ -1135,8 +1232,9 @@ def test_loader_opens_the_file_once(tmp_path, monkeypatch, quoted):
 
 _FAILING_PATHS = ("input-not-utf8", "config-not-utf8", "stats-out-below-a-file",
                   "fit-out-below-a-file", "forecast-out-below-a-file",
-                  "portfolio-out-below-a-file", "simulate-out-below-a-file",
-                  "simulate-out-a-directory", "over-limit-cell", "missing-input")
+                  "backtest-out-below-a-file", "portfolio-out-below-a-file",
+                  "simulate-out-below-a-file", "simulate-out-a-directory", "over-limit-cell",
+                  "missing-input")
 
 
 def _failing_run(tmp_path, case):
@@ -1152,6 +1250,8 @@ def _failing_run(tmp_path, case):
     long_cell = tmp_path / "long.csv"
     long_cell.write_text('date,a\n2001-01-02,"' + "1" * 200_000 + '"\n')
     missing = tmp_path / "nothere.csv"
+    forecasts = tmp_path / "forecasts.csv"
+    _write_forecasts(forecasts)
     fit = ["fit", "--input", str(data), "--n-starts", "1", "--max-iterations", "1"]
     run = ["--input", str(data), "--oos", "20", "--n-starts", "1", "--max-iterations", "1"]
     return {
@@ -1163,6 +1263,8 @@ def _failing_run(tmp_path, case):
         "fit-out-below-a-file": ([*fit, "--out", str(blocker / "reports")], blocker),
         "forecast-out-below-a-file": (["forecast", *run, "--out", str(blocker / "reports")],
                                       blocker),
+        "backtest-out-below-a-file": (["backtest", "--forecasts", str(forecasts), "--tau",
+                                       str(TAU), "--out", str(blocker / "reports")], blocker),
         "portfolio-out-below-a-file": (["portfolio", *run, "--tau-tilde", "0.15", "--out",
                                         str(blocker / "reports")], blocker),
         "simulate-out-below-a-file": (["simulate", "--length", "20", "--out",
@@ -1181,15 +1283,19 @@ def test_a_file_that_cannot_be_read_or_written_exits_2_with_one_line(tmp_path, m
     capsys.readouterr()
 
     def unexpected(*args, **kwargs):
-        raise AssertionError("fit ran before the output directory was checked")
+        raise AssertionError("input read before the output directory was checked")
 
     monkeypatch.setattr(cli, "fit", unexpected)  # an --out that cannot be made fails first
     monkeypatch.setattr(pipeline, "fit", unexpected)
+    monkeypatch.setattr(pipeline, "load_forecasts", unexpected)
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
     assert str(path) in err
     assert "Traceback" not in err
+    if case.endswith("-out-below-a-file") and not case.startswith("simulate"):
+        # the --out check names the file in the way, not the directory below it
+        assert err == f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: '{path}'\n"
 
 
 # -- simulate -----------------------------------------------------------------
@@ -1227,6 +1333,42 @@ def test_run_study_names_the_as_and_ar_coefficients():
         assert study.truths[f"beta2_{j}"] == spec.beta[1]
         assert [study.truths[f"gamma{i}_{j}"] for i in (1, 2, 3)] == list(link.gamma)
     assert all(study.estimates[name].shape == (1,) for name in names)
+
+
+def test_run_study_counts_and_drops_the_replications_that_fail(monkeypatch):
+    scenario = SimScenario(params=reference_params(p=2), tau=np.full(2, TAU), T=200,
+                           burn_in=50, B=4, seed=7)
+    em = EMConfig(n_starts=1, max_iterations=2)
+    clean = run_study(scenario, em, n_jobs=1)
+    real_generate, real_fit = simulate.generate, simulate.fit
+    reps = []
+
+    def study(bad_generate, bad_fit):
+        def generate_or_fail(scenario, rep):
+            reps.append(rep)
+            if rep in bad_generate:
+                raise PathError(f"replication {rep} blew up")
+            return real_generate(scenario, rep)
+
+        def fit_or_fail(*args, **kwargs):
+            if reps[-1] in bad_fit:  # the replication generated last
+                raise NumericError(f"replication {reps[-1]} did not fit")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "generate", generate_or_fail)
+        monkeypatch.setattr(simulate, "fit", fit_or_fail)
+        return run_study(scenario, em, n_jobs=1)
+
+    failed = study({1}, {3})
+    assert failed.n_failed == 2 and clean.n_failed == 0
+    kept = [0, 2]
+    for name in clean.estimates:
+        assert np.array_equal(failed.estimates[name], clean.estimates[name][kept]), name
+    assert np.array_equal(failed.iterations, clean.iterations[kept])
+    assert failed.fit_seconds.shape == (2,) and sum(failed.stop_reasons.values()) == 2
+    with pytest.raises(NumericError) as err:
+        study({0, 2}, {1, 3})
+    assert str(err.value) == "every replication failed"
 
 
 def reference_simulate_file(out, y, length, p):
@@ -1316,21 +1458,20 @@ def test_simulate_rejects_a_df_without_the_student_t_family(tmp_path, capsys, so
 # -- portfolio ----------------------------------------------------------------
 
 
-def _portfolio_config(tmp_path, out):
+def _portfolio_config(tmp_path):
     data = tmp_path / "panel.csv"
     if not data.exists():
         assert cli.main(["simulate", "--dimension", "2", "--length", "130", "--seed", "4",
                          "--out", str(data)]) == 0
     return RunConfig(input_path=str(data), tau=TAU, oos=12, tau_tilde=0.15,
-                     out_dir=str(out), em=EMConfig(n_starts=1, max_iterations=2, seed=3))
+                     em=EMConfig(n_starts=1, max_iterations=2, seed=3))
 
 
 def test_portfolio_run_is_deterministic_and_meets_its_constraints(tmp_path):
     bundles = []
     for name in ("first", "second"):
-        config = _portfolio_config(tmp_path, tmp_path / name)
-        bundles.append(pipeline.portfolio_run(config))
-        pipeline.emit_reports(bundles[-1], config.out_dir)
+        bundles.append(pipeline.portfolio_run(_portfolio_config(tmp_path)))
+        pipeline.emit_reports(bundles[-1], tmp_path / name)
     first, second = bundles
     assert first.portfolio == second.portfolio
     for table in ("portfolio.csv", "forecasts.csv", "scores.csv", "backtests.csv"):
@@ -1375,14 +1516,14 @@ def test_portfolio_run_validates_each_psi_once(tmp_path, monkeypatch):
         return bundle
 
     monkeypatch.setattr(pipeline, "rolling_forecast", forecast_then_count)
-    bundle = pipeline.portfolio_run(_portfolio_config(tmp_path, tmp_path / "reports"))
+    bundle = pipeline.portfolio_run(_portfolio_config(tmp_path))
     distinct = len({psi.tobytes() for psi in bundle.psis})
     assert 1 < distinct < len(bundle.portfolio)
     assert len(calls) == distinct
 
 
 def test_infeasible_period_keeps_the_previous_weights(tmp_path, monkeypatch):
-    config = _portfolio_config(tmp_path, tmp_path / "reports")
+    config = _portfolio_config(tmp_path)
     clean = pipeline.portfolio_run(config)
     real, calls = pipeline.smv_weights, []
 
@@ -1414,14 +1555,15 @@ def test_infeasible_period_keeps_the_previous_weights(tmp_path, monkeypatch):
 
 
 def test_portfolio_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):
-    config = _portfolio_config(tmp_path, tmp_path / "reports")
+    config = _portfolio_config(tmp_path)
 
     def failing_fit(*args, **kwargs):
         raise NumericError("no start converged")
 
     monkeypatch.setattr(pipeline, "fit", failing_fit)
     code = cli.main(["portfolio", "--input", config.input_path, "--oos", "12",
-                     "--n-starts", "1", "--tau-tilde", "0.15", "--out", config.out_dir])
+                     "--n-starts", "1", "--tau-tilde", "0.15", "--out",
+                     str(tmp_path / "reports")])
     assert code == 3
     assert capsys.readouterr().err.startswith("numeric failure: no start converged")
     assert not (tmp_path / "reports").exists()
@@ -1429,7 +1571,7 @@ def test_portfolio_numeric_failure_exits_3(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["forecast", "portfolio"])
 def test_cli_run_writes_the_reports_of_the_library_run(tmp_path, capsys, command):
-    config = _portfolio_config(tmp_path, tmp_path / "library")
+    config = _portfolio_config(tmp_path)
     capsys.readouterr()
     out = tmp_path / "cli"
     argv = [command, "--input", config.input_path, "--tau", str(TAU), "--oos", "12",
@@ -1442,7 +1584,7 @@ def test_cli_run_writes_the_reports_of_the_library_run(tmp_path, capsys, command
         bundle = rolling_forecast(config)
     assert cli.main(argv) == 0, capsys.readouterr().err
     lines = capsys.readouterr().out.splitlines()
-    paths = [Path(path) for path in pipeline.emit_reports(bundle, config.out_dir)]
+    paths = [Path(path) for path in pipeline.emit_reports(bundle, tmp_path / "library")]
     assert lines[: len(paths)] == [f"wrote {out / path.name}" for path in paths]
     if command == "portfolio":
         summary = bundle.manifest["portfolio"]
@@ -1458,12 +1600,12 @@ def test_cli_run_writes_the_reports_of_the_library_run(tmp_path, capsys, command
     manifests = [json.loads((folder / "manifest.json").read_text())
                  for folder in (out, paths[0].parent)]
     for manifest in manifests:
-        del manifest["wall_seconds"], manifest["config"]["out_dir"]
+        del manifest["wall_seconds"]
     assert manifests[0] == manifests[1]
 
 
 def test_a_portfolio_run_needs_a_target_level(tmp_path, monkeypatch, capsys):
-    config = replace(_portfolio_config(tmp_path, tmp_path / "reports"), tau_tilde=None)
+    config = replace(_portfolio_config(tmp_path), tau_tilde=None)
     capsys.readouterr()
 
     def unexpected(config):
@@ -1474,7 +1616,7 @@ def test_a_portfolio_run_needs_a_target_level(tmp_path, monkeypatch, capsys):
         pipeline.portfolio_run(config)
     assert str(err.value) == "portfolio runs need a target level tau_tilde"
     code = cli.main(["portfolio", "--input", config.input_path, "--oos", "12",
-                     "--out", config.out_dir])
+                     "--out", str(tmp_path / "reports")])
     assert code == 2
     assert capsys.readouterr().err == "error: missing required option --tau-tilde\n"
     assert not (tmp_path / "reports").exists()
