@@ -13,6 +13,8 @@ the normal ones) rather than recomputed, so reports are comparable across
 runs; p-values carry the continuous version of the same information. The
 lag count ``N_LAGS`` of the dynamic quantile and conditional shortfall tests
 is fixed with them, so 9.49 is the 5% point at every such report's df.
+Every chi-square report is built by ``_chi2_report``, the one place that
+maps a df to its critical value and states the rejection rule.
 
 All statistics use the convention 0 * log 0 = 0 where empty cells make a
 likelihood term vanish.
@@ -50,7 +52,8 @@ class TestReport:
     """One test outcome.
 
     ``reject`` is a pure function of the statistic and the critical value:
-    statistic above the critical value for the chi-square tests, absolute
+    statistic above the critical value for the chi-square tests (built by
+    ``_chi2_report``, the rule's one statement for them), absolute
     statistic above it for the two-sided shortfall test, statistic below
     it for the one-sided comparison test. ``degenerate`` marks reports
     whose statistic could not be computed from the data as given;
@@ -77,8 +80,30 @@ def _as_hits(hits):
     return hits
 
 
-def _xlogy(x, y):
-    return 0.0 if x == 0.0 else x * math.log(y)
+def _bernoulli_loglik(n0, n1):
+    """Maximized log-likelihood of n0 zeros and n1 ones; 0 for no draws."""
+    if n0 + n1 == 0:
+        return 0.0
+    p = n1 / (n0 + n1)  # below 1 when n0 > 0 and above 0 when n1 > 0
+    return (n0 * math.log(1.0 - p) if n0 else 0.0) + (n1 * math.log(p) if n1 else 0.0)
+
+
+_CRITICAL = {1: CHI2_1, 2: CHI2_2, N_LAGS: CHI2_4}
+
+
+def _chi2_report(stat, df, degenerate=False, low_power=False):
+    """Reject when ``stat`` exceeds the 5% point at ``df``; ``stat = inf``
+    marks a degenerate report, which reads p-value 0 and rejects."""
+    critical = _CRITICAL[df]
+    return TestReport(
+        statistic=stat,
+        critical_value=critical,
+        p_value=float(special.chdtrc(df, stat)),
+        reject=stat > critical,
+        df=df,
+        degenerate=degenerate,
+        low_power=low_power,
+    )
 
 
 def _acf(x, n_lags):
@@ -106,25 +131,7 @@ def lr_uc(hits, tau):
         stat += n1 * math.log(tau / pi_hat)
     if n0 > 0.0:
         stat += n0 * math.log((1.0 - tau) / (1.0 - pi_hat))
-    stat = max(-2.0 * stat, 0.0)
-    return TestReport(
-        statistic=stat,
-        critical_value=CHI2_1,
-        p_value=float(special.chdtrc(1, stat)),
-        reject=stat > CHI2_1,
-        df=1,
-    )
-
-
-def _markov_loglik(n00, n01, n10, n11):
-    out = 0.0
-    if n00 + n01 > 0:
-        p01 = n01 / (n00 + n01)
-        out += _xlogy(n00, 1.0 - p01 if p01 < 1.0 else 1.0) + _xlogy(n01, p01 if p01 > 0.0 else 1.0)
-    if n10 + n11 > 0:
-        p11 = n11 / (n10 + n11)
-        out += _xlogy(n10, 1.0 - p11 if p11 < 1.0 else 1.0) + _xlogy(n11, p11 if p11 > 0.0 else 1.0)
-    return out
+    return _chi2_report(max(-2.0 * stat, 0.0), 1)
 
 
 def lr_cc(hits, tau):
@@ -132,26 +139,15 @@ def lr_cc(hits, tau):
     hits = _as_hits(hits)
     if hits.size < 2:
         raise ValidationError("conditional coverage needs at least two periods")
-    prev = hits[:-1]
-    curr = hits[1:]
-    n00 = float(np.sum((prev == 0) & (curr == 0)))
-    n01 = float(np.sum((prev == 0) & (curr == 1)))
-    n10 = float(np.sum((prev == 1) & (curr == 0)))
-    n11 = float(np.sum((prev == 1) & (curr == 1)))
-    pooled = (n01 + n11) / (n00 + n01 + n10 + n11)
-    ll_pooled = (
-        _xlogy(n00 + n10, 1.0 - pooled if pooled < 1.0 else 1.0)
-        + _xlogy(n01 + n11, pooled if pooled > 0.0 else 1.0)
+    prev, curr = hits[:-1], hits[1:]
+    n00, n01, n10, n11 = (
+        float(np.sum((prev == i) & (curr == j))) for i in (0, 1) for j in (0, 1)
     )
-    lr_ind = max(-2.0 * (ll_pooled - _markov_loglik(n00, n01, n10, n11)), 0.0)
-    stat = lr_uc(hits, tau).statistic + lr_ind
-    return TestReport(
-        statistic=stat,
-        critical_value=CHI2_2,
-        p_value=float(special.chdtrc(2, stat)),
-        reject=stat > CHI2_2,
-        df=2,
-    )
+    # the counts are integer-valued floats, so any grouping of their sums is exact
+    ll_pooled = _bernoulli_loglik(n00 + n10, n01 + n11)
+    ll_markov = _bernoulli_loglik(n00, n01) + _bernoulli_loglik(n10, n11)
+    lr_ind = max(-2.0 * (ll_pooled - ll_markov), 0.0)
+    return _chi2_report(lr_uc(hits, tau).statistic + lr_ind, 2)
 
 
 def dq_test(hits, tau):
@@ -169,32 +165,16 @@ def dq_test(hits, tau):
         raise ValidationError("series too short for the lag structure")
 
     dep = hits[N_LAGS:] - tau
-    cols = [np.ones(n - N_LAGS)]
-    for k in range(1, N_LAGS + 1):
-        cols.append(hits[N_LAGS - k : n - k])
-    x = np.column_stack(cols)
+    lags = [hits[N_LAGS - k : n - k] for k in range(1, N_LAGS + 1)]
+    x = np.column_stack([np.ones(n - N_LAGS)] + lags)
     xtx = x.T @ x
     if np.linalg.matrix_rank(xtx) < x.shape[1]:
-        return TestReport(
-            statistic=math.inf,
-            critical_value=CHI2_4,
-            p_value=0.0,
-            reject=True,
-            df=N_LAGS,
-            degenerate=True,
-        )
+        return _chi2_report(math.inf, N_LAGS, degenerate=True)
     xtx_inv = np.linalg.inv(xtx)
     beta = xtx_inv @ (x.T @ dep)
     cov_lags = tau * (1.0 - tau) * xtx_inv[1:, 1:]
     b = beta[1:]
-    stat = float(b @ np.linalg.solve(cov_lags, b))
-    return TestReport(
-        statistic=stat,
-        critical_value=CHI2_4,
-        p_value=float(special.chdtrc(N_LAGS, stat)),
-        reject=stat > CHI2_4,
-        df=N_LAGS,
-    )
+    return _chi2_report(float(b @ np.linalg.solve(cov_lags, b)), N_LAGS)
 
 
 def es_tests(y, var, scale, tau):
@@ -208,9 +188,7 @@ def es_tests(y, var, scale, tau):
     Box-Pierce sum over the first ``N_LAGS`` autocorrelations of the
     cumulative violations. Returns ``(unconditional, conditional)``.
     """
-    y = np.asarray(y, dtype=float)
-    var = np.asarray(var, dtype=float)
-    scale = np.asarray(scale, dtype=float)
+    y, var, scale = (np.asarray(a, dtype=float) for a in (y, var, scale))
     tau = float(tau)
     if y.ndim != 1 or y.shape != var.shape or y.shape != scale.shape:
         raise ValidationError("y, var and scale must be aligned vectors")
@@ -231,31 +209,14 @@ def es_tests(y, var, scale, tau):
         low_power=low_power,
     )
 
-    centered = h - h.mean()
-    if float(centered @ centered) <= 0.0:  # _acf raises on zero variance
-        c_report = TestReport(
-            statistic=math.inf,
-            critical_value=CHI2_4,
-            p_value=0.0,
-            reject=True,
-            df=N_LAGS,
-            degenerate=True,
-            low_power=low_power,
-        )
-        return u_report, c_report
+    try:
+        rhos = _acf(h, N_LAGS).tolist()
+    except NumericError:  # zero variance in the cumulative violations
+        return u_report, _chi2_report(math.inf, N_LAGS, degenerate=True, low_power=low_power)
     acf_sq = 0.0
-    for rho in _acf(h, N_LAGS).tolist():
+    for rho in rhos:
         acf_sq += rho**2  # float pow in lag order; numpy's rho * rho can differ by 1 ulp
-    c_stat = t * acf_sq
-    c_report = TestReport(
-        statistic=c_stat,
-        critical_value=CHI2_4,
-        p_value=float(special.chdtrc(N_LAGS, c_stat)),
-        reject=c_stat > CHI2_4,
-        df=N_LAGS,
-        low_power=low_power,
-    )
-    return u_report, c_report
+    return u_report, _chi2_report(t * acf_sq, N_LAGS, low_power=low_power)
 
 
 def dm_test(score_a, score_b):
@@ -266,8 +227,7 @@ def dm_test(score_a, score_b):
     is rejected in favor of the first series when the statistic falls
     below -1.645. Swapping the inputs negates the statistic exactly.
     """
-    a = np.asarray(score_a, dtype=float)
-    b = np.asarray(score_b, dtype=float)
+    a, b = (np.asarray(s, dtype=float) for s in (score_a, score_b))
     if a.ndim != 1 or a.shape != b.shape:
         raise ValidationError("score series must be aligned vectors")
     t = a.size
@@ -283,20 +243,16 @@ def dm_test(score_a, score_b):
     # a constant differential leaves only rounding residue in dev; treat it
     # as zero variance rather than studentizing by float noise
     scale = max(1.0, float(np.max(np.abs(d))))
-    if lrv <= 0.0 or np.max(np.abs(dev)) <= 1e-12 * scale:
-        mean = float(d.mean())
+    degenerate = bool(lrv <= 0.0 or np.max(np.abs(dev)) <= 1e-12 * scale)
+    mean = float(d.mean())
+    if degenerate:
         stat = 0.0 if mean == 0.0 else math.copysign(math.inf, mean)
-        return TestReport(
-            statistic=stat,
-            critical_value=ONE_SIDED_Z,
-            p_value=float(special.ndtr(stat)),
-            reject=stat < ONE_SIDED_Z,
-            degenerate=True,
-        )
-    stat = float(d.mean()) / math.sqrt(lrv / t)
+    else:
+        stat = mean / math.sqrt(lrv / t)
     return TestReport(
         statistic=stat,
         critical_value=ONE_SIDED_Z,
         p_value=float(special.ndtr(stat)),
         reject=stat < ONE_SIDED_Z,
+        degenerate=degenerate,
     )

@@ -6,8 +6,10 @@ runs the rolling out-of-sample exercise, ``backtest`` re-scores a
 previously emitted forecast table, ``portfolio`` adds the allocation
 track, and ``simulate`` writes synthetic panels from the stock truth set.
 ``backtest`` is one call of ``pipeline.rescore``, which reads
-forecasts.csv and the levels its run recorded: this module holds no file
-layout. ``stats``, ``fit``, ``forecast``, ``backtest`` and ``portfolio``
+forecasts.csv and the levels its run recorded: pipeline alone knows the
+layout of forecasts.csv and of a run's manifest, while this module names
+the files of ``stats`` and ``fit`` and writes the panel ``simulate`` draws.
+``stats``, ``fit``, ``forecast``, ``backtest`` and ``portfolio``
 reject an ``--out`` that cannot be created before they read their input.
 Each subcommand declares only the options it reads, and ``simulate``
 rejects a ``df`` without ``--family student_t``. A key=value config file

@@ -71,6 +71,8 @@ class RunConfig:
     def __post_init__(self):
         if self.window not in WINDOWS:
             raise ValidationError(f"unknown window policy {self.window!r}")
+        if self.window == EXPANDING and self.window_width is not None:
+            raise ValidationError("window_width applies only to the rolling window")
         for name, low in (("oos", _MIN_OOS), ("refit_every", 1), ("window_width", 2)):
             value = getattr(self, name)
             if value is not None or name != "window_width":
@@ -610,7 +612,7 @@ def rescore(path, tau=None):
             tau = np.asarray(tau, dtype=float)
         except (ValueError, KeyError, TypeError):
             raise ValidationError(
-                f"missing option --tau: {manifest} does not record the levels of {path}"
+                f"no tau given, and {manifest} does not record the levels of {path}"
             ) from None
     tau = as_levels(tau, len(assets))
     panels = [table.values[:, k::3] for k in range(3)]  # y, var, es by asset

@@ -120,11 +120,14 @@ def s_mal(record, sigma):
     return float(math.log(2.0) - 0.5 * p * math.log(2.0 * math.pi) - row)
 
 
-def _require_negative_es(es):
+def _score_inputs(q, es, y, tau):
+    """``(q, es, y, tau, hit)`` as float arrays, hit = 1{y < q}; ``es`` is
+    checked first and must be finite and strictly negative."""
     es = np.asarray(es, dtype=float)
     if np.any(es >= 0.0) or not np.all(np.isfinite(es)):
         raise ValidationError("shortfall forecasts must be strictly negative")
-    return es
+    q, y = (np.asarray(a, dtype=float) for a in (q, y))
+    return q, es, y, np.asarray(tau, dtype=float), (y < q).astype(float)
 
 
 def s_fzn(q, es, y, tau):
@@ -133,11 +136,7 @@ def s_fzn(q, es, y, tau):
     Scaling (q, es, y) jointly by c > 0 scales loss differences (and this
     particular member, the loss itself) by sqrt(c).
     """
-    es = _require_negative_es(es)
-    q = np.asarray(q, dtype=float)
-    y = np.asarray(y, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    hit = (y < q).astype(float)
+    q, es, y, tau, hit = _score_inputs(q, es, y, tau)
     root = np.sqrt(-es)
     out = (
         (hit - tau) * q / (2.0 * tau * root)
@@ -149,11 +148,7 @@ def s_fzn(q, es, y, tau):
 
 def s_fz0(q, es, y, tau):
     """Zero-homogeneous joint loss: differences are scale-invariant."""
-    es = _require_negative_es(es)
-    q = np.asarray(q, dtype=float)
-    y = np.asarray(y, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    hit = (y < q).astype(float)
+    q, es, y, tau, hit = _score_inputs(q, es, y, tau)
     out = hit * (y - q) / (tau * es) + q / es + np.log(-es) - 1.0
     return float(out) if out.ndim == 0 else out
 
@@ -166,11 +161,7 @@ def s_al(q, es, y, tau):
     block reproduces the likelihood comparison of competing (VaR, ES)
     paths one asset at a time.
     """
-    es = _require_negative_es(es)
-    q = np.asarray(q, dtype=float)
-    y = np.asarray(y, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    hit = (y < q).astype(float)
+    q, es, y, tau, hit = _score_inputs(q, es, y, tau)
     out = -np.log((tau - 1.0) / es) - (y - q) * (tau - hit) / (tau * es)
     return float(out) if out.ndim == 0 else out
 

@@ -55,6 +55,49 @@ def test_lr_uc_reject_is_pure_function_of_statistic():
         assert rep.reject == (rep.statistic > rep.critical_value)
 
 
+def _chi2_rule_holds(rep):
+    assert rep.reject == (rep.statistic > rep.critical_value)
+    if rep.degenerate:
+        assert (rep.statistic, rep.p_value) == (math.inf, 0.0)
+    return rep
+
+
+def test_every_report_reject_is_pure_function_of_statistic():
+    """The 5% rule of the rest of the battery, degenerate reports included:
+    a chi-square report rejects iff its statistic is above the critical
+    value, the two-sided shortfall report iff the absolute statistic is,
+    and the one-sided comparison iff the statistic is below it."""
+    rng = np.random.default_rng(95)
+    hit_sets = [np.zeros(100), np.ones(100), np.tile([1.0, 0.0], 50)]
+    hit_sets += [(rng.uniform(size=200) < rate).astype(float)
+                 for rate in (0.02, 0.07, 0.3) for _ in range(10)]
+    reports = [_chi2_rule_holds(test(hits, 0.05))
+               for hits in hit_sets for test in (lr_cc, dq_test)]
+    assert reports[1].degenerate and not reports[-1].degenerate  # rank-deficient dq regressors
+
+    tau, mu, delta = 0.1, -0.5, 0.8
+    # no violations leave the cumulative violations without variance
+    y_sets = [al_quantile(np.linspace(0.5, 0.9, n), mu, tau, delta) for n in (40, 300)]
+    y_sets += [_al_draws(rng, n, mu, tau, delta) + shift
+               for n in (40, 300) for shift in (0.0, 0.4, -3.0)]
+    flags = set()
+    for y in y_sets:
+        u_rep, c_rep = es_tests(y, np.full(y.size, mu), np.full(y.size, delta), tau)
+        assert u_rep.reject == (abs(u_rep.statistic) > u_rep.critical_value)
+        _chi2_rule_holds(c_rep)
+        flags.add((c_rep.degenerate, c_rep.low_power))
+    assert flags == {(True, True), (True, False), (False, True), (False, False)}
+
+    pairs = [(np.full(50, 0.3), np.zeros(50)), (np.zeros(50), np.full(50, 0.3)),
+             (np.full(50, 0.3), np.full(50, 0.3))]  # constant differentials
+    pairs += [(rng.normal(size=200), rng.normal(0.3 * k, 1.0, 200)) for k in range(-3, 4)]
+    reports = [dm_test(a, b) for a, b in pairs]
+    for rep in reports:
+        assert rep.reject == (rep.statistic < rep.critical_value)
+    assert [rep.degenerate for rep in reports[:3]] == [True] * 3
+    assert {rep.reject for rep in reports} == {True, False}
+
+
 # -- conditional coverage -----------------------------------------------------
 
 

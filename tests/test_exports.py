@@ -80,3 +80,14 @@ def test_the_cli_holds_no_file_layout():
             imported.add(node.module.partition(".")[0])
     assert imported & {"json", "numpy"} == set()
     assert "manifest.json" not in source
+
+
+def test_backtests_state_each_rejection_rule_once():
+    # every chi-square report comes from _chi2_report; es_tests' two-sided and
+    # dm_test's one-sided reports are the only other TestReport constructions
+    tree = ast.parse((SRC / "backtests.py").read_text())
+    owners = {id(node): top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+              for node in ast.walk(top)}
+    builders = [owners.get(id(node)) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "TestReport"]
+    assert sorted(builders, key=str) == ["_chi2_report", "dm_test", "es_tests"]

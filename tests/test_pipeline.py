@@ -138,12 +138,18 @@ def test_backtest_without_any_tau_exits_2(tmp_path, capsys):
     source = tmp_path / "forecasts.csv"
     _write_forecasts(source)
     out = tmp_path / "reports"
-    assert cli.main(["backtest", "--forecasts", str(source), "--out", str(out)]) == 2
-    assert "--tau" in capsys.readouterr().err
-    for recorded in ({"command": "forecast"}, {"tau": "ten percent"}, ["tau"]):
-        (tmp_path / "manifest.json").write_text(json.dumps(recorded))
+    record = tmp_path / "manifest.json"
+    # the library call and the CLI give one message, which names no flag
+    message = f"no tau given, and {record} does not record the levels of {source}"
+    for recorded in (None, {"command": "forecast"}, {"config": {"kind": "sav"}}, "{not json",
+                     {"tau": "ten percent"}, ["tau"]):
+        if recorded is not None:
+            record.write_text(recorded if isinstance(recorded, str) else json.dumps(recorded))
+        with pytest.raises(ValidationError) as err:
+            quantes.rescore(source)
+        assert str(err.value) == message
         assert cli.main(["backtest", "--forecasts", str(source), "--out", str(out)]) == 2
-        assert "--tau" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
 
 
@@ -497,8 +503,11 @@ def test_run_config_takes_numpy_integer_counts():
         ({"link_kind": "add"}, "unknown recursion or link kind"),
         ({"tau_tilde": 0.0}, "portfolio level must lie in (0, 0.5]"),
         ({"tau_tilde": 0.6}, "portfolio level must lie in (0, 0.5]"),
+        ({"window": "expanding", "window_width": 300},
+         "window_width applies only to the rolling window"),
     ],
-    ids=["window", "kind", "link", "tau-tilde-zero", "tau-tilde-above-half"],
+    ids=["window", "kind", "link", "tau-tilde-zero", "tau-tilde-above-half",
+         "width-of-expanding"],
 )
 def test_run_config_rejects_an_unknown_policy_kind_or_portfolio_level(settings, message):
     with pytest.raises(ValidationError) as err:
@@ -912,7 +921,7 @@ def test_cli_config_file_takes_every_flag_and_ignores_other_subcommands_keys(
         tmp_path, monkeypatch, capsys):
     text = (
         "input = other.csv\ncolumns = a, b\ntau = 0.05,0.1\nkind = as\nlink = ar\n"
-        "window = expanding\nwindow-width = 300\noos = 40\nrefit_every = 7\n"
+        "window = rolling\nwindow-width = 300\noos = 40\nrefit_every = 7\n"
         "out = there\nseed = 3\nn_starts = 2\ntol = 1e-5\nmax_iterations = 9\n"
         # keys of the portfolio, backtest and simulate subcommands: accepted, unused here
         "tau_tilde = 0.15\nforecasts = f.csv\nlength = 10\ndimension = 2\nfamily = none\n"
@@ -925,7 +934,7 @@ def test_cli_config_file_takes_every_flag_and_ignores_other_subcommands_keys(
     assert capsys.readouterr().err == "error: stopped\n"
     expected = RunConfig(
         input_path="panel.csv", tau=[0.05, 0.1], columns=("a", "b"), kind="as",
-        link_kind="ar", window="expanding", window_width=300, oos=40, refit_every=7,
+        link_kind="ar", window="rolling", window_width=300, oos=40, refit_every=7,
         tau_tilde=None, em=EMConfig(n_starts=2, tol=1e-5, max_iterations=9, seed=3),
     )
     assert seen == [expected]
